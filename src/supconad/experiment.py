@@ -10,15 +10,19 @@ pipeline, plus per-cell score exports and a deterministic run manifest.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__, scoring, trainer
 from .metrics import LabeledScores, pr_auc, roc_auc
-from .numerics import Rng
+from .numerics import DegenerateVectorError, Rng
 from .stats import ResultsMatrix
 from .synthgen import (ANOMALOUS, MODALITIES, NORMAL, GenConfig, Modality,
                        by_modality, dataset_windows, generate_dataset)
@@ -90,15 +94,66 @@ class GridResult:
         return not self.failures
 
 
+# Inputs of the trainings a pool is about to run.  Workers inherit the list
+# through fork, so the windows are never pickled; only results come back.
+_TASKS: list[tuple] = []
+
+
+def train_workers(n_tasks: int) -> int:
+    """Worker processes for n_tasks independent trainings: at most one per usable CPU."""
+    return min(n_tasks, len(os.sched_getaffinity(0)))
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per worker, so workers do not oversubscribe.
+
+    Uses the OpenBLAS bundled with numpy; when its setter is not found the
+    call is skipped.  Thread count does not change results at these sizes.
+    """
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*"))
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(1)
+                return
+
+
+def _train_task(i: int) -> trainer.TrainResult:
+    return trainer.train(*_TASKS[i])
+
+
 def _train_models_for(windows_by_mod, cfg: ExperimentConfig, run_seed: int,
                       labelling: str, loss_mode: str):
-    results = {}
-    for mod in MODALITIES:
-        tcfg = replace(cfg.train, negative_mode=loss_mode,
-                       seed=derive_cell_seed(run_seed, labelling, loss_mode, mod))
-        results[mod] = trainer.train(windows_by_mod[mod], list(cfg.encoder_dims),
-                                     list(cfg.projection_dims), tcfg)
-    return results
+    """Train one model per modality, in parallel when more than one CPU is usable.
+
+    Results are bit-identical to training in-process and come back in
+    MODALITIES order; the first error in that order is re-raised.
+    """
+    tasks = [
+        (windows_by_mod[mod], list(cfg.encoder_dims), list(cfg.projection_dims),
+         replace(cfg.train, negative_mode=loss_mode,
+                 seed=derive_cell_seed(run_seed, labelling, loss_mode, mod)))
+        for mod in MODALITIES
+    ]
+    workers = train_workers(len(tasks))
+    if workers <= 1:
+        return {mod: trainer.train(*task) for mod, task in zip(MODALITIES, tasks)}
+    _TASKS[:] = tasks
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_pin_blas_to_one_thread) as pool:
+            results = list(pool.map(_train_task, range(len(tasks))))
+    finally:
+        _TASKS.clear()
+    return dict(zip(MODALITIES, results))
 
 
 def _score_test_set(models: dict[Modality, object], train_by_mod, test_by_mod,
@@ -148,19 +203,23 @@ def run_grid(cfg: ExperimentConfig, write_scores: bool = True) -> GridResult:
             train_windows = dataset_windows(ds, labelling, split="train")
             train_by_mod = by_modality(train_windows)
             for loss_mode in cfg.loss_modes:
+                # a group that fails in training, validation or scoring loses all its cells
                 try:
                     results = _train_models_for(train_by_mod, cfg, run_seed, labelling, loss_mode)
-                except trainer.TrainingDivergedError as exc:
+                    scored = {
+                        head: _score_test_set(
+                            {m: results[m].best[head].params for m in MODALITIES},
+                            train_by_mod, test_by_mod, head == "projection")
+                        for head in cfg.head_modes
+                    }
+                except (trainer.TrainingDivergedError, DegenerateVectorError) as exc:
                     for head in cfg.head_modes:
                         failures.append({
                             "seed": run_seed, "labelling": labelling,
                             "loss": loss_mode, "head": head, "error": str(exc),
                         })
                     continue
-                for head in cfg.head_modes:
-                    use_proj = head == "projection"
-                    models = {m: results[m].best[head].params for m in MODALITIES}
-                    cell = _score_test_set(models, train_by_mod, test_by_mod, use_proj)
+                for head, cell in scored.items():
                     method = f"{loss_mode}-{head}-{labelling}"
                     for combo_name in cfg.combos:
                         combo = scoring.MODALITY_COMBOS[combo_name]

@@ -19,10 +19,9 @@ temperatures as sharp as 0.1 with cosines near +-1 cannot overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-from .numerics import as_matrix
 
 UNIT_NORM_TOL = 1e-9
 
@@ -58,20 +57,26 @@ class LossBatch:
     """K unit-norm anchor embeddings (normal) and M negatives (anomalous)."""
 
     def __init__(self, normal: np.ndarray, anomalous: np.ndarray):
-        vn = as_matrix(normal, "normal embeddings")
-        va = as_matrix(anomalous, "anomalous embeddings")
+        vn = np.asarray(normal, dtype=np.float64)
+        va = np.asarray(anomalous, dtype=np.float64)
+        for name, m in (("normal", vn), ("anomalous", va)):
+            if m.ndim != 2 or m.size == 0:
+                raise ValueError(f"{name} embeddings must be 2-D and non-empty, "
+                                 f"got shape {m.shape}")
         if vn.shape[0] < 2:
             raise ValueError("need at least K=2 normal embeddings")
-        if va.shape[0] < 1:
-            raise ValueError("need at least M=1 anomalous embedding")
         if vn.shape[1] != va.shape[1]:
             raise ValueError("embedding dimensions differ")
         for name, m in (("normal", vn), ("anomalous", va)):
-            norms = np.linalg.norm(m, axis=1)
-            if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-                raise ValueError(f"{name} embeddings must be unit-norm within {UNIT_NORM_TOL}")
+            # one pass: a non-finite entry makes its row norm inf or nan, which
+            # fails the comparison below just as an off-unit norm does
+            norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+            if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
+                raise ValueError(
+                    f"{name} embeddings must be finite and unit-norm within {UNIT_NORM_TOL}")
         self.normal = vn
         self.anomalous = va
+        self._shared: tuple[LossConfig, _Shared] | None = None
 
     @property
     def k(self) -> int:
@@ -82,16 +87,32 @@ class LossBatch:
         return self.anomalous.shape[0]
 
 
+class _Shared(NamedTuple):
+    """Per-batch terms that both the loss and its gradient need."""
+    exp_neg: np.ndarray    # exp(anchor-negative logits - row max), (K, M)
+    log_s: np.ndarray      # log sum_m exp(v_i . v_am / tau), (K,)
+    arg: np.ndarray        # log(c) + log_s[i] - v_i . v_j / tau, (K, K)
+
+
+def _shared(batch: LossBatch, cfg: LossConfig) -> _Shared:
+    """Logits, log-sum-exp and softplus arguments, computed once per (batch, cfg)."""
+    if batch._shared is not None and batch._shared[0] == cfg:
+        return batch._shared[1]
+    vn, va = batch.normal, batch.anomalous
+    z = vn @ vn.T / cfg.tau                       # anchor-pair logits
+    neg_logits = vn @ va.T / cfg.tau              # anchor-negative logits
+    mx = neg_logits.max(axis=1, keepdims=True)
+    exp_neg = np.exp(neg_logits - mx)
+    log_s = (mx + np.log(exp_neg.sum(axis=1, keepdims=True)))[:, 0]
+    arg = np.log(cfg.scale(batch.m)) + log_s[:, None] - z
+    shared = _Shared(exp_neg, log_s, arg)
+    batch._shared = (cfg, shared)
+    return shared
+
+
 def _softplus(x: np.ndarray) -> np.ndarray:
     # log(1 + e^x) without overflow for large |x|
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def _neg_logsumexp_rows(batch: LossBatch, cfg: LossConfig) -> np.ndarray:
-    """log sum_m exp(v_i . v_am / tau) per anchor row i, shift-stabilized."""
-    logits = batch.normal @ batch.anomalous.T / cfg.tau
-    mx = logits.max(axis=1, keepdims=True)
-    return (mx + np.log(np.exp(logits - mx).sum(axis=1, keepdims=True)))[:, 0]
 
 
 def pair_loss(batch: LossBatch, i: int, j: int, cfg: LossConfig) -> float:
@@ -102,18 +123,14 @@ def pair_loss(batch: LossBatch, i: int, j: int, cfg: LossConfig) -> float:
     if not (0 <= i < k and 0 <= j < k):
         raise ValueError(f"pair indices out of range for K={k}")
     z_pos = float(batch.normal[i] @ batch.normal[j]) / cfg.tau
-    log_s = _neg_logsumexp_rows(batch, cfg)[i]
+    log_s = _shared(batch, cfg).log_s[i]
     c = cfg.scale(batch.m)
     return float(_softplus(np.asarray(np.log(c) + log_s - z_pos)))
 
 
 def batch_loss(batch: LossBatch, cfg: LossConfig) -> float:
     """Mean of pair_loss over all K*(K-1) ordered anchor pairs."""
-    z = batch.normal @ batch.normal.T / cfg.tau
-    log_s = _neg_logsumexp_rows(batch, cfg)
-    c = cfg.scale(batch.m)
-    arg = np.log(c) + log_s[:, None] - z
-    terms = _softplus(arg)
+    terms = _softplus(_shared(batch, cfg).arg)
     np.fill_diagonal(terms, 0.0)
     k = batch.k
     return float(terms.sum() / (k * (k - 1)))
@@ -126,18 +143,11 @@ def batch_loss_grad(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, np.n
     through any upstream normalization is the caller's concern.
     """
     vn, va = batch.normal, batch.anomalous
-    k, m = batch.k, batch.m
-    tau, c = cfg.tau, cfg.scale(m)
-
-    z = vn @ vn.T / tau                       # anchor-pair logits, (K, K)
-    neg_logits = vn @ va.T / tau              # anchor-negative logits, (K, M)
-    mx = neg_logits.max(axis=1, keepdims=True)
-    exp_neg = np.exp(neg_logits - mx)
-    log_s = (mx + np.log(exp_neg.sum(axis=1, keepdims=True)))[:, 0]
+    k, tau = batch.k, cfg.tau
+    exp_neg, _, arg = _shared(batch, cfg)
     w = exp_neg / exp_neg.sum(axis=1, keepdims=True)     # softmax over negatives per anchor
 
     # sigma[i, j] = share of the (i, j) denominator carried by the negatives
-    arg = np.log(c) + log_s[:, None] - z
     sigma = 1.0 / (1.0 + np.exp(-arg))
     np.fill_diagonal(sigma, 0.0)
 

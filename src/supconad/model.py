@@ -81,6 +81,7 @@ class ForwardTrace:
     h: np.ndarray           # encoder output (unnormalized)
     v_raw: np.ndarray       # projection output before normalization
     v: np.ndarray           # unit-norm embedding
+    norms: np.ndarray       # ||v_raw|| per row, shape (batch, 1) even for a single vector
     single: bool            # True when x was a single vector
 
 
@@ -112,42 +113,30 @@ def init_params(encoder_dims: list[int], projection_dims: list[int], rng: Rng) -
     return ModelParams(build(encoder_dims, False), build(projection_dims, True))
 
 
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if activation == "relu" else z
-
-
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     """Run the full encoder + projection chain, recording intermediates."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    a = np.atleast_2d(x)
+    a = x if x.ndim == 2 else np.atleast_2d(x)
     if a.shape[1] != params.input_dim:
         raise ValueError(f"input dim {a.shape[1]} != expected {params.input_dim}")
     pre, act = [], []
     for layer in params.layers:
         z = a @ layer.weight.T + layer.bias
-        a = _apply_activation(z, layer.activation)
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
         pre.append(z)
         act.append(a)
-    h = act[len(params.encoder) - 1]
     v_raw = act[-1]
     norms = np.linalg.norm(v_raw, axis=1, keepdims=True)
     if np.any(norms < NORM_EPS) or not np.all(np.isfinite(norms)):
         raise DegenerateVectorError("projection output norm is degenerate or non-finite")
     v = v_raw / norms
-
-    def maybe_squeeze(m):
-        return m[0] if single else m
-
-    return ForwardTrace(
-        x=x,
-        pre=[maybe_squeeze(z) for z in pre],
-        act=[maybe_squeeze(m) for m in act],
-        h=maybe_squeeze(h),
-        v_raw=maybe_squeeze(v_raw),
-        v=maybe_squeeze(v),
-        single=single,
-    )
+    if single:
+        pre = [z[0] for z in pre]
+        act = [m[0] for m in act]
+        v_raw, v = v_raw[0], v[0]
+    return ForwardTrace(x=x, pre=pre, act=act, h=act[len(params.encoder) - 1],
+                        v_raw=v_raw, v=v, norms=norms, single=single)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> ParamGrads:
@@ -156,19 +145,20 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> Pa
     For batched traces grad_v is (batch, embed_dim) and parameter gradients
     are summed over the batch.
     """
-    grad_v = np.atleast_2d(np.asarray(grad_v, dtype=np.float64))
-    v = np.atleast_2d(trace.v)
-    v_raw = np.atleast_2d(trace.v_raw)
+    grad_v = np.asarray(grad_v, dtype=np.float64)
+    if trace.single:
+        grad_v = np.atleast_2d(grad_v)
+        v, x = np.atleast_2d(trace.v), np.atleast_2d(trace.x)
+        pres = [np.atleast_2d(z) for z in trace.pre]
+        acts = [np.atleast_2d(m) for m in trace.act]
+    else:
+        v, x, pres, acts = trace.v, trace.x, trace.pre, trace.act
     if grad_v.shape != v.shape:
         raise ValueError(f"grad_v shape {grad_v.shape} != embedding shape {v.shape}")
 
-    norms = np.linalg.norm(v_raw, axis=1, keepdims=True)
-    g = (grad_v - v * np.sum(grad_v * v, axis=1, keepdims=True)) / norms
+    g = (grad_v - v * np.sum(grad_v * v, axis=1, keepdims=True)) / trace.norms
 
     layers = params.layers
-    pres = [np.atleast_2d(z) for z in trace.pre]
-    acts = [np.atleast_2d(m) for m in trace.act]
-    x = np.atleast_2d(trace.x)
     grads: list[tuple[np.ndarray, np.ndarray]] = []
     for li in range(len(layers) - 1, -1, -1):
         layer = layers[li]
@@ -185,20 +175,23 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> Pa
 
 def sgd_step(params: ModelParams, grads: ParamGrads, lr: float,
              momentum: float = 0.0, velocity: list | None = None):
-    """In-place SGD update; returns the (possibly created) velocity buffers."""
+    """In-place SGD update; returns the velocity buffers (None without momentum)."""
     layer_grads = grads.encoder + grads.projection
     layers = params.layers
+    if not momentum:
+        for layer, (dw, db) in zip(layers, layer_grads):
+            layer.weight -= lr * dw
+            layer.bias -= lr * db
+        return velocity
     if velocity is None:
         velocity = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in layers]
     for layer, (dw, db), (vw, vb) in zip(layers, layer_grads, velocity):
-        if momentum:
-            vw *= momentum
-            vw += dw
-            vb *= momentum
-            vb += db
-            dw, db = vw, vb
-        layer.weight -= lr * dw
-        layer.bias -= lr * db
+        vw *= momentum
+        vw += dw
+        vb *= momentum
+        vb += db
+        layer.weight -= lr * vw
+        layer.bias -= lr * vb
     return velocity
 
 

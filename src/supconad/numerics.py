@@ -154,15 +154,20 @@ class Rng:
         """k distinct indices from range(pool_size), partial Fisher-Yates order.
 
         Swap i uses uniform draw i: j = i + floor(u_i * (pool_size - i)).
+        Only the swapped slots are stored, so the cost is O(k), not O(pool_size).
         """
         if k > pool_size:
             raise ValueError(f"cannot draw {k} from pool of {pool_size}")
         u = self.uniform(k)
-        idx = np.arange(pool_size)
-        for i in range(k):
-            j = i + min(int(u[i] * (pool_size - i)), pool_size - i - 1)
-            idx[i], idx[j] = idx[j], idx[i]
-        return idx[:k].copy()
+        span = pool_size - np.arange(k)
+        offsets = np.minimum((u * span).astype(np.int64), span - 1)
+        swapped: dict[int, int] = {}
+        out = []
+        for i, off in enumerate(offsets.tolist()):
+            j = i + off
+            out.append(swapped.get(j, j))
+            swapped[j] = swapped.get(i, i)
+        return np.array(out, dtype=np.intp)
 
     def shuffled(self, n: int) -> np.ndarray:
         """A full Fisher-Yates permutation of range(n)."""

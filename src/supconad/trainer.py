@@ -134,11 +134,15 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
     rng = Rng(cfg.seed)
     train_w, val_w = split_train_val(windows, cfg.val_fraction, rng)
 
-    normal_pool = np.stack([w.features for w in train_w if w.label == NORMAL])
-    anom_pool = np.stack([w.features for w in train_w if w.label == ANOMALOUS])
+    normal = [w.features for w in train_w if w.label == NORMAL]
+    anomalous = [w.features for w in train_w if w.label == ANOMALOUS]
+    n_normal, n_anom = len(normal), len(anomalous)
     k, m = cfg.batch_normal, cfg.batch_anomalous
-    if normal_pool.shape[0] < k or anom_pool.shape[0] < m:
+    if n_normal < k or n_anom < m:
         raise ValueError("training split smaller than one minibatch")
+    # normal rows first, then anomalous: one gather per step builds the batch
+    pool = np.stack(normal + anomalous)
+    normal_pool = pool[:n_normal]
     val_feats = np.stack([w.features for w in val_w])
     val_is_normal = np.array([w.label == NORMAL for w in val_w])
 
@@ -147,7 +151,7 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
     velocity = None
     best: dict[str, Checkpoint] = {}
     log: list[LogRow] = []
-    n_batches = math.ceil(normal_pool.shape[0] / k)
+    n_batches = math.ceil(n_normal / k)
 
     for epoch in range(1, cfg.epochs + 1):
         lr = lr_at(epoch, cfg)
@@ -155,9 +159,9 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
         for step in range(n_batches):
             # same draw sequence as sample_batch, but over prestacked pools:
             # re-partitioning the window list every step would dominate runtime
-            idx_n = rng.choice_without_replacement(normal_pool.shape[0], k)
-            idx_a = rng.choice_without_replacement(anom_pool.shape[0], m)
-            x = np.vstack([normal_pool[idx_n], anom_pool[idx_a]])
+            idx_n = rng.choice_without_replacement(n_normal, k)
+            idx_a = rng.choice_without_replacement(n_anom, m)
+            x = pool[np.concatenate([idx_n, idx_a + n_normal])]
             if cfg.jitter_sigma > 0:
                 x = x + rng.gaussian_array(x.shape, 0.0, cfg.jitter_sigma)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -178,7 +182,7 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
                     f"non-finite loss {loss!r} at epoch {epoch}, step {step + 1}"
                 )
             grad_n, grad_a = batch_loss_grad(batch, loss_cfg)
-            grads = model_mod.backward(params, trace, np.vstack([grad_n, grad_a]))
+            grads = model_mod.backward(params, trace, np.concatenate([grad_n, grad_a]))
             velocity = model_mod.sgd_step(params, grads, lr, cfg.momentum, velocity)
             epoch_loss += loss
 

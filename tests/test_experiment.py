@@ -1,14 +1,18 @@
 import itertools
+import os
 
 import numpy as np
+import pytest
 
 from dataclasses import replace
 
+from supconad import experiment, scoring, trainer
 from supconad.experiment import (CellScores, ExperimentConfig,
                                  _score_test_set, _train_models_for,
                                  derive_cell_seed, grid_to_results_matrix,
                                  run_benchmark_seed, run_grid)
 from supconad.metrics import LabeledScores, roc_auc
+from supconad.numerics import DegenerateVectorError
 from supconad.stats import analyze
 from supconad.synthgen import (MODALITIES, GenConfig, Modality, by_modality,
                                dataset_windows, generate_dataset)
@@ -93,3 +97,124 @@ def test_seed42_modified_cell_beats_baseline_cell_regression():
     baseline = _default_cell_fused_roc(cfg, 42, "original", "sum", "encoder")
     assert best > baseline
     assert best >= 0.95  # recorded development value: 0.9830 vs 0.9756
+
+
+# -- per-modality training on a fork pool -------------------------------------------
+
+def _use_workers(monkeypatch, n):
+    monkeypatch.setattr(experiment, "train_workers", lambda n_tasks: min(n_tasks, n))
+
+
+def _tiny_train_by_mod(labelling="manual"):
+    ds = generate_dataset(replace(TINY.gen, seed=5))
+    return by_modality(dataset_windows(ds, labelling, split="train"))
+
+
+def _assert_same_params(a, b):
+    for la, lb in zip(a.layers, b.layers, strict=True):
+        assert np.array_equal(la.weight, lb.weight)
+        assert np.array_equal(la.bias, lb.bias)
+
+
+def test_pooled_training_is_bit_identical_to_in_process(monkeypatch):
+    train_by_mod = _tiny_train_by_mod()
+    runs = {}
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        runs[workers] = _train_models_for(train_by_mod, TINY, 5, "manual", "average")
+    assert list(runs[2]) == list(MODALITIES)
+    for mod in MODALITIES:
+        serial, pooled = runs[1][mod], runs[2][mod]
+        assert pooled.log == serial.log
+        _assert_same_params(pooled.final_params, serial.final_params)
+        assert list(pooled.best) == list(serial.best)
+        for pathway, ckpt in serial.best.items():
+            assert (pooled.best[pathway].val_auc, pooled.best[pathway].epoch) == \
+                (ckpt.val_auc, ckpt.epoch)
+            _assert_same_params(pooled.best[pathway].params, ckpt.params)
+
+
+def _diverge_in_sum_groups(monkeypatch):
+    """In sum-loss groups the second modality diverges for real and the fourth fails at once."""
+    real_train = trainer.train
+
+    def train(windows, encoder_dims, projection_dims, cfg):
+        mod = windows[0].modality
+        if cfg.negative_mode == "sum" and mod is MODALITIES[3]:
+            raise trainer.TrainingDivergedError(f"immediate failure of {mod.key}")
+        if cfg.negative_mode == "sum" and mod is MODALITIES[1]:
+            cfg = replace(cfg, lr0=1e60)
+        return real_train(windows, encoder_dims, projection_dims, cfg)
+
+    monkeypatch.setattr(trainer, "train", train)
+
+
+def test_worker_divergence_reraises_the_in_process_error(monkeypatch):
+    _diverge_in_sum_groups(monkeypatch)
+    train_by_mod = _tiny_train_by_mod()
+    messages = {}
+    # with four workers the fourth modality fails first; modality order still wins
+    for workers in (1, 4):
+        _use_workers(monkeypatch, workers)
+        with pytest.raises(trainer.TrainingDivergedError) as exc:
+            _train_models_for(train_by_mod, TINY, 5, "manual", "sum")
+        messages[workers] = str(exc.value)
+    assert messages[4] == messages[1]
+    assert messages[1].startswith("degenerate embedding at epoch 1, step ")
+
+
+def test_grid_failures_are_the_same_pooled_and_in_process(monkeypatch, tmp_path):
+    _diverge_in_sum_groups(monkeypatch)
+    results = {}
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        results[workers] = run_grid(replace(TINY, outdir=str(tmp_path / str(workers))),
+                                    write_scores=False)
+    serial, pooled = results[1], results[2]
+    assert pooled.failures == serial.failures
+    assert [(f["labelling"], f["loss"], f["head"]) for f in serial.failures] == [
+        (lab, "sum", head) for lab in ("original", "manual") for head in ("encoder", "projection")]
+    assert pooled.cells == serial.cells
+    assert len(serial.cells) == 4 * 9
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_degenerate_vector_fails_only_its_group(monkeypatch, tmp_path, workers):
+    _use_workers(monkeypatch, workers)
+    # raised inside training (a worker when pooled) of the (original, sum) group
+    real_train = trainer.train
+    bad_seed = derive_cell_seed(5, "original", "sum", MODALITIES[2])
+
+    def train(windows, encoder_dims, projection_dims, cfg):
+        if cfg.seed == bad_seed:
+            raise DegenerateVectorError("cannot normalize row with degenerate norm")
+        return real_train(windows, encoder_dims, projection_dims, cfg)
+
+    # raised while scoring the projection head of the second group that gets
+    # to scoring, (manual, sum), after its encoder head scored cleanly
+    real_template = scoring.build_template
+    projection_groups = []
+
+    def build_template(params, normal_features, use_projection, modality=None):
+        if use_projection and modality is MODALITIES[0]:
+            projection_groups.append(modality)
+            if len(projection_groups) == 2:
+                raise DegenerateVectorError("template norm is degenerate")
+        return real_template(params, normal_features, use_projection, modality)
+
+    monkeypatch.setattr(trainer, "train", train)
+    monkeypatch.setattr(scoring, "build_template", build_template)
+    cfg = replace(TINY, outdir=str(tmp_path))
+    result = run_grid(cfg)
+    assert [(f["labelling"], f["loss"], f["head"], f["error"]) for f in result.failures] == [
+        ("original", "sum", "encoder", "cannot normalize row with degenerate norm"),
+        ("original", "sum", "projection", "cannot normalize row with degenerate norm"),
+        ("manual", "sum", "encoder", "template norm is degenerate"),
+        ("manual", "sum", "projection", "template norm is degenerate"),
+    ]
+    assert {method for _, method, _ in result.cells} == {
+        f"average-{head}-{lab}" for head in ("encoder", "projection")
+        for lab in ("original", "manual")}
+    assert sorted(n for n in os.listdir(tmp_path) if n.startswith("scores_")) == sorted(
+        f"scores_seed5_average-{head}-{lab}.csv" for head in ("encoder", "projection")
+        for lab in ("original", "manual"))

@@ -254,6 +254,27 @@ def test_backward_shape_mismatch_errors():
         M.backward(p, tr, np.zeros(4))
 
 
+def test_sgd_step_plain_and_momentum_updates():
+    rng = Rng(21)
+    p = random_net(rng, [5, 6, 4], [4, 3])
+    x = rng.gaussian_array((7, 5))
+    grads = M.backward(p, M.forward(p, x), rng.gaussian_array((7, 3)))
+    lr, mu = 0.05, 0.9
+
+    plain = p.copy()
+    assert M.sgd_step(plain, grads, lr) is None   # no velocity buffers without momentum
+    for new, old, g in zip(param_arrays(plain), param_arrays(p), grad_arrays(grads)):
+        assert np.array_equal(new, old - lr * g)
+
+    # two momentum steps with the same gradient: v1 = g, v2 = mu * g + g
+    heavy = p.copy()
+    velocity = M.sgd_step(heavy, grads, lr, mu)
+    velocity = M.sgd_step(heavy, grads, lr, mu, velocity)
+    for new, old, g in zip(param_arrays(heavy), param_arrays(p), grad_arrays(grads)):
+        assert np.array_equal(new, (old - lr * g) - lr * (mu * g + g))
+    assert np.array_equal(velocity[0][0], mu * grads.encoder[0][0] + grads.encoder[0][0])
+
+
 # -- invariance and persistence --------------------------------------------------------
 
 @pytest.mark.parametrize("c", [0.1, 10.0])

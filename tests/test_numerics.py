@@ -161,6 +161,31 @@ def test_choice_without_replacement():
         Rng(0).choice_without_replacement(3, 4)
 
 
+def _dense_fisher_yates(rng, pool_size, k):
+    """The O(pool) partial Fisher-Yates over a full index array: the reference."""
+    u = rng.uniform(k)
+    idx = np.arange(pool_size)
+    for i in range(k):
+        j = i + min(int(u[i] * (pool_size - i)), pool_size - i - 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k].copy()
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2000), st.data())
+def test_sparse_sampler_matches_dense_fisher_yates(seed, pool_size, data):
+    k = data.draw(st.integers(0, pool_size), label="k")
+    for draw in (k, 0, pool_size):
+        sparse, dense = Rng(seed), Rng(seed)
+        got = sparse.choice_without_replacement(pool_size, draw)
+        want = _dense_fisher_yates(dense, pool_size, draw)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the same number of draws was consumed
+        assert sparse.next_u64(1) == dense.next_u64(1)
+    assert np.array_equal(Rng(seed).shuffled(pool_size),
+                          _dense_fisher_yates(Rng(seed), pool_size, pool_size))
+
+
 def test_shuffled_is_permutation():
     perm = Rng(9).shuffled(20)
     assert sorted(perm.tolist()) == list(range(20))
