@@ -100,7 +100,14 @@ _TASKS: list[tuple] = []
 
 
 def train_workers(n_tasks: int) -> int:
-    """Worker processes for n_tasks independent trainings: at most one per usable CPU."""
+    """Worker processes for n_tasks independent trainings: at most one per usable CPU.
+
+    Returns 1, meaning in-process training, where the usable CPUs cannot be
+    read or processes cannot be forked (macOS, Windows).
+    """
+    if (not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
     return min(n_tasks, len(os.sched_getaffinity(0)))
 
 
@@ -108,7 +115,9 @@ def _pin_blas_to_one_thread() -> None:
     """Pool initializer: one OpenBLAS thread per worker, so workers do not oversubscribe.
 
     Uses the OpenBLAS bundled with numpy; when its setter is not found the
-    call is skipped.  Thread count does not change results at these sizes.
+    call is skipped.  OpenBLAS splits a product over output blocks, so the
+    thread count does not change results; the pooled-vs-in-process identity
+    test checks this.
     """
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*"))
     for path in libs:

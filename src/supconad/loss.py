@@ -19,7 +19,6 @@ temperatures as sharp as 0.1 with cosines near +-1 cannot overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,7 +75,6 @@ class LossBatch:
                     f"{name} embeddings must be finite and unit-norm within {UNIT_NORM_TOL}")
         self.normal = vn
         self.anomalous = va
-        self._shared: tuple[LossConfig, _Shared] | None = None
 
     @property
     def k(self) -> int:
@@ -87,17 +85,13 @@ class LossBatch:
         return self.anomalous.shape[0]
 
 
-class _Shared(NamedTuple):
-    """Per-batch terms that both the loss and its gradient need."""
-    exp_neg: np.ndarray    # exp(anchor-negative logits - row max), (K, M)
-    log_s: np.ndarray      # log sum_m exp(v_i . v_am / tau), (K,)
-    arg: np.ndarray        # log(c) + log_s[i] - v_i . v_j / tau, (K, K)
+def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terms that both the loss and its gradient need.
 
-
-def _shared(batch: LossBatch, cfg: LossConfig) -> _Shared:
-    """Logits, log-sum-exp and softplus arguments, computed once per (batch, cfg)."""
-    if batch._shared is not None and batch._shared[0] == cfg:
-        return batch._shared[1]
+    Returns exp(anchor-negative logits - row max), (K, M); the per-anchor
+    log sum_m exp(v_i . v_am / tau), (K,); and the softplus arguments
+    log(c) + log_s[i] - v_i . v_j / tau, (K, K).
+    """
     vn, va = batch.normal, batch.anomalous
     z = vn @ vn.T / cfg.tau                       # anchor-pair logits
     neg_logits = vn @ va.T / cfg.tau              # anchor-negative logits
@@ -105,9 +99,7 @@ def _shared(batch: LossBatch, cfg: LossConfig) -> _Shared:
     exp_neg = np.exp(neg_logits - mx)
     log_s = (mx + np.log(exp_neg.sum(axis=1, keepdims=True)))[:, 0]
     arg = np.log(cfg.scale(batch.m)) + log_s[:, None] - z
-    shared = _Shared(exp_neg, log_s, arg)
-    batch._shared = (cfg, shared)
-    return shared
+    return exp_neg, log_s, arg
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -123,14 +115,14 @@ def pair_loss(batch: LossBatch, i: int, j: int, cfg: LossConfig) -> float:
     if not (0 <= i < k and 0 <= j < k):
         raise ValueError(f"pair indices out of range for K={k}")
     z_pos = float(batch.normal[i] @ batch.normal[j]) / cfg.tau
-    log_s = _shared(batch, cfg).log_s[i]
+    log_s = _terms(batch, cfg)[1][i]
     c = cfg.scale(batch.m)
     return float(_softplus(np.asarray(np.log(c) + log_s - z_pos)))
 
 
 def batch_loss(batch: LossBatch, cfg: LossConfig) -> float:
     """Mean of pair_loss over all K*(K-1) ordered anchor pairs."""
-    terms = _softplus(_shared(batch, cfg).arg)
+    terms = _softplus(_terms(batch, cfg)[2])
     np.fill_diagonal(terms, 0.0)
     k = batch.k
     return float(terms.sum() / (k * (k - 1)))
@@ -144,7 +136,7 @@ def batch_loss_grad(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, np.n
     """
     vn, va = batch.normal, batch.anomalous
     k, tau = batch.k, cfg.tau
-    exp_neg, _, arg = _shared(batch, cfg)
+    exp_neg, _, arg = _terms(batch, cfg)
     w = exp_neg / exp_neg.sum(axis=1, keepdims=True)     # softmax over negatives per anchor
 
     # sigma[i, j] = share of the (i, j) denominator carried by the negatives

@@ -218,3 +218,31 @@ def test_degenerate_vector_fails_only_its_group(monkeypatch, tmp_path, workers):
     assert sorted(n for n in os.listdir(tmp_path) if n.startswith("scores_")) == sorted(
         f"scores_seed5_average-{head}-{lab}.csv" for head in ("encoder", "projection")
         for lab in ("original", "manual"))
+
+
+def _training_pids(monkeypatch):
+    """Run _train_models_for with a stub trainer that reports the process it ran in."""
+    monkeypatch.setattr(trainer, "train", lambda *task: os.getpid())
+    return set(_train_models_for(_tiny_train_by_mod(), TINY, 5, "manual", "sum").values())
+
+
+def test_two_usable_cpus_train_in_two_forked_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert experiment.train_workers(len(MODALITIES)) == 2
+    pids = _training_pids(monkeypatch)
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+
+
+def test_without_cpu_affinity_training_runs_in_process(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert experiment.train_workers(len(MODALITIES)) == 1
+    assert _training_pids(monkeypatch) == {os.getpid()}
+
+
+def test_without_fork_training_runs_in_process(monkeypatch):
+    # Windows offers only the spawn start method
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(experiment.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert experiment.train_workers(len(MODALITIES)) == 1
+    assert _training_pids(monkeypatch) == {os.getpid()}
