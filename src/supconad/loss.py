@@ -70,7 +70,7 @@ class LossBatch:
             # one pass: a non-finite entry makes its row norm inf or nan, which
             # fails the comparison below just as an off-unit norm does
             norms = np.sqrt(np.einsum("ij,ij->i", m, m))
-            if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
+            if not np.abs(norms - 1.0).max() <= UNIT_NORM_TOL:
                 raise ValueError(
                     f"{name} embeddings must be finite and unit-norm within {UNIT_NORM_TOL}")
         self.normal = vn
@@ -97,7 +97,7 @@ def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray, n
     neg_logits = vn @ va.T / cfg.tau              # anchor-negative logits
     mx = neg_logits.max(axis=1, keepdims=True)
     exp_neg = np.exp(neg_logits - mx)
-    log_s = (mx + np.log(exp_neg.sum(axis=1, keepdims=True)))[:, 0]
+    log_s = (mx + np.log(np.add.reduce(exp_neg, axis=1, keepdims=True)))[:, 0]
     arg = np.log(cfg.scale(batch.m)) + log_s[:, None] - z
     return exp_neg, log_s, arg
 
@@ -122,10 +122,10 @@ def pair_loss(batch: LossBatch, i: int, j: int, cfg: LossConfig) -> float:
 
 def batch_loss(batch: LossBatch, cfg: LossConfig) -> float:
     """Mean of pair_loss over all K*(K-1) ordered anchor pairs."""
-    terms = _softplus(_terms(batch, cfg)[2])
-    np.fill_diagonal(terms, 0.0)
     k = batch.k
-    return float(terms.sum() / (k * (k - 1)))
+    terms = _softplus(_terms(batch, cfg)[2])
+    terms.flat[::k + 1] = 0.0                 # the diagonal: i == j is no pair
+    return float(np.add.reduce(terms, axis=None) / (k * (k - 1)))
 
 
 def batch_loss_grad(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -137,14 +137,14 @@ def batch_loss_grad(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, np.n
     vn, va = batch.normal, batch.anomalous
     k, tau = batch.k, cfg.tau
     exp_neg, _, arg = _terms(batch, cfg)
-    w = exp_neg / exp_neg.sum(axis=1, keepdims=True)     # softmax over negatives per anchor
+    w = exp_neg / np.add.reduce(exp_neg, axis=1, keepdims=True)  # softmax over negatives per anchor
 
     # sigma[i, j] = share of the (i, j) denominator carried by the negatives
     sigma = 1.0 / (1.0 + np.exp(-arg))
-    np.fill_diagonal(sigma, 0.0)
+    sigma.flat[::k + 1] = 0.0
 
     norm = 1.0 / (k * (k - 1) * tau)
-    s_row = sigma.sum(axis=1)                 # total negative share per anchor i
+    s_row = np.add.reduce(sigma, axis=1)      # total negative share per anchor i
 
     grad_vn = norm * (s_row[:, None] * (w @ va) - sigma @ vn - sigma.T @ vn)
     grad_va = norm * ((w * s_row[:, None]).T @ vn)

@@ -4,7 +4,9 @@ The encoder maps a flattened window to a latent vector h; the projection head
 maps h to the contrastive embedding, which is L2-normalized before entering
 the loss.  Forward passes accept a single vector or a (batch, dim) matrix and
 record every intermediate needed for the exact reverse pass, including the
-normalization Jacobian (I - v v^T) / ||v_raw||.
+normalization Jacobian (I - v v^T) / ||v_raw||.  The reverse pass gives the
+gradients w.r.t. the weights and biases only; nothing needs the gradient
+w.r.t. the input, so it is not computed.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ class ForwardTrace:
 class ParamGrads:
     encoder: list[tuple[np.ndarray, np.ndarray]]     # (d_weight, d_bias) per layer
     projection: list[tuple[np.ndarray, np.ndarray]]
-    x: np.ndarray
 
 
 def init_params(encoder_dims: list[int], projection_dims: list[int], rng: Rng) -> ModelParams:
@@ -127,8 +128,10 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
         pre.append(z)
         act.append(a)
     v_raw = act[-1]
-    norms = np.linalg.norm(v_raw, axis=1, keepdims=True)
-    if np.any(norms < NORM_EPS) or not np.all(np.isfinite(norms)):
+    # what np.linalg.norm(v_raw, axis=1, keepdims=True) computes for real input
+    norms = np.sqrt(np.add.reduce(v_raw * v_raw, axis=1, keepdims=True))
+    # a NaN norm fails both comparisons
+    if not (norms.min() >= NORM_EPS and norms.max() < np.inf):
         raise DegenerateVectorError("projection output norm is degenerate or non-finite")
     v = v_raw / norms
     if single:
@@ -140,10 +143,10 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
 
 
 def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> ParamGrads:
-    """Exact gradients of (grad_v . v) w.r.t. every weight, bias and the input.
+    """Exact gradients of (grad_v . v) w.r.t. every weight and bias.
 
     For batched traces grad_v is (batch, embed_dim) and parameter gradients
-    are summed over the batch.
+    are summed over the batch.  The gradient w.r.t. the input is not formed.
     """
     grad_v = np.asarray(grad_v, dtype=np.float64)
     if trace.single:
@@ -156,7 +159,7 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> Pa
     if grad_v.shape != v.shape:
         raise ValueError(f"grad_v shape {grad_v.shape} != embedding shape {v.shape}")
 
-    g = (grad_v - v * np.sum(grad_v * v, axis=1, keepdims=True)) / trace.norms
+    g = (grad_v - v * np.add.reduce(grad_v * v, axis=1, keepdims=True)) / trace.norms
 
     layers = params.layers
     grads: list[tuple[np.ndarray, np.ndarray]] = []
@@ -165,12 +168,12 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> Pa
         if layer.activation == "relu":
             g = g * (pres[li] > 0)
         a_in = acts[li - 1] if li > 0 else x
-        grads.append((g.T @ a_in, g.sum(axis=0)))
-        g = g @ layer.weight
+        grads.append((g.T @ a_in, np.add.reduce(g, axis=0)))
+        if li > 0:
+            g = g @ layer.weight
     grads.reverse()
     n_enc = len(params.encoder)
-    grad_x = g[0] if trace.single else g
-    return ParamGrads(encoder=grads[:n_enc], projection=grads[n_enc:], x=grad_x)
+    return ParamGrads(encoder=grads[:n_enc], projection=grads[n_enc:])
 
 
 def sgd_step(params: ModelParams, grads: ParamGrads, lr: float,
@@ -224,31 +227,45 @@ def save_params(params: ModelParams, path: str) -> None:
 
 
 def load_params(path: str) -> ModelParams:
+    """Read a version-1 checkpoint; a malformed line raises ValueError("path:line: ...")."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != "supconad-params v1":
         raise ValueError(f"unrecognized checkpoint header in {path}")
     pos = 1
     stacks: dict[str, list[LayerParams]] = {}
-    for _ in range(2):
-        tag, name, n = lines[pos].split()
-        if tag != "section":
-            raise ValueError(f"expected section at line {pos + 1}")
-        pos += 1
-        layers = []
-        for _ in range(int(n)):
-            tag, out_d, in_d, act = lines[pos].split()
-            if tag != "layer":
-                raise ValueError(f"expected layer at line {pos + 1}")
-            out_d, in_d = int(out_d), int(in_d)
+    try:
+        for name in ("encoder", "projection"):
+            tag, got, n = _fields(lines, pos, 3)
+            if (tag, got) != ("section", name):
+                raise ValueError(f"expected 'section {name} <n_layers>'")
+            n = int(n)
             pos += 1
-            bias = np.array([float(t) for t in lines[pos].split()], dtype=np.float64)
-            pos += 1
-            w = np.array(
-                [[float(t) for t in lines[pos + r].split()] for r in range(out_d)],
-                dtype=np.float64,
-            ).reshape(out_d, in_d)
-            pos += out_d
-            layers.append(LayerParams(w, bias, act))
-        stacks[name] = layers
+            layers = []
+            for _ in range(n):
+                tag, out_d, in_d, act = _fields(lines, pos, 4)
+                if tag != "layer" or act not in ACTIVATIONS:
+                    raise ValueError(f"expected 'layer <out> <in> <{'|'.join(ACTIVATIONS)}>'")
+                out_d, in_d = int(out_d), int(in_d)
+                pos += 1
+                bias = np.array([float(t) for t in _fields(lines, pos, out_d)])
+                w = np.empty((out_d, in_d))
+                for r in range(out_d):
+                    pos += 1
+                    w[r] = [float(t) for t in _fields(lines, pos, in_d)]
+                pos += 1
+                layers.append(LayerParams(w, bias, act))
+            stacks[name] = layers
+    except ValueError as exc:
+        raise ValueError(f"{path}:{pos + 1}: {exc}") from None
     return ModelParams(stacks["encoder"], stacks["projection"])
+
+
+def _fields(lines: list[str], pos: int, n: int) -> list[str]:
+    """The n whitespace-separated fields of lines[pos]."""
+    if pos >= len(lines):
+        raise ValueError("checkpoint ends early")
+    parts = lines[pos].split()
+    if len(parts) != n:
+        raise ValueError(f"expected {n} fields, got {len(parts)}")
+    return parts

@@ -81,12 +81,23 @@ _SPAWN_SALT = np.uint64(0xD1B54A32D192ED03)
 
 _U64_MASK = (1 << 64) - 1
 
+# Uniform requests of up to _BLOCK_MAX_REQUEST draws are served from a cached
+# block of _BLOCK uniforms (8 KB) of the generator's own stream, so a small
+# draw costs one slice instead of a dozen numpy calls.
+_BLOCK = 1024
+_BLOCK_MAX_REQUEST = 64
+
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer on an uint64 array (wrapping arithmetic)."""
     x = (x ^ (x >> np.uint64(30))) * _MIX1
     x = (x ^ (x >> np.uint64(27))) * _MIX2
     return x ^ (x >> np.uint64(31))
+
+
+def _to_unit(u: np.ndarray) -> np.ndarray:
+    """Map 64-bit outputs to [0, 1) through their top 53 bits."""
+    return (u >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
 class Rng:
@@ -105,6 +116,10 @@ class Rng:
     Identical seeds produce identical sequences on every platform; the state
     is a single owner's to advance and must not be shared across concurrent
     tasks.
+
+    Small ``uniform`` requests are sliced from a cached block of the same
+    stream, computed ahead of the counter.  Every output is a pure function
+    of the seed and its position, so caching changes no draw.
     """
 
     def __init__(self, seed: int):
@@ -112,18 +127,38 @@ class Rng:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         self.seed = int(seed)
         self._counter = 0
+        # uniforms at counter positions _block_start+1 .. _block_start+len(_block)
+        self._block = np.empty(0)
+        self._block_start = 0
+
+    def _u64_at(self, start: int, n: int) -> np.ndarray:
+        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        return _mix64(np.uint64(self.seed) + idx * _GAMMA)
 
     def next_u64(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("n must be non-negative")
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        out = self._u64_at(self._counter, n)
         self._counter += n
-        return _mix64(np.uint64(self.seed) + idx * _GAMMA)
+        return out
 
     def uniform(self, n: int | None = None):
-        """Uniform draws in [0, 1); scalar when n is None."""
+        """Uniform draws in [0, 1); scalar when n is None.
+
+        Arrays of at most _BLOCK_MAX_REQUEST draws are views of the cached
+        block; the positions they cover are never served again.
+        """
         m = 1 if n is None else n
-        u = (self.next_u64(m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        if 0 < m <= _BLOCK_MAX_REQUEST:
+            c = self._counter
+            off = c - self._block_start
+            if not 0 <= off <= len(self._block) - m:
+                self._block = _to_unit(self._u64_at(c, _BLOCK))
+                self._block_start, off = c, 0
+            self._counter = c + m
+            u = self._block[off:off + m]
+        else:
+            u = _to_unit(self.next_u64(m))
         return float(u[0]) if n is None else u
 
     def gaussian(self, mean: float = 0.0, std: float = 1.0, n: int | None = None):
@@ -158,13 +193,11 @@ class Rng:
         """
         if k > pool_size:
             raise ValueError(f"cannot draw {k} from pool of {pool_size}")
-        u = self.uniform(k)
-        span = pool_size - np.arange(k)
-        offsets = np.minimum((u * span).astype(np.int64), span - 1)
         swapped: dict[int, int] = {}
         out = []
-        for i, off in enumerate(offsets.tolist()):
-            j = i + off
+        for i, u in enumerate(self.uniform(k).tolist()):
+            span = pool_size - i
+            j = i + min(int(u * span), span - 1)
             out.append(swapped.get(j, j))
             swapped[j] = swapped.get(i, i)
         return np.array(out, dtype=np.intp)

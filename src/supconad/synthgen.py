@@ -360,35 +360,44 @@ def save_windows(path: str, cfg: GenConfig, labelling: str, windows: list[Window
 
 
 def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
+    """Read a version-1 window file; a malformed line raises ValueError("path:line: ...")."""
     cfg_kwargs: dict = {}
     labelling = None
     windows = []
     field_types = {f.name: f.type for f in fields(GenConfig)}
+    n_fields = None   # 6 leading fields + the features, fixed by the frame_dim header
     with open(path) as f:
         first = f.readline().rstrip("\n")
         if first != "# supconad-windows v1":
             raise ValueError(f"unrecognized window file header in {path}")
-        for line in f:
+        for ln_no, line in enumerate(f, start=2):
             line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                if key == "labelling":
-                    labelling = value
-                elif key in field_types:
-                    caster = {"int": int, "float": float}[field_types[key]]
-                    cfg_kwargs[key] = caster(value)
-                continue
-            parts = line.split(",")
-            split, mod_key, clip_id, w_idx, label, arch = parts[:6]
-            windows.append(Window(
-                features=np.array([float(t) for t in parts[6:]], dtype=np.float64),
-                label=label,
-                clip_id=int(clip_id),
-                window_index=int(w_idx),
-                modality=Modality.from_key(mod_key),
-                split=split,
-                archetype_id=None if arch == "" else int(arch),
-            ))
+            try:
+                if line.startswith("# "):
+                    key, _, value = line[2:].partition("=")
+                    if key == "labelling":
+                        labelling = value
+                    elif key in field_types:
+                        caster = {"int": int, "float": float}[field_types[key]]
+                        cfg_kwargs[key] = caster(value)
+                    continue
+                if n_fields is None:
+                    n_fields = 6 + WINDOW_LEN * cfg_kwargs.get("frame_dim", GenConfig.frame_dim)
+                parts = line.split(",")
+                if len(parts) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
+                split, mod_key, clip_id, w_idx, label, arch = parts[:6]
+                windows.append(Window(
+                    features=np.array([float(t) for t in parts[6:]], dtype=np.float64),
+                    label=label,
+                    clip_id=int(clip_id),
+                    window_index=int(w_idx),
+                    modality=Modality.from_key(mod_key),
+                    split=split,
+                    archetype_id=None if arch == "" else int(arch),
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln_no}: {exc}") from None
     if labelling is None:
         raise ValueError("window file is missing the labelling header")
     return GenConfig(**cfg_kwargs), labelling, windows

@@ -209,6 +209,23 @@ def test_non_normalized_inputs_rejected():
         LossBatch(np.array([[1.0, 0.0], [2.0, 0.0]]), np.stack([E2]))
 
 
+@pytest.mark.parametrize("bad_row", [[np.nan, 0.0], [np.inf, 0.0], [1.0 + 1e-8, 0.0],
+                                     [0.5, 0.5]],
+                         ids=["nan", "inf", "just-off-unit", "short"])
+@pytest.mark.parametrize("side", ["normal", "anomalous"])
+def test_one_bad_row_among_unit_rows_rejected(bad_row, side):
+    rows = {"normal": np.stack([E1, E2, E1, E2]), "anomalous": np.stack([E2, E1, E2])}
+    rows[side][1] = bad_row
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unit-norm"):
+        LossBatch(rows["normal"], rows["anomalous"])
+
+
+def test_unit_rows_within_tolerance_accepted():
+    off = 1.0 + 0.5e-9
+    batch = LossBatch(np.array([[off, 0.0], [0.0, 1.0]]), np.array([[0.0, off]]))
+    assert batch.k == 2 and batch.m == 1
+
+
 def test_fewer_than_two_anchors_rejected():
     with pytest.raises(ValueError, match="K=2"):
         LossBatch(np.stack([E1]), np.stack([E2]))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,19 @@ def test_forward_degenerate_projection_errors():
         M.forward(p, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad_row", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0],
+                                     [1e200, 1e200]],
+                         ids=["zero", "nan", "inf", "overflowing-norm"])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_forward_one_degenerate_row_in_a_batch_errors(bad_row, position):
+    p = identity_net(2)
+    x = np.tile([0.6, 0.8], (5, 1))
+    x[position] = bad_row
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DegenerateVectorError):
+        M.forward(p, x)
+
+
 def test_forward_wrong_input_dim_errors():
     p = identity_net(3)
     with pytest.raises(ValueError, match="input dim"):
@@ -165,7 +180,6 @@ def test_backward_zero_grad_gives_zero():
     tr = M.forward(p, np.ones(5))
     grads = M.backward(p, tr, np.zeros(3))
     assert all(np.all(g == 0) for g in grad_arrays(grads))
-    assert np.all(grads.x == 0)
 
 
 def test_backward_matches_finite_differences():
@@ -186,21 +200,6 @@ def test_backward_matches_finite_differences():
             continue
         fd_param_check(p, x, grad_v)
         done += 1
-
-
-def test_backward_input_gradient_matches_fd():
-    rng = Rng(21)
-    p = M.init_params([5, 7, 4], [4, 3], rng)
-    x = rng.gaussian(0, 1, 5)
-    grad_v = rng.gaussian(0, 1, 3)
-    grads = M.backward(p, M.forward(p, x), grad_v)
-    h = 1e-6
-    for d in range(5):
-        up, dn = x.copy(), x.copy()
-        up[d] += h
-        dn[d] -= h
-        fd = (float(grad_v @ M.forward(p, up).v) - float(grad_v @ M.forward(p, dn).v)) / (2 * h)
-        assert abs(fd - grads.x[d]) < 1e-6 * max(1.0, abs(fd))
 
 
 def test_normalization_jacobian_is_orthogonal_to_embedding():
@@ -304,3 +303,40 @@ def test_checkpoint_rejects_unknown_header(tmp_path):
     path.write_text("something-else v9\n")
     with pytest.raises(ValueError, match="unrecognized"):
         M.load_params(str(path))
+
+
+def _saved_checkpoint_lines(tmp_path):
+    path = str(tmp_path / "params.txt")
+    M.save_params(random_net(Rng(8), [7, 9, 5], [5, 3]), path)
+    with open(path) as f:
+        return path, f.read().splitlines()
+
+
+@pytest.mark.parametrize("keep", [1, 2, 3, 5, 11, 17])
+def test_checkpoint_truncated_names_path_and_line(tmp_path, keep):
+    path, lines = _saved_checkpoint_lines(tmp_path)
+    (tmp_path / "params.txt").write_text("\n".join(lines[:keep]) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{keep + 1}: checkpoint ends early$"):
+        M.load_params(path)
+
+
+def test_checkpoint_cut_mid_line_names_path_and_line(tmp_path):
+    path, lines = _saved_checkpoint_lines(tmp_path)
+    cut = lines[:6] + [lines[6].rsplit(" ", 2)[0]]     # a weight row missing entries
+    (tmp_path / "params.txt").write_text("\n".join(cut))
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:7: expected 7 fields, got 5$"):
+        M.load_params(path)
+
+
+@pytest.mark.parametrize("line, bad", [(1, "section encoder two"), (2, "layer 9 7 tanh"),
+                                       (3, None), (5, None)])
+def test_checkpoint_malformed_line_names_path_and_line(tmp_path, line, bad):
+    path, lines = _saved_checkpoint_lines(tmp_path)
+    if bad is None:   # a bias or weight row with one non-numeric entry
+        parts = lines[line].split()
+        parts[0] = "nan?"
+        bad = " ".join(parts)
+    lines[line] = bad
+    (tmp_path / "params.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{line + 1}: "):
+        M.load_params(path)

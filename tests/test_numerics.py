@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supconad.numerics import (DegenerateVectorError, Rng, dot, l2_normalize,
-                               l2_normalize_rows)
+from supconad.numerics import (_BLOCK, _BLOCK_MAX_REQUEST, DegenerateVectorError, Rng,
+                               dot, l2_normalize, l2_normalize_rows)
 
 bounded = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -184,6 +184,79 @@ def test_sparse_sampler_matches_dense_fisher_yates(seed, pool_size, data):
         assert sparse.next_u64(1) == dense.next_u64(1)
     assert np.array_equal(Rng(seed).shuffled(pool_size),
                           _dense_fisher_yates(Rng(seed), pool_size, pool_size))
+
+
+def _u64_at(seed, i):
+    """Output i (1-based counter position) of the stream: mix64(seed + i*GAMMA)."""
+    mask = (1 << 64) - 1
+    z = (seed + i * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def _uniforms_at(seed, start, n):
+    """Uniforms at counter positions start+1 .. start+n."""
+    return np.array([(_u64_at(seed, i) >> 11) * 2.0 ** -53
+                     for i in range(start + 1, start + n + 1)])
+
+
+def _check_draw(rng, seed, pos, op):
+    """Run one draw on rng; assert it equals the stream at pos; return the new pos."""
+    kind, n = op
+    if kind == "uniform":
+        if n is None:
+            assert rng.uniform() == _uniforms_at(seed, pos, 1)[0]
+            return pos + 1
+        got = rng.uniform(n)
+        assert got.shape == (n,) and np.array_equal(got, _uniforms_at(seed, pos, n))
+    elif kind == "gaussian":
+        u = _uniforms_at(seed, pos, 2 * n)
+        want = np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+        assert np.array_equal(rng.gaussian(0.0, 1.0, n), want)
+        return pos + 2 * n
+    elif kind == "u64":
+        got = rng.next_u64(n).tolist()
+        assert got == [_u64_at(seed, i) for i in range(pos + 1, pos + n + 1)]
+    else:  # choice: k of a pool of 2k + 3, against a dense Fisher-Yates on the stream
+        pool_size = 2 * n + 3
+        u = _uniforms_at(seed, pos, n)
+        idx = list(range(pool_size))
+        for i in range(n):
+            j = i + min(int(u[i] * (pool_size - i)), pool_size - i - 1)
+            idx[i], idx[j] = idx[j], idx[i]
+        assert rng.choice_without_replacement(pool_size, n).tolist() == idx[:n]
+    return pos + n
+
+
+_small = st.integers(1, _BLOCK_MAX_REQUEST)
+_large = st.integers(_BLOCK_MAX_REQUEST + 1, _BLOCK + 200)
+_draw_ops = st.one_of(
+    st.tuples(st.just("uniform"), st.none() | _small | _large | st.just(0)),
+    st.tuples(st.just("gaussian"), st.integers(1, _BLOCK_MAX_REQUEST // 2 + 8)),
+    st.tuples(st.just("u64"), st.integers(0, _BLOCK + 200)),
+    st.tuples(st.just("choice"), st.integers(0, _BLOCK_MAX_REQUEST + 8)),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 64 - 1), st.lists(_draw_ops, max_size=40))
+@example(seed=7, ops=[("uniform", 3), ("u64", _BLOCK - 5), ("uniform", 4),
+                      ("uniform", _BLOCK_MAX_REQUEST), ("uniform", None)])
+def test_interleaved_draws_follow_the_counter_stream(seed, ops):
+    rng, pos = Rng(seed), 0
+    for op in ops:
+        pos = _check_draw(rng, seed, pos, op)
+    # the stream continues at the absolute counter after any interleaving
+    assert rng.next_u64(1).tolist() == [_u64_at(seed, pos + 1)]
+
+
+def test_small_draws_across_several_block_refills():
+    # 60 does not divide the block size, so requests keep straddling its end
+    seed, rng, pos = 2024, Rng(2024), 0
+    while pos < 3 * _BLOCK:
+        pos = _check_draw(rng, seed, pos, ("uniform", 60))
+        pos = _check_draw(rng, seed, pos, ("uniform", None))
 
 
 def test_shuffled_is_permutation():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -304,3 +306,44 @@ def test_window_file_rejects_unknown_header(tmp_path):
     path.write_text("# other-format v2\n")
     with pytest.raises(ValueError, match="unrecognized"):
         load_windows(str(path))
+
+
+def _saved_window_lines(tmp_path):
+    cfg = small_cfg()
+    path = str(tmp_path / "windows.txt")
+    save_windows(path, cfg, "manual", dataset_windows(generate_dataset(cfg), "manual"))
+    with open(path) as f:
+        return path, f.read().splitlines()
+
+
+def _first_data_line(lines):
+    return next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+
+
+def test_window_file_short_row_names_path_and_line(tmp_path):
+    path, lines = _saved_window_lines(tmp_path)
+    i = _first_data_line(lines) + 3
+    lines[i] = ",".join(lines[i].split(",")[:4])
+    (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{i + 1}: expected \d+ fields, got 4$"):
+        load_windows(path)
+
+
+def test_window_file_truncated_last_row_names_path_and_line(tmp_path):
+    path, lines = _saved_window_lines(tmp_path)
+    lines[-1] = lines[-1][: len(lines[-1]) // 2].rsplit(",", 1)[0]
+    (tmp_path / "windows.txt").write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{len(lines)}: expected \d+ fields"):
+        load_windows(path)
+
+
+@pytest.mark.parametrize("column", [1, 2, 3, 5, 6, -1])
+def test_window_file_bad_field_names_path_and_line(tmp_path, column):
+    path, lines = _saved_window_lines(tmp_path)
+    i = _first_data_line(lines) + 1
+    parts = lines[i].split(",")
+    parts[column] = "x1"      # not a number, or not a modality key in column 1
+    lines[i] = ",".join(parts)
+    (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{i + 1}: .*'x1'"):
+        load_windows(path)
