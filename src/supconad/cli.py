@@ -246,8 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input or a failed file operation exits with 2.
+
+    A ValueError (DegenerateVectorError included) or OSError becomes the one
+    line ``supconad: error: <message>`` on stderr, without a traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"supconad: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

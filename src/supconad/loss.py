@@ -85,21 +85,22 @@ class LossBatch:
         return self.anomalous.shape[0]
 
 
-def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, ...]:
     """Terms that both the loss and its gradient need.
 
-    Returns exp(anchor-negative logits - row max), (K, M); the per-anchor
-    log sum_m exp(v_i . v_am / tau), (K,); and the softplus arguments
-    log(c) + log_s[i] - v_i . v_j / tau, (K, K).
+    Returns exp(anchor-negative logits - row max), (K, M); its row sums,
+    (K, 1); the per-anchor log sum_m exp(v_i . v_am / tau), (K,); and the
+    softplus arguments log(c) + log_s[i] - v_i . v_j / tau, (K, K).
     """
     vn, va = batch.normal, batch.anomalous
     z = vn @ vn.T / cfg.tau                       # anchor-pair logits
     neg_logits = vn @ va.T / cfg.tau              # anchor-negative logits
     mx = neg_logits.max(axis=1, keepdims=True)
     exp_neg = np.exp(neg_logits - mx)
-    log_s = (mx + np.log(np.add.reduce(exp_neg, axis=1, keepdims=True)))[:, 0]
+    row_sum = np.add.reduce(exp_neg, axis=1, keepdims=True)
+    log_s = (mx + np.log(row_sum))[:, 0]
     arg = np.log(cfg.scale(batch.m)) + log_s[:, None] - z
-    return exp_neg, log_s, arg
+    return exp_neg, row_sum, log_s, arg
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -115,7 +116,7 @@ def pair_loss(batch: LossBatch, i: int, j: int, cfg: LossConfig) -> float:
     if not (0 <= i < k and 0 <= j < k):
         raise ValueError(f"pair indices out of range for K={k}")
     z_pos = float(batch.normal[i] @ batch.normal[j]) / cfg.tau
-    log_s = _terms(batch, cfg)[1][i]
+    log_s = _terms(batch, cfg)[2][i]
     c = cfg.scale(batch.m)
     return float(_softplus(np.asarray(np.log(c) + log_s - z_pos)))
 
@@ -123,7 +124,7 @@ def pair_loss(batch: LossBatch, i: int, j: int, cfg: LossConfig) -> float:
 def batch_loss(batch: LossBatch, cfg: LossConfig) -> float:
     """Mean of pair_loss over all K*(K-1) ordered anchor pairs."""
     k = batch.k
-    terms = _softplus(_terms(batch, cfg)[2])
+    terms = _softplus(_terms(batch, cfg)[3])
     terms.flat[::k + 1] = 0.0                 # the diagonal: i == j is no pair
     return float(np.add.reduce(terms, axis=None) / (k * (k - 1)))
 
@@ -136,8 +137,8 @@ def batch_loss_grad(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, np.n
     """
     vn, va = batch.normal, batch.anomalous
     k, tau = batch.k, cfg.tau
-    exp_neg, _, arg = _terms(batch, cfg)
-    w = exp_neg / np.add.reduce(exp_neg, axis=1, keepdims=True)  # softmax over negatives per anchor
+    exp_neg, row_sum, _, arg = _terms(batch, cfg)
+    w = exp_neg / row_sum                     # softmax over negatives per anchor
 
     # sigma[i, j] = share of the (i, j) denominator carried by the negatives
     sigma = 1.0 / (1.0 + np.exp(-arg))

@@ -175,24 +175,26 @@ def _frame_label_layout(cfg: GenConfig, rng: Rng) -> np.ndarray:
     return mask
 
 
-def _clip_features(cfg: GenConfig, mu: np.ndarray, arch_mean: np.ndarray | None,
-                   spread: float, mask: np.ndarray, rng: Rng) -> np.ndarray:
-    """One modality's (frames, dim) features: per-frame mean + AR(1) deviations."""
-    t, d = cfg.frames_per_clip, cfg.frame_dim
-    means = np.tile(mu, (t, 1))
-    if arch_mean is not None:
-        means[mask] = arch_mean
-    noise_std = np.full((t, 1), cfg.frame_noise_std)
-    if arch_mean is not None:
-        noise_std[mask] *= spread
-    eps = rng.gaussian_array((t, d)) * noise_std
-    dev = np.empty((t, d))
-    blend = cfg.ar_coeff
-    prev = np.zeros(d)
-    for i in range(t):
-        prev = blend * prev + (1.0 - blend) * eps[i]
-        dev[i] = prev
-    return means + dev
+# Clips whose AR(1) frame noise shares one working buffer: 32 clips x 4
+# modalities x 160 frames x 12 dims of float64 is about 2 MB at the default shape.
+_BLOCK_CLIPS = 32
+
+
+def _ar1_in_place(dev: np.ndarray, blend: float) -> None:
+    """AR(1)-smooth innovations ``eps`` along the frame axis (-2), in place.
+
+    Frame i of every stream becomes ``blend * prev + (1.0 - blend) * eps[i]``,
+    with ``prev`` the stream's previous smoothed frame (zeros before the
+    first).  The recurrence runs once per frame over all streams; each
+    element sees the same multiplies and add as a per-stream loop would.
+    """
+    dev *= 1.0 - blend
+    prev = np.zeros(dev.shape[:-2] + dev.shape[-1:])
+    scaled = np.empty_like(prev)
+    for i in range(dev.shape[-2]):
+        np.multiply(prev, blend, out=scaled)
+        prev = dev[..., i, :]
+        np.add(scaled, prev, out=prev)
 
 
 def generate_dataset(cfg: GenConfig) -> Dataset:
@@ -201,7 +203,10 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
     Training anomalous clips cycle through the seen archetypes only; test
     anomalous clips cycle through seen + unseen so every archetype appears.
     Modality streams of one clip share the frame-label sequence but are
-    generated from modality-specific means with independent noise.
+    generated from modality-specific means with independent noise, each
+    (clip, modality) stream from its own spawned Rng.  A frame's features are
+    its mean (the archetype's on anomalous frames) plus AR(1)-smoothed
+    Gaussian noise, scaled by the archetype's spread on anomalous frames.
     """
     master = Rng(cfg.seed)
     rng_global = master.spawn(0)
@@ -218,6 +223,7 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
         + [("test", ANOMALOUS)] * cfg.test_anomalous_clips
     )
     clips = []
+    clip_archs: list[AnomalyArchetype | None] = []
     anom_counter = {"train": 0, "test": 0}
     for clip_id, (split, label) in enumerate(plan):
         if label == ANOMALOUS:
@@ -228,23 +234,36 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
         else:
             arch = None
             mask = np.zeros(cfg.frames_per_clip, dtype=bool)
-        feats = {}
-        for mi, mod in enumerate(MODALITIES):
-            rng_feat = master.spawn(1000 + clip_id * len(MODALITIES) + mi)
-            feats[mod] = _clip_features(
-                cfg, mu[mod],
-                arch.means[mod] if arch else None,
-                arch.spread if arch else 1.0,
-                mask, rng_feat,
-            )
         clips.append(ClipRecord(
             clip_id=clip_id,
             split=split,
             clip_label=label,
             frame_labels=mask,
             archetype_id=arch.id if arch else None,
-            features=feats,
+            features={},
         ))
+        clip_archs.append(arch)
+
+    t, d, n_mod = cfg.frames_per_clip, cfg.frame_dim, len(MODALITIES)
+    buf = np.empty((_BLOCK_CLIPS, n_mod, t, d))
+    for lo in range(0, len(clips), _BLOCK_CLIPS):
+        block = list(zip(clips[lo:lo + _BLOCK_CLIPS], clip_archs[lo:lo + _BLOCK_CLIPS]))
+        dev = buf[:len(block)]
+        for (clip, arch), clip_dev in zip(block, dev):
+            noise_std = np.full((t, 1), cfg.frame_noise_std)
+            if arch is not None:
+                noise_std[clip.frame_labels] *= arch.spread
+            for mi in range(n_mod):
+                rng_feat = master.spawn(1000 + clip.clip_id * n_mod + mi)
+                np.multiply(rng_feat.gaussian_array((t, d)), noise_std, out=clip_dev[mi])
+        _ar1_in_place(dev, cfg.ar_coeff)
+        for (clip, arch), clip_dev in zip(block, dev):
+            for mod, mod_dev in zip(MODALITIES, clip_dev):
+                feats = np.tile(mu[mod], (t, 1))
+                if arch is not None:
+                    feats[clip.frame_labels] = arch.means[mod]
+                feats += mod_dev
+                clip.features[mod] = feats
     return Dataset(cfg, archetypes, clips)
 
 

@@ -171,10 +171,6 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
                     raise TrainingDivergedError(
                         f"degenerate embedding at epoch {epoch}, step {step + 1}: {exc}"
                     ) from exc
-                if not np.all(np.isfinite(trace.v)):
-                    raise TrainingDivergedError(
-                        f"non-finite embedding at epoch {epoch}, step {step + 1}"
-                    )
                 batch = LossBatch(trace.v[:k], trace.v[k:])
                 loss = batch_loss(batch, loss_cfg)
             if not np.isfinite(loss):

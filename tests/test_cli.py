@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,3 +169,57 @@ def test_grid_then_stats_pipeline(tmp_path, capsys):
 def test_unknown_modality_rejected():
     with pytest.raises(SystemExit):
         run(["train", "--data", "x", "--modality", "rear_lidar"])
+
+
+# -- one-line errors ---------------------------------------------------------------
+
+def assert_one_line_error(capsys, argv, *fragments):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("supconad: error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+def test_missing_data_file_is_a_one_line_error(tmp_path, capsys):
+    missing = str(tmp_path / "nope.txt")
+    assert_one_line_error(capsys, ["train", "--data", missing, *TRAIN_FLAGS], missing)
+
+
+def test_malformed_window_line_error_names_path_and_line(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    run(["generate", *GEN_FLAGS, "--seed", "5", "--out", str(data)])
+    lines = data.read_text().splitlines(keepends=True)
+    first_row = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    lines[first_row] = lines[first_row].replace(",", ",x", 7)
+    data.write_text("".join(lines))
+    capsys.readouterr()
+    assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS],
+                          f"{data}:{first_row + 1}: ")
+
+
+def test_malformed_matrix_csv_is_a_one_line_error(tmp_path, capsys):
+    matrix = tmp_path / "bad.csv"
+    matrix.write_text("method,d0,d1\nm0,0.5,0.6\nm1,0.5\n")
+    assert_one_line_error(capsys, ["stats", "--matrix", str(matrix)], f"{matrix}:3: ")
+
+
+# -- determinism across processes ----------------------------------------------------
+
+def test_grid_is_byte_identical_across_processes_and_blas_threads(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "supconad", "grid", *GRID_ARGS,
+                        "--outdir", "out"], cwd=cwd, env=env, check=True,
+                       capture_output=True)
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+    names = set(outputs["1"])
+    assert "manifest.json" in names and "grid_roc_seed3.csv" in names
+    assert any(name.startswith("scores") for name in names), names
+    assert outputs["1"] == outputs["2"]

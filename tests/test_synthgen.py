@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from supconad import synthgen
 from supconad.numerics import Rng
 from supconad.synthgen import (ANOMALOUS, MODALITIES, NORMAL, ClipRecord,
                                GenConfig, Window, by_modality,
@@ -110,6 +111,99 @@ def test_generation_is_deterministic():
         assert np.array_equal(ca.frame_labels, cb.frame_labels)
         for m in MODALITIES:
             assert np.array_equal(ca.features[m], cb.features[m])
+
+
+def oracle_clip_features(cfg, mu, arch_mean, spread, mask, rng):
+    """One (clip, modality) stream, frame by frame: per-frame mean + AR(1) deviations."""
+    t, d = cfg.frames_per_clip, cfg.frame_dim
+    means = np.tile(mu, (t, 1))
+    if arch_mean is not None:
+        means[mask] = arch_mean
+    noise_std = np.full((t, 1), cfg.frame_noise_std)
+    if arch_mean is not None:
+        noise_std[mask] *= spread
+    eps = rng.gaussian_array((t, d)) * noise_std
+    dev = np.empty((t, d))
+    blend = cfg.ar_coeff
+    prev = np.zeros(d)
+    for i in range(t):
+        prev = blend * prev + (1.0 - blend) * eps[i]
+        dev[i] = prev
+    return means + dev
+
+
+def oracle_clips(cfg):
+    """(split, label, mask, archetype id, features) per clip, one stream at a time."""
+    master = Rng(cfg.seed)
+    rng_global, rng_layout = master.spawn(0), master.spawn(1)
+    mu = synthgen._normal_means(cfg, rng_global)
+    archetypes = synthgen._make_archetypes(cfg, mu, rng_global)
+    seen = [a for a in archetypes if a.seen_in_training]
+    plan = ([("train", NORMAL)] * cfg.train_normal_clips
+            + [("train", ANOMALOUS)] * cfg.train_anomalous_clips
+            + [("test", NORMAL)] * cfg.test_normal_clips
+            + [("test", ANOMALOUS)] * cfg.test_anomalous_clips)
+    counter = {"train": 0, "test": 0}
+    out = []
+    for clip_id, (split, label) in enumerate(plan):
+        arch = None
+        mask = np.zeros(cfg.frames_per_clip, dtype=bool)
+        if label == ANOMALOUS:
+            pool = seen if split == "train" else archetypes
+            arch = pool[counter[split] % len(pool)]
+            counter[split] += 1
+            mask = synthgen._frame_label_layout(cfg, rng_layout)
+        feats = {}
+        for mi, mod in enumerate(MODALITIES):
+            rng = master.spawn(1000 + clip_id * len(MODALITIES) + mi)
+            feats[mod] = oracle_clip_features(
+                cfg, mu[mod], arch.means[mod] if arch else None,
+                arch.spread if arch else 1.0, mask, rng)
+        out.append((split, label, mask, arch.id if arch else None, feats))
+    return out
+
+
+def assert_matches_oracle(cfg):
+    ds = generate_dataset(cfg)
+    expected = oracle_clips(cfg)
+    assert len(ds.clips) == len(expected)
+    for clip, (split, label, mask, arch_id, feats) in zip(ds.clips, expected):
+        assert (clip.split, clip.clip_label, clip.archetype_id) == (split, label, arch_id)
+        assert clip.frame_labels.tobytes() == mask.tobytes()
+        for mod in MODALITIES:
+            assert clip.features[mod].tobytes() == feats[mod].tobytes(), (clip.clip_id, mod)
+    return ds
+
+
+def test_generation_matches_per_stream_oracle_across_partial_block():
+    cfg = small_cfg(test_anomalous_clips=9, seed=23)
+    n_clips = len(oracle_clips(cfg))
+    assert n_clips > synthgen._BLOCK_CLIPS and n_clips % synthgen._BLOCK_CLIPS != 0
+    ds = assert_matches_oracle(cfg)
+    unseen = {a.id for a in ds.archetypes if not a.seen_in_training}
+    assert {c.split for c in ds.clips} == {"train", "test"}
+    assert any(c.archetype_id in unseen for c in ds.clips)
+    assert any(c.clip_label == ANOMALOUS and not c.frame_labels.all() for c in ds.clips)
+
+
+def test_generation_matches_per_stream_oracle_at_default_config():
+    assert_matches_oracle(GenConfig(seed=7))
+
+
+def test_clip_features_are_separate_contiguous_arrays():
+    cfg = small_cfg(test_anomalous_clips=9)
+    ds = generate_dataset(cfg)
+    extents = []
+    for clip in ds.clips:
+        for mod in MODALITIES:
+            f = clip.features[mod]
+            assert f.shape == (cfg.frames_per_clip, cfg.frame_dim)
+            assert f.dtype == np.float64 and f.flags.c_contiguous
+            start = f.__array_interface__["data"][0]
+            extents.append((start, start + f.nbytes))
+    extents.sort()
+    # no two feature arrays share memory with each other or a reused buffer
+    assert all(end <= nxt for (_, end), (nxt, _) in zip(extents, extents[1:]))
 
 
 # -- windowing -------------------------------------------------------------------

@@ -185,6 +185,25 @@ def test_divergence_aborts_with_diagnostic():
         train(windows, *DIMS, cfg)
 
 
+def test_nan_weights_abort_naming_epoch_and_step(monkeypatch):
+    # 48 training normals / batch_normal 4 = 12 steps per epoch; the weights
+    # turn NaN after the 14th update, so forward fails at epoch 2, step 3
+    real_sgd_step = M.sgd_step
+    updates = []
+
+    def poisoning_sgd_step(params, *args, **kwargs):
+        out = real_sgd_step(params, *args, **kwargs)
+        updates.append(1)
+        if len(updates) == 14:
+            params.layers[0].weight[:] = np.nan
+        return out
+
+    monkeypatch.setattr(M, "sgd_step", poisoning_sgd_step)
+    with pytest.raises(TrainingDivergedError, match=r"at epoch 2, step 3: "):
+        train(toy_windows(), *DIMS, quick_cfg())
+    assert len(updates) == 14
+
+
 def test_training_log_csv(tmp_path):
     result = train(toy_windows(), *DIMS, quick_cfg())
     path = tmp_path / "log.csv"
