@@ -1,7 +1,9 @@
 """Command-line interface: generate / train / grid / stats / fixtures.
 
-Every flag can also be supplied through a plain ``key=value`` text config
-file passed with --config; explicit flags always win over file values.
+``generate``, ``train`` and ``grid`` also read their configuration from a
+plain ``key=value`` text file passed with --config (keys are the flag names
+with underscores; input and output paths of generate and train are flags
+only).  A flag wins over the file, the file over the default.
 """
 
 from __future__ import annotations
@@ -37,25 +39,20 @@ def _read_config_file(path: str) -> dict[str, str]:
 _CASTERS = {"int": int, "float": float, "str": str}
 
 
-def _build_dataclass(cls, args: argparse.Namespace, file_cfg: dict[str, str]):
-    """Dataclass from flag values, falling back to file values, then defaults."""
-    kwargs = {}
-    for fld in fields(cls):
-        flag_val = getattr(args, fld.name, None)
-        if flag_val is not None:
-            kwargs[fld.name] = flag_val
-        elif fld.name in file_cfg:
-            kwargs[fld.name] = _CASTERS[fld.type](file_cfg[fld.name])
-    return cls(**kwargs)
-
-
 def _resolve(args, file_cfg, key, default, cast=str):
+    """One setting: the flag value, else the file value, else the default."""
     val = getattr(args, key, None)
     if val is not None:
         return val
     if key in file_cfg:
         return cast(file_cfg[key])
     return default
+
+
+def _build_dataclass(cls, args: argparse.Namespace, file_cfg: dict[str, str]):
+    """Dataclass with every field resolved by _resolve."""
+    return cls(**{fld.name: _resolve(args, file_cfg, fld.name, fld.default, _CASTERS[fld.type])
+                  for fld in fields(cls)})
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -122,12 +119,10 @@ def _cmd_train(args) -> int:
         ls = LabeledScores(scores, labels)
         print(f"test ROC AUC {roc_auc(ls):.4f}, PR AUC {pr_auc(ls):.4f}")
         if args.scores_out:
-            records = [
-                scoring.ScoreRecord(w.clip_id, w.window_index,
-                                    {modality: float(s)}, float(s), w.label)
-                for w, s in zip(test_windows, scores)
-            ]
-            scoring.save_scores(args.scores_out, records)
+            cell = experiment.CellScores({modality: scores}, labels,
+                                         [w.clip_id for w in test_windows],
+                                         [w.window_index for w in test_windows])
+            scoring.save_scores(args.scores_out, cell.records())
         if args.curves_out:
             dump_curves(ls, args.curves_out + ".roc.csv", args.curves_out + ".pr.csv")
     return 0
@@ -170,6 +165,7 @@ def _cmd_stats(args) -> int:
                                  report.pvalues.adjusted_p)
     stats.save_significance_report(prefix + ".significance.csv", report)
     print(f"friedman chi2 {report.friedman_chi_sq:.4f}, p {report.friedman_p:.3e}")
+    print(f"pairwise correction: {report.correction}")
     if report.significant:
         for a, b in report.significant:
             print(f"significant (alpha={args.alpha}): {a} vs {b}")
@@ -231,14 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("stats", help="rank analysis of a method-by-dataset AUC matrix")
-    _add_common(p)
     p.add_argument("--matrix", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("fixtures", help="emit the bundled reference AUC grids")
-    _add_common(p)
     p.add_argument("--outdir", default=".")
     p.set_defaults(func=_cmd_fixtures)
 
@@ -246,15 +240,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; bad input or a failed file operation exits with 2.
+    """Run one subcommand; bad input, a failed file operation or diverged
+    training exits with 2.
 
-    A ValueError (DegenerateVectorError included) or OSError becomes the one
-    line ``supconad: error: <message>`` on stderr, without a traceback.
+    A ValueError (DegenerateVectorError included), OSError or
+    TrainingDivergedError becomes the one line ``supconad: error: <message>``
+    on stderr, without a traceback.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, trainer.TrainingDivergedError) as exc:
         print(f"supconad: error: {exc}", file=sys.stderr)
         return 2
 

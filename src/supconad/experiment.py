@@ -79,7 +79,20 @@ class CellScores:
     window_indices: list[int]
 
     def fused(self, combo: tuple[Modality, ...]) -> np.ndarray:
+        """Mean over the combo's modalities, window by window."""
         return np.mean([self.scores[m] for m in combo], axis=0)
+
+    def records(self) -> list[scoring.ScoreRecord]:
+        """One export record per window, over the modalities present in MODALITIES order."""
+        mods = tuple(m for m in MODALITIES if m in self.scores)
+        per_mod = {m: self.scores[m].tolist() for m in mods}
+        fused = self.fused(mods).tolist()
+        return [
+            scoring.ScoreRecord(clip_id, w_idx, {m: per_mod[m][i] for m in mods}, fused[i],
+                                NORMAL if normal else ANOMALOUS)
+            for i, (clip_id, w_idx, normal)
+            in enumerate(zip(self.clip_ids, self.window_indices, self.labels))
+        ]
 
 
 @dataclass
@@ -167,35 +180,25 @@ def _train_models_for(windows_by_mod, cfg: ExperimentConfig, run_seed: int,
 
 def _score_test_set(models: dict[Modality, object], train_by_mod, test_by_mod,
                     use_projection: bool) -> CellScores:
+    """Score every modality's test windows, which must be aligned: entry i of
+    each modality is the same (clip_id, window_index)."""
+    ref = test_by_mod[MODALITIES[0]]
+    keys = [(w.clip_id, w.window_index) for w in ref]
+    for mod in MODALITIES[1:]:
+        if [(w.clip_id, w.window_index) for w in test_by_mod[mod]] != keys:
+            raise ValueError("test windows are not aligned across modalities")
     scores = {}
     for mod in MODALITIES:
         normal_feats = np.stack([w.features for w in train_by_mod[mod] if w.label == NORMAL])
         template = scoring.build_template(models[mod], normal_feats, use_projection, mod)
         test_feats = np.stack([w.features for w in test_by_mod[mod]])
         scores[mod] = scoring.score_windows(template, models[mod], test_feats, use_projection)
-    ref = test_by_mod[MODALITIES[0]]
-    keys = [(w.clip_id, w.window_index) for w in ref]
-    for mod in MODALITIES[1:]:
-        if [(w.clip_id, w.window_index) for w in test_by_mod[mod]] != keys:
-            raise ValueError("test windows are not aligned across modalities")
     return CellScores(
         scores=scores,
         labels=np.array([w.label == NORMAL for w in ref]),
         clip_ids=[k[0] for k in keys],
         window_indices=[k[1] for k in keys],
     )
-
-
-def _cell_score_records(cell: CellScores) -> list[scoring.ScoreRecord]:
-    records = []
-    for i in range(len(cell.labels)):
-        per_mod = {m: float(cell.scores[m][i]) for m in MODALITIES}
-        records.append(scoring.ScoreRecord(
-            cell.clip_ids[i], cell.window_indices[i], per_mod,
-            scoring.fuse_scores(per_mod),
-            NORMAL if cell.labels[i] else ANOMALOUS,
-        ))
-    return records
 
 
 def run_grid(cfg: ExperimentConfig, write_scores: bool = True) -> GridResult:
@@ -238,7 +241,7 @@ def run_grid(cfg: ExperimentConfig, write_scores: bool = True) -> GridResult:
                     if write_scores:
                         scoring.save_scores(
                             os.path.join(cfg.outdir, f"scores_seed{run_seed}_{method}.csv"),
-                            _cell_score_records(cell),
+                            cell.records(),
                         )
 
         for metric_idx, metric in enumerate(("roc", "pr")):

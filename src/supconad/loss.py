@@ -27,28 +27,19 @@ UNIT_NORM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Temperature and negative-pair aggregation mode.
-
-    negative_scale, when given, overrides the mode's implicit scale on the
-    summed negative exponentials (1 for sum, 1/M for average); the scaling
-    is otherwise a fixed property of the two named variants.
-    """
+    """Temperature and negative-pair aggregation mode."""
 
     tau: float = 0.1
     negative_mode: str = "average"
-    negative_scale: float | None = None
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.negative_mode not in ("sum", "average"):
             raise ValueError(f"unknown negative_mode {self.negative_mode!r}")
-        if self.negative_scale is not None and self.negative_scale <= 0:
-            raise ValueError("negative_scale must be positive")
 
     def scale(self, n_negatives: int) -> float:
-        if self.negative_scale is not None:
-            return self.negative_scale
+        """The factor c on the summed negative exponentials: 1 (sum) or 1/M (average)."""
         return 1.0 if self.negative_mode == "sum" else 1.0 / n_negatives
 
 
@@ -89,8 +80,8 @@ def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, ...]:
     """Terms that both the loss and its gradient need.
 
     Returns exp(anchor-negative logits - row max), (K, M); its row sums,
-    (K, 1); the per-anchor log sum_m exp(v_i . v_am / tau), (K,); and the
-    softplus arguments log(c) + log_s[i] - v_i . v_j / tau, (K, K).
+    (K, 1); and the softplus arguments log(c) + log_s[i] - v_i . v_j / tau,
+    (K, K), where log_s[i] = log sum_m exp(v_i . v_am / tau).
     """
     vn, va = batch.normal, batch.anomalous
     z = vn @ vn.T / cfg.tau                       # anchor-pair logits
@@ -100,7 +91,7 @@ def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, ...]:
     row_sum = np.add.reduce(exp_neg, axis=1, keepdims=True)
     log_s = (mx + np.log(row_sum))[:, 0]
     arg = np.log(cfg.scale(batch.m)) + log_s[:, None] - z
-    return exp_neg, row_sum, log_s, arg
+    return exp_neg, row_sum, arg
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -108,23 +99,10 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def pair_loss(batch: LossBatch, i: int, j: int, cfg: LossConfig) -> float:
-    """Loss of the ordered anchor pair (i, j); always positive."""
-    if i == j:
-        raise ValueError("pair indices must differ")
-    k = batch.k
-    if not (0 <= i < k and 0 <= j < k):
-        raise ValueError(f"pair indices out of range for K={k}")
-    z_pos = float(batch.normal[i] @ batch.normal[j]) / cfg.tau
-    log_s = _terms(batch, cfg)[2][i]
-    c = cfg.scale(batch.m)
-    return float(_softplus(np.asarray(np.log(c) + log_s - z_pos)))
-
-
 def batch_loss(batch: LossBatch, cfg: LossConfig) -> float:
-    """Mean of pair_loss over all K*(K-1) ordered anchor pairs."""
+    """Mean of the pair losses L_ij over all K*(K-1) ordered anchor pairs."""
     k = batch.k
-    terms = _softplus(_terms(batch, cfg)[3])
+    terms = _softplus(_terms(batch, cfg)[2])
     terms.flat[::k + 1] = 0.0                 # the diagonal: i == j is no pair
     return float(np.add.reduce(terms, axis=None) / (k * (k - 1)))
 
@@ -137,7 +115,7 @@ def batch_loss_grad(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, np.n
     """
     vn, va = batch.normal, batch.anomalous
     k, tau = batch.k, cfg.tau
-    exp_neg, row_sum, _, arg = _terms(batch, cfg)
+    exp_neg, row_sum, arg = _terms(batch, cfg)
     w = exp_neg / row_sum                     # softmax over negatives per anchor
 
     # sigma[i, j] = share of the (i, j) denominator carried by the negatives

@@ -33,16 +33,14 @@ class LabeledScores:
         object.__setattr__(self, "labels", y)
 
 
-def _tie_groups(scores: np.ndarray):
-    """Indices grouped by equal score, in descending score order."""
-    order = np.argsort(-scores, kind="stable")
-    groups = []
-    start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or scores[order[i]] != scores[order[start]]:
-            groups.append(order[start:i])
-            start = i
-    return groups
+def _tie_groups(ls: LabeledScores):
+    """One stable descending sort: the order, the exclusive end of each tie
+    group in it, and the cumulative true positives at each end (the false
+    positives there are ends - tp)."""
+    order = np.argsort(-ls.scores, kind="stable")
+    s = ls.scores[order]
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1
+    return order, ends, np.cumsum(ls.labels[order])[ends - 1]
 
 
 def roc_auc(ls: LabeledScores) -> float:
@@ -51,74 +49,40 @@ def roc_auc(ls: LabeledScores) -> float:
     Equals P(score_pos > score_neg) + 0.5 * P(score_pos == score_neg),
     computed with average ranks over tie groups.
     """
-    s, y = ls.scores, ls.labels
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(y.size, dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < y.size:
-        j = i
-        while j < y.size and sorted_s[j] == sorted_s[i]:
-            j += 1
-        # average 1-based rank of the tie group [i, j)
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)
-        i = j
-    rank_sum_pos = float(ranks[y].sum())
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    order, ends, tp = _tie_groups(ls)
+    n, n_pos = ls.labels.size, int(tp[-1])
+    starts = np.append(0, ends[:-1])
+    # descending positions [a, b) hold ascending 1-based ranks n-b+1 .. n-a
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * ((n - ends) + 1 + (n - starts)), ends - starts)
+    rank_sum_pos = float(ranks[ls.labels].sum())
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
 
 
 def pr_auc(ls: LabeledScores) -> float:
     """Average precision over descending score thresholds.
 
-    Step-wise AP (sum of precision * recall increments); tie groups cross
-    each threshold atomically.  Trapezoidal PR interpolation is deliberately
-    avoided as it is optimistically biased.
+    Step-wise AP (sum of precision * recall increments, accumulated left to
+    right); tie groups cross each threshold atomically.  Trapezoidal PR
+    interpolation is deliberately avoided as it is optimistically biased.
     """
-    s, y = ls.scores, ls.labels
-    n_pos = int(y.sum())
-    ap = 0.0
-    tp = 0
-    fp = 0
-    prev_recall = 0.0
-    for group in _tie_groups(s):
-        tp += int(y[group].sum())
-        fp += len(group) - int(y[group].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return ap
+    _, ends, tp = _tie_groups(ls)
+    recall = tp / tp[-1]
+    precision = tp / ends
+    return float(np.add.accumulate(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def roc_curve_points(ls: LabeledScores) -> list[tuple[float, float]]:
     """(FPR, TPR) points at every tie-grouped threshold, plus the endpoints."""
-    s, y = ls.scores, ls.labels
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    points = [(0.0, 0.0)]
-    tp = 0
-    fp = 0
-    for group in _tie_groups(s):
-        tp += int(y[group].sum())
-        fp += len(group) - int(y[group].sum())
-        points.append((fp / n_neg, tp / n_pos))
-    return points
+    _, ends, tp = _tie_groups(ls)
+    fp = ends - tp
+    return [(0.0, 0.0)] + list(zip((fp / fp[-1]).tolist(), (tp / tp[-1]).tolist()))
 
 
 def pr_curve_points(ls: LabeledScores) -> list[tuple[float, float]]:
     """(recall, precision) points at every tie-grouped threshold."""
-    s, y = ls.scores, ls.labels
-    n_pos = int(y.sum())
-    points = []
-    tp = 0
-    fp = 0
-    for group in _tie_groups(s):
-        tp += int(y[group].sum())
-        fp += len(group) - int(y[group].sum())
-        points.append((tp / n_pos, tp / (tp + fp)))
-    return points
+    _, ends, tp = _tie_groups(ls)
+    return list(zip((tp / tp[-1]).tolist(), (tp / ends).tolist()))
 
 
 def dump_curves(ls: LabeledScores, roc_path: str, pr_path: str) -> None:

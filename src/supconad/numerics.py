@@ -1,6 +1,5 @@
-"""Dense vector/matrix helpers and the deterministic random generator.
+"""Row normalization and the deterministic random generator.
 
-Vectors are 1-D float64 numpy arrays, matrices 2-D float64 numpy arrays.
 All randomness in the package flows through :class:`Rng`, a counter-based
 splitmix64 generator that is fully specified below so that runs are
 reproducible bit-for-bit and ports to other languages can match the stream.
@@ -19,16 +18,6 @@ class DegenerateVectorError(ValueError):
     """Raised when a vector with (near-)zero norm reaches a normalization."""
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Validate and convert to a 1-D float64 array with finite entries."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError(f"{name} must be 1-D and non-empty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Validate and convert to a 2-D float64 array with finite entries."""
     a = np.asarray(x, dtype=np.float64)
@@ -37,28 +26,6 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def dot(a, b) -> float:
-    """Inner product of two equal-dimension vectors."""
-    a = as_vector(a, "a")
-    b = as_vector(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(a @ b)
-
-
-def l2_normalize(a) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm, preserving direction.
-
-    Raises DegenerateVectorError when the norm is below NORM_EPS or when the
-    norm computation overflows.
-    """
-    a = as_vector(a)
-    n = float(np.linalg.norm(a))
-    if n < NORM_EPS or not np.isfinite(n):
-        raise DegenerateVectorError(f"cannot normalize vector with norm {n!r}")
-    return a / n
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ embeddings of normal training windows; it is deliberately *not* re-normalized,
 so its norm (<= 1) encodes how concentrated the normal class is.  A test
 window's score is the dot product between the template and the window's unit
 embedding, hence always in [-1, 1].  Fusing modalities averages their scores
-over synchronized windows.
+over synchronized windows (``experiment.CellScores.fused``).
 
 Two embedding pathways exist: the projection-head output (retained at test
 time) and the encoder output h, L2-normalized on demand.
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .metrics import LabeledScores
 from .numerics import l2_normalize_rows
-from .synthgen import MODALITIES, NORMAL, Modality, Window
+from .synthgen import MODALITIES, Modality
 
 PATHWAYS = ("projection", "encoder")
 
@@ -79,21 +78,9 @@ def build_template(params: model_mod.ModelParams, normal_features: np.ndarray,
     return NormalTemplate(emb.mean(axis=0), _pathway_flag(use_projection), modality)
 
 
-def score_window(template: NormalTemplate, params: model_mod.ModelParams,
-                 features: np.ndarray, use_projection: bool) -> float:
-    """Cosine similarity of one test window to the normal template."""
-    if template.source != _pathway_flag(use_projection):
-        raise ValueError(
-            f"template was built from the {template.source} pathway, "
-            f"scoring requested {_pathway_flag(use_projection)}"
-        )
-    v = embed(params, np.asarray(features, dtype=np.float64), use_projection)
-    return float(template.v_n @ v)
-
-
 def score_windows(template: NormalTemplate, params: model_mod.ModelParams,
                   features: np.ndarray, use_projection: bool) -> np.ndarray:
-    """Vectorized score_window over a (batch, dim) feature matrix."""
+    """Cosine similarity to the template of each row of a (batch, dim) feature matrix."""
     if template.source != _pathway_flag(use_projection):
         raise ValueError(
             f"template was built from the {template.source} pathway, "
@@ -101,50 +88,6 @@ def score_windows(template: NormalTemplate, params: model_mod.ModelParams,
         )
     v = embed(params, np.atleast_2d(features), use_projection)
     return v @ template.v_n
-
-
-def fuse_scores(per_modality: dict[Modality, float]) -> float:
-    """Arithmetic mean of the present per-modality scores."""
-    if not per_modality:
-        raise ValueError("need at least one modality score to fuse")
-    return float(sum(per_modality.values()) / len(per_modality))
-
-
-def score_aligned_windows(models: dict[Modality, model_mod.ModelParams],
-                          templates: dict[Modality, NormalTemplate],
-                          windows: dict[Modality, list[Window]],
-                          combo: tuple[Modality, ...],
-                          use_projection: bool) -> list[ScoreRecord]:
-    """Score synchronized windows of a modality combination and fuse.
-
-    The per-modality window lists must be aligned: entry i of every modality
-    refers to the same (clip_id, window_index).  Each modality is scored with
-    its own model and template.
-    """
-    keys = None
-    for mod in combo:
-        k = [(w.clip_id, w.window_index) for w in windows[mod]]
-        if keys is None:
-            keys = k
-        elif k != keys:
-            raise ValueError("modality window lists are not aligned")
-    assert keys is not None
-    labels = [w.label for w in windows[combo[0]]]
-    per_mod_scores = {}
-    for mod in combo:
-        feats = np.stack([w.features for w in windows[mod]])
-        per_mod_scores[mod] = score_windows(templates[mod], models[mod], feats, use_projection)
-    records = []
-    for i, (clip_id, w_idx) in enumerate(keys):
-        scores = {mod: float(per_mod_scores[mod][i]) for mod in combo}
-        records.append(ScoreRecord(clip_id, w_idx, scores, fuse_scores(scores), labels[i]))
-    return records
-
-
-def records_to_labeled_scores(records: list[ScoreRecord]) -> LabeledScores:
-    scores = np.array([r.fused_score for r in records])
-    labels = np.array([r.label == NORMAL for r in records])
-    return LabeledScores(scores, labels)
 
 
 def save_scores(path: str, records: list[ScoreRecord]) -> None:

@@ -11,8 +11,9 @@ equalities can hold simultaneously, which for all-pairs families means the
 set of within-block pairs of some partition of the methods.  The adjusted
 p-value of a pair is max over exhaustive sets E containing it of
 |E| * min(raw p over E), capped at 1.  Enumerating partitions is exponential
-(Bell numbers), so the procedure is limited to k <= 9 methods; Shaffer's
-static correction is provided as the fallback beyond that.
+(Bell numbers), so the procedure is limited to k <= 9 methods; beyond that
+``analyze`` falls back to Shaffer's static correction and records which one
+ran in ``AnalysisReport.correction``.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class AnalysisReport:
     friedman_p: float
     pvalues: PairwisePValues
     significant: tuple[tuple[str, str], ...]   # adjusted p < alpha, i < j order
+    correction: str                            # "bergmann-hommel" | "shaffer"
 
 
 def _rank_descending(values: np.ndarray) -> np.ndarray:
@@ -190,14 +192,21 @@ def shaffer_adjust(raw_p: np.ndarray, k: int) -> np.ndarray:
 
 
 def analyze(m: ResultsMatrix, alpha: float = 0.05) -> AnalysisReport:
-    """Full pipeline: ranks, omnibus test, pairwise tests, adjustment, flags."""
+    """Full pipeline: ranks, omnibus test, pairwise tests, adjustment, flags.
+
+    The adjustment is Bergmann-Hommel for k <= BERGMANN_HOMMEL_MAX_K methods
+    and Shaffer's static correction above that.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     k, n = len(m.methods), len(m.datasets)
     _, mean_ranks = friedman_ranks(m)
     chi_sq, friedman_p = friedman_statistic(mean_ranks, k, n)
     raw = pairwise_z_tests(mean_ranks, k, n)
-    adjusted = bergmann_hommel_adjust(raw, k)
+    if k <= BERGMANN_HOMMEL_MAX_K:
+        correction, adjusted = "bergmann-hommel", bergmann_hommel_adjust(raw, k)
+    else:
+        correction, adjusted = "shaffer", shaffer_adjust(raw, k)
     significant = tuple(
         (m.methods[i], m.methods[j])
         for i, j in itertools.combinations(range(k), 2)
@@ -209,6 +218,7 @@ def analyze(m: ResultsMatrix, alpha: float = 0.05) -> AnalysisReport:
         friedman_p=friedman_p,
         pvalues=PairwisePValues(m.methods, raw, adjusted, alpha),
         significant=significant,
+        correction=correction,
     )
 
 

@@ -76,14 +76,6 @@ class TrainResult:
     log: list[LogRow]
 
 
-@dataclass
-class SampledBatch:
-    normal: list[Window]
-    anomalous: list[Window]
-    normal_features: np.ndarray
-    anomalous_features: np.ndarray
-
-
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
     """Step-decay schedule: lr0 * factor ** floor((epoch - 1) / every)."""
     if epoch < 1:
@@ -91,30 +83,20 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * cfg.lr_decay_factor ** ((epoch - 1) // cfg.lr_decay_every)
 
 
-def sample_batch(windows: list[Window], k: int, m: int, rng: Rng,
-                 jitter_sigma: float = 0.0) -> SampledBatch:
-    """Draw k normal + m anomalous windows without replacement, with jitter.
+def _sample_batch(pool: np.ndarray, n_normal: int, k: int, m: int, rng: Rng,
+                  jitter_sigma: float) -> np.ndarray:
+    """k normal then m anomalous rows of pool, each group drawn without replacement.
 
-    Jitter is additive Gaussian feature noise, the desk-scale stand-in for
-    image-space augmentation; sigma = 0 returns the features unmodified.
+    pool holds its n_normal normal rows first, then the anomalous ones.  Jitter
+    is additive Gaussian feature noise, the desk-scale stand-in for image-space
+    augmentation; sigma = 0 returns the rows unmodified.
     """
-    normal_pool = [w for w in windows if w.label == NORMAL]
-    anom_pool = [w for w in windows if w.label == ANOMALOUS]
-    if len(normal_pool) < k or len(anom_pool) < m:
-        raise ValueError(
-            f"need {k} normal / {m} anomalous windows, "
-            f"have {len(normal_pool)} / {len(anom_pool)}"
-        )
-    idx_n = rng.choice_without_replacement(len(normal_pool), k)
-    idx_a = rng.choice_without_replacement(len(anom_pool), m)
-    chosen_n = [normal_pool[i] for i in idx_n]
-    chosen_a = [anom_pool[i] for i in idx_a]
-    xn = np.stack([w.features for w in chosen_n])
-    xa = np.stack([w.features for w in chosen_a])
+    idx_n = rng.choice_without_replacement(n_normal, k)
+    idx_a = rng.choice_without_replacement(len(pool) - n_normal, m)
+    x = pool[np.concatenate([idx_n, idx_a + n_normal])]
     if jitter_sigma > 0:
-        xn = xn + rng.gaussian_array(xn.shape, 0.0, jitter_sigma)
-        xa = xa + rng.gaussian_array(xa.shape, 0.0, jitter_sigma)
-    return SampledBatch(chosen_n, chosen_a, xn, xa)
+        x = x + rng.gaussian_array(x.shape, 0.0, jitter_sigma)
+    return x
 
 
 def _validation_auc(params, train_normal_feats, val_feats, val_is_normal, use_projection):
@@ -136,10 +118,10 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
 
     normal = [w.features for w in train_w if w.label == NORMAL]
     anomalous = [w.features for w in train_w if w.label == ANOMALOUS]
-    n_normal, n_anom = len(normal), len(anomalous)
-    k, m = cfg.batch_normal, cfg.batch_anomalous
-    if n_normal < k or n_anom < m:
-        raise ValueError("training split smaller than one minibatch")
+    n_normal, k, m = len(normal), cfg.batch_normal, cfg.batch_anomalous
+    if n_normal < k or len(anomalous) < m:
+        raise ValueError(f"training split smaller than one minibatch: need {k} normal / "
+                         f"{m} anomalous windows, have {n_normal} / {len(anomalous)}")
     # normal rows first, then anomalous: one gather per step builds the batch
     pool = np.stack(normal + anomalous)
     normal_pool = pool[:n_normal]
@@ -157,13 +139,7 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
         lr = lr_at(epoch, cfg)
         epoch_loss = 0.0
         for step in range(n_batches):
-            # same draw sequence as sample_batch, but over prestacked pools:
-            # re-partitioning the window list every step would dominate runtime
-            idx_n = rng.choice_without_replacement(n_normal, k)
-            idx_a = rng.choice_without_replacement(n_anom, m)
-            x = pool[np.concatenate([idx_n, idx_a + n_normal])]
-            if cfg.jitter_sigma > 0:
-                x = x + rng.gaussian_array(x.shape, 0.0, cfg.jitter_sigma)
+            x = _sample_batch(pool, n_normal, k, m, rng, cfg.jitter_sigma)
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     trace = model_mod.forward(params, x)

@@ -90,6 +90,7 @@ def test_fixtures_roundtrip_and_stats_reproduce_known_pairs(tmp_path, capsys):
     assert run(["stats", "--matrix", os.path.join(outdir, "fixture_roc.csv"),
                 "--alpha", "0.05"]) == 0
     printed = capsys.readouterr().out
+    assert "pairwise correction: bergmann-hommel" in printed
     for a, b in fixtures.ROC_SIGNIFICANT_PAIRS:
         assert f"{a} vs {b}" in printed
     sig_path = os.path.join(outdir, "fixture_roc.significance.csv")
@@ -197,6 +198,25 @@ def test_malformed_window_line_error_names_path_and_line(tmp_path, capsys):
     capsys.readouterr()
     assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS],
                           f"{data}:{first_row + 1}: ")
+
+
+def test_diverged_training_is_a_one_line_error(tmp_path, capsys):
+    data = str(tmp_path / "data.txt")
+    run(["generate", *GEN_FLAGS, "--seed", "7", "--labelling", "manual", "--out", data])
+    capsys.readouterr()
+    assert_one_line_error(capsys, ["train", "--data", data, *TRAIN_FLAGS, "--lr0", "1e200"],
+                          "at epoch 1, step ")
+
+
+@pytest.mark.parametrize("argv", [["stats", "--matrix", "m.csv"], ["fixtures"]],
+                         ids=["stats", "fixtures"])
+def test_config_flag_is_rejected_where_nothing_reads_it(tmp_path, capsys, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_malformed_matrix_csv_is_a_one_line_error(tmp_path, capsys):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supconad.metrics import (LabeledScores, dump_curves, pr_auc,
                               pr_curve_points, roc_auc, roc_curve_points)
@@ -18,6 +20,93 @@ def pairwise_roc_oracle(scores, labels):
         elif p == n:
             total += 0.5
     return total / (len(pos) * len(neg))
+
+
+# -- the per-group loops the vectorized metrics replaced, kept as oracles ------------
+
+def oracle_tie_groups(scores):
+    """Indices grouped by equal score, in descending score order."""
+    order = np.argsort(-scores, kind="stable")
+    groups = []
+    start = 0
+    for i in range(1, len(order) + 1):
+        if i == len(order) or scores[order[i]] != scores[order[start]]:
+            groups.append(order[start:i])
+            start = i
+    return groups
+
+
+def oracle_roc_auc(ls):
+    s, y = ls.scores, ls.labels
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(y.size, dtype=np.float64)
+    sorted_s = s[order]
+    i = 0
+    while i < y.size:
+        j = i
+        while j < y.size and sorted_s[j] == sorted_s[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + 1 + j)
+        i = j
+    rank_sum_pos = float(ranks[y].sum())
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def oracle_counts(ls):
+    """Cumulative (tp, fp) after each descending tie group."""
+    tp = fp = 0
+    out = []
+    for group in oracle_tie_groups(ls.scores):
+        tp += int(ls.labels[group].sum())
+        fp += len(group) - int(ls.labels[group].sum())
+        out.append((tp, fp))
+    return out
+
+
+def oracle_pr_auc(ls):
+    n_pos = int(ls.labels.sum())
+    ap = 0.0
+    prev_recall = 0.0
+    for tp, fp in oracle_counts(ls):
+        recall = tp / n_pos
+        ap += (recall - prev_recall) * (tp / (tp + fp))
+        prev_recall = recall
+    return ap
+
+
+def oracle_roc_curve_points(ls):
+    n_pos = int(ls.labels.sum())
+    n_neg = ls.labels.size - n_pos
+    return [(0.0, 0.0)] + [(fp / n_neg, tp / n_pos) for tp, fp in oracle_counts(ls)]
+
+
+def oracle_pr_curve_points(ls):
+    n_pos = int(ls.labels.sum())
+    return [(tp / n_pos, tp / (tp + fp)) for tp, fp in oracle_counts(ls)]
+
+
+# a few distinct levels (zero of both signs included) make ties the rule
+tie_heavy = st.integers(2, 300).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([-0.0, 0.0, 0.1, -0.25, 0.3333333333333333, 1.0, -1.0]),
+             min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+    st.booleans()))
+
+
+@settings(deadline=None, max_examples=200)
+@given(tie_heavy)
+def test_vectorized_metrics_equal_the_per_group_loops(case):
+    levels, labels, noise, continuous = case
+    labels[0], labels[-1] = True, False
+    scores = np.array(noise if continuous else levels)
+    ls = LabeledScores(scores, labels)
+    assert repr(roc_auc(ls)) == repr(oracle_roc_auc(ls))
+    assert repr(pr_auc(ls)) == repr(oracle_pr_auc(ls))
+    assert repr(roc_curve_points(ls)) == repr(oracle_roc_curve_points(ls))
+    assert repr(pr_curve_points(ls)) == repr(oracle_pr_curve_points(ls))
 
 
 def test_roc_perfect_separation():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supconad.numerics import (_BLOCK, _BLOCK_MAX_REQUEST, DegenerateVectorError, Rng,
-                               dot, l2_normalize, l2_normalize_rows)
+                               l2_normalize_rows)
 
 bounded = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -15,59 +15,21 @@ def vec_strategy(dim=8):
     return st.lists(bounded, min_size=dim, max_size=dim).map(np.array)
 
 
-# -- dot ----------------------------------------------------------------------
-
-def test_dot_orthogonal():
-    assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-
-def test_dot_hand_value():
-    assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-
-def test_dot_matches_naive_loop(np_rng):
-    for _ in range(50):
-        n = int(np_rng.integers(1, 40))
-        a = np_rng.normal(size=n)
-        b = np_rng.normal(size=n)
-        naive = sum(float(x) * float(y) for x, y in zip(a, b))
-        assert abs(dot(a, b) - naive) < 1e-12
-
-
-def test_dot_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        dot([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-@settings(deadline=None, max_examples=60)
-@given(vec_strategy(), vec_strategy())
-def test_dot_symmetric(a, b):
-    assert abs(dot(a, b) - dot(b, a)) < 1e-12
-
-
-@settings(deadline=None, max_examples=60)
-@given(vec_strategy(), vec_strategy(), vec_strategy(), bounded, bounded)
-def test_dot_bilinear(a, b, c, alpha, beta):
-    lhs = dot(a, alpha * b + beta * c)
-    rhs = alpha * dot(a, b) + beta * dot(a, c)
-    assert abs(lhs - rhs) < 1e-12
-
-
-# -- l2_normalize ---------------------------------------------------------------
+# -- l2_normalize_rows (one-row cases) ------------------------------------------
 
 def test_l2_normalize_345_triangle():
-    out = l2_normalize([3.0, 4.0])
-    assert np.allclose(out, [0.6, 0.8], atol=1e-12)
+    out = l2_normalize_rows([[3.0, 4.0]])
+    assert np.allclose(out, [[0.6, 0.8]], atol=1e-12)
 
 
 def test_l2_normalize_unit_vector_is_identity():
-    v = np.array([0.0, 1.0, 0.0])
-    assert np.array_equal(l2_normalize(v), v)
+    v = np.array([[0.0, 1.0, 0.0]])
+    assert np.array_equal(l2_normalize_rows(v), v)
 
 
 def test_l2_normalize_zero_vector_errors():
     with pytest.raises(DegenerateVectorError):
-        l2_normalize([0.0, 0.0])
+        l2_normalize_rows([[0.0, 0.0]])
 
 
 def test_l2_normalize_rows_degenerate_row_errors():
@@ -80,10 +42,10 @@ def test_l2_normalize_rows_degenerate_row_errors():
 def test_l2_normalize_unit_norm_and_scale_invariance(a):
     if np.linalg.norm(a) < 1e-6:
         return
-    out = l2_normalize(a)
+    out = l2_normalize_rows(a[None, :])
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
     for c in (0.5, 3.0, 1e4):
-        assert np.max(np.abs(l2_normalize(c * a) - out)) < 1e-12
+        assert np.max(np.abs(l2_normalize_rows(c * a[None, :]) - out)) < 1e-12
 
 
 # -- Rng ------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import pytest
 
 from supconad import model as M
 from supconad import scoring
+from supconad.experiment import CellScores, ExperimentConfig, _score_test_set
 from supconad.numerics import Rng
-from supconad.synthgen import MODALITIES, NORMAL, Modality, Window
+from supconad.synthgen import ANOMALOUS, MODALITIES, NORMAL, Modality, Window
 from test_model import identity_net
 
 
@@ -72,9 +73,9 @@ def test_template_order_invariance():
     t2 = scoring.build_template(p, feats[perm], True)
     assert np.max(np.abs(t1.v_n - t2.v_n)) < 1e-12
     x = Rng(7).gaussian(0, 1, 192)
-    s1 = scoring.score_window(t1, p, x, True)
-    s2 = scoring.score_window(t2, p, x, True)
-    assert abs(s1 - s2) < 1e-12
+    s1 = scoring.score_windows(t1, p, x, True)
+    s2 = scoring.score_windows(t2, p, x, True)
+    assert abs(s1[0] - s2[0]) < 1e-12
 
 
 # -- scores ---------------------------------------------------------------------------
@@ -82,19 +83,19 @@ def test_template_order_invariance():
 def test_score_of_template_matching_window_is_one():
     p = identity_net(2)
     t = scoring.build_template(p, np.array([[3.0, 0.0]]), True)
-    assert abs(scoring.score_window(t, p, np.array([9.0, 0.0]), True) - 1.0) < 1e-12
+    assert abs(scoring.score_windows(t, p, np.array([9.0, 0.0]), True)[0] - 1.0) < 1e-12
 
 
 def test_score_of_orthogonal_window_is_zero():
     p = identity_net(2)
     t = scoring.build_template(p, np.array([[3.0, 0.0]]), True)
-    assert abs(scoring.score_window(t, p, np.array([0.0, 2.0]), True)) < 1e-12
+    assert abs(scoring.score_windows(t, p, np.array([0.0, 2.0]), True)[0]) < 1e-12
 
 
 def test_score_hand_value():
     p = identity_net(2)
     t = scoring.build_template(p, np.array([[1.0, 0.0], [0.0, 1.0]]), True)
-    assert abs(scoring.score_window(t, p, np.array([7.0, 0.0]), True) - 0.5) < 1e-12
+    assert abs(scoring.score_windows(t, p, np.array([7.0, 0.0]), True)[0] - 0.5) < 1e-12
 
 
 def test_scores_bounded_by_template_norm():
@@ -112,29 +113,37 @@ def test_pathway_mismatch_rejected():
     p = identity_net(2)
     t = scoring.build_template(p, np.array([[1.0, 0.0]]), True)
     with pytest.raises(ValueError, match="pathway"):
-        scoring.score_window(t, p, np.array([1.0, 0.0]), False)
+        scoring.score_windows(t, p, np.array([1.0, 0.0]), False)
 
 
-# -- fusion ---------------------------------------------------------------------------
+# -- fusion (experiment.CellScores.fused) ---------------------------------------------
+
+def cell_of(values):
+    """A one-window CellScores with the given per-modality scores."""
+    return CellScores({m: np.array([v]) for m, v in values.items()},
+                      np.array([True]), [0], [0])
+
 
 def test_fuse_single_modality_unchanged():
-    assert scoring.fuse_scores({Modality.TOP_DEPTH: 0.37}) == 0.37
+    assert cell_of({Modality.TOP_DEPTH: 0.37}).fused((Modality.TOP_DEPTH,))[0] == 0.37
 
 
 def test_fuse_two_scores():
-    got = scoring.fuse_scores({Modality.TOP_DEPTH: 0.2, Modality.TOP_IR: 0.8})
-    assert abs(got - 0.5) < 1e-12
+    got = cell_of({Modality.TOP_DEPTH: 0.2, Modality.TOP_IR: 0.8}).fused(
+        (Modality.TOP_DEPTH, Modality.TOP_IR))
+    assert abs(got[0] - 0.5) < 1e-12
 
 
 def test_fuse_four_matches_naive_sum(np_rng):
     vals = {m: float(np_rng.uniform(-1, 1)) for m in MODALITIES}
     naive = sum(float(v) for v in vals.values()) / 4.0
-    assert abs(scoring.fuse_scores(vals) - naive) < 1e-12
+    assert abs(cell_of(vals).fused(tuple(MODALITIES))[0] - naive) < 1e-12
 
 
 def test_fuse_empty_rejected():
+    # an empty fusion is rejected where combinations enter, at the grid config
     with pytest.raises(ValueError):
-        scoring.fuse_scores({})
+        ExperimentConfig(combos=())
 
 
 def test_modality_combos_cover_the_nine_cases():
@@ -162,48 +171,44 @@ def test_scores_invariant_to_projection_output_scale(c):
     assert np.max(np.abs(got - base)) < 1e-9
 
 
-# -- aligned multi-modality scoring ------------------------------------------------------
+# -- aligned multi-modality scoring (experiment._score_test_set) ------------------------
 
 def _aligned_setup(n_windows=8, dim=6):
     rng = Rng(20)
     models = {m: M.init_params([dim, 24, 12], [12, 4], rng) for m in MODALITIES}
-    windows = {}
+    test, train = {}, {}
     for m in MODALITIES:
-        windows[m] = [
-            Window(rng.gaussian(0, 1, dim), NORMAL if i % 2 == 0 else "anomalous",
+        test[m] = [
+            Window(rng.gaussian(0, 1, dim), NORMAL if i % 2 == 0 else ANOMALOUS,
                    i // 2, i % 2, m, "test", None)
             for i in range(n_windows)
         ]
-    templates = {
-        m: scoring.build_template(models[m], rng.gaussian(0, 1, 5 * dim).reshape(5, dim), True, m)
-        for m in MODALITIES
-    }
-    return models, templates, windows
+        train[m] = [Window(rng.gaussian(0, 1, dim), NORMAL, 100 + i, 0, m, "train", None)
+                    for i in range(5)]
+    return models, train, test
 
 
 def test_score_aligned_windows_fuses_means():
-    models, templates, windows = _aligned_setup()
-    records = scoring.score_aligned_windows(models, templates, windows,
-                                            tuple(MODALITIES), True)
+    cell = _score_test_set(*_aligned_setup(), True)
+    records = cell.records()
     assert len(records) == 8
     for r in records:
+        assert list(r.per_modality) == list(MODALITIES)
         expect = np.mean([r.per_modality[m] for m in MODALITIES])
         assert abs(r.fused_score - expect) < 1e-12
         assert all(-1.0 - 1e-9 <= v <= 1.0 + 1e-9 for v in r.per_modality.values())
+    assert [r.label for r in records] == [NORMAL, ANOMALOUS] * 4
 
 
 def test_score_aligned_windows_rejects_misalignment():
-    models, templates, windows = _aligned_setup()
-    windows[Modality.TOP_IR] = windows[Modality.TOP_IR][::-1]
+    models, train, test = _aligned_setup()
+    test[Modality.TOP_IR] = test[Modality.TOP_IR][::-1]
     with pytest.raises(ValueError, match="not aligned"):
-        scoring.score_aligned_windows(models, templates, windows,
-                                      tuple(MODALITIES), True)
+        _score_test_set(models, train, test, True)
 
 
 def test_save_scores_csv(tmp_path):
-    models, templates, windows = _aligned_setup()
-    records = scoring.score_aligned_windows(models, templates, windows,
-                                            tuple(MODALITIES), True)
+    records = _score_test_set(*_aligned_setup(), True).records()
     path = tmp_path / "scores.csv"
     scoring.save_scores(str(path), records)
     lines = path.read_text().splitlines()
@@ -212,3 +217,10 @@ def test_save_scores_csv(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == records[0].clip_id
     assert float(first[6]) == records[0].fused_score
+
+
+def test_records_cover_only_the_modalities_present():
+    cell = cell_of({Modality.FRONT_IR: 0.25, Modality.TOP_DEPTH: -0.5})
+    (record,) = cell.records()
+    assert list(record.per_modality) == [Modality.TOP_DEPTH, Modality.FRONT_IR]
+    assert record.fused_score == -0.125 and record.label == NORMAL

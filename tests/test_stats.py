@@ -193,6 +193,32 @@ def test_shaffer_k3_static_levels():
 
 # -- full analysis ------------------------------------------------------------------------
 
+def random_matrix(np_rng, k, n=6):
+    return matrix(np_rng.uniform(0.5, 1.0, size=(k, n)))
+
+
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_analysis_up_to_nine_methods_uses_bergmann_hommel(np_rng, k):
+    report = analyze(random_matrix(np_rng, k))
+    assert report.correction == "bergmann-hommel"
+    raw = report.pvalues.raw_p
+    assert np.array_equal(report.pvalues.adjusted_p, bergmann_hommel_adjust(raw, k),
+                          equal_nan=True)
+
+
+def test_analysis_of_ten_methods_falls_back_to_shaffer(np_rng, tmp_path):
+    values = np_rng.uniform(0.5, 1.0, size=(10, 30))
+    values[0] += 1.0                        # one clear winner, so some pair is flagged
+    report = analyze(matrix(values))
+    assert report.correction == "shaffer"
+    raw = report.pvalues.raw_p
+    assert np.array_equal(report.pvalues.adjusted_p, shaffer_adjust(raw, 10), equal_nan=True)
+    assert report.significant
+    save_significance_report(str(tmp_path / "sig.csv"), report)
+    lines = (tmp_path / "sig.csv").read_text().splitlines()
+    assert len(lines) == 4 + 45 and lines[3].startswith("method_a,")
+
+
 def test_identical_methods_nothing_significant():
     m = matrix(np.tile(np.linspace(0.5, 0.9, 6), (4, 1)))
     report = analyze(m)

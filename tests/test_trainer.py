@@ -8,8 +8,8 @@ from supconad import trainer
 from supconad.loss import LossBatch, LossConfig, batch_loss, batch_loss_grad
 from supconad.numerics import Rng
 from supconad.synthgen import ANOMALOUS, MODALITIES, NORMAL, Window
-from supconad.trainer import (TrainConfig, TrainingDivergedError, lr_at,
-                              sample_batch, save_training_log, train)
+from supconad.trainer import (TrainConfig, TrainingDivergedError, _sample_batch,
+                              lr_at, save_training_log, train)
 
 
 def toy_windows(n_normal=60, n_anomalous=30, dim=4, seed=0, gap=2.0):
@@ -49,41 +49,41 @@ def test_lr_rejects_nonpositive_epoch():
 
 # -- batch sampling ------------------------------------------------------------------
 
+def toy_pool(n_normal, n_anomalous):
+    """The trainer's stacked pool: normal rows first; row r is filled with r."""
+    return np.repeat(np.arange(n_normal + n_anomalous, dtype=float)[:, None], 4, axis=1)
+
+
 def test_sample_batch_sizes_match_reference_protocol():
-    windows = toy_windows(220, 400)
-    batch = sample_batch(windows, 10, 150, Rng(0))
-    assert len(batch.normal) == 10 and len(batch.anomalous) == 150
-    assert batch.normal_features.shape == (10, 4)
-    assert batch.anomalous_features.shape == (150, 4)
-    assert all(w.label == NORMAL for w in batch.normal)
-    assert all(w.label == ANOMALOUS for w in batch.anomalous)
+    x = _sample_batch(toy_pool(220, 400), 220, 10, 150, Rng(0), 0.0)
+    assert x.shape == (160, 4)
+    assert np.all(x[:10] < 220)      # anchors come from the normal rows
+    assert np.all(x[10:] >= 220)     # negatives from the anomalous rows
 
 
 def test_sample_batch_zero_jitter_returns_features_unmodified():
-    windows = toy_windows(20, 10)
-    batch = sample_batch(windows, 4, 3, Rng(1), jitter_sigma=0.0)
-    for w, row in zip(batch.normal, batch.normal_features):
-        assert np.array_equal(w.features, row)
+    pool = toy_pool(20, 10)
+    x = _sample_batch(pool, 20, 4, 3, Rng(1), 0.0)
+    for row in x:
+        assert np.array_equal(pool[int(row[0])], row)
 
 
 def test_sample_batch_jitter_perturbs_features():
-    windows = toy_windows(20, 10)
-    batch = sample_batch(windows, 4, 3, Rng(1), jitter_sigma=0.1)
-    for w, row in zip(batch.normal, batch.normal_features):
-        assert not np.array_equal(w.features, row)
-        assert np.max(np.abs(w.features - row)) < 1.0
+    pool = toy_pool(20, 10)
+    plain = _sample_batch(pool, 20, 4, 3, Rng(1), 0.0)
+    jittered = _sample_batch(pool, 20, 4, 3, Rng(1), 0.1)   # same rows, then noise
+    assert np.all(plain != jittered)
+    assert np.max(np.abs(plain - jittered)) < 1.0
 
 
 def test_sample_batch_without_replacement():
-    windows = toy_windows(12, 6)
-    batch = sample_batch(windows, 12, 6, Rng(2))
-    assert len({w.clip_id for w in batch.normal}) == 12
-    assert len({w.clip_id for w in batch.anomalous}) == 6
+    x = _sample_batch(toy_pool(12, 6), 12, 12, 6, Rng(2), 0.0)
+    assert sorted(x[:, 0]) == list(range(18))
 
 
 def test_sample_batch_insufficient_windows_rejected():
-    with pytest.raises(ValueError, match="need"):
-        sample_batch(toy_windows(5, 5), 10, 3, Rng(0))
+    with pytest.raises(ValueError, match="need 10 normal / 3 anomalous windows"):
+        train(toy_windows(5, 5), *DIMS, quick_cfg(batch_normal=10, batch_anomalous=3))
 
 
 # -- training ------------------------------------------------------------------------
