@@ -3,7 +3,8 @@
 ``generate``, ``train`` and ``grid`` also read their configuration from a
 plain ``key=value`` text file passed with --config (keys are the flag names
 with underscores; input and output paths of generate and train are flags
-only).  A flag wins over the file, the file over the default.
+only).  A flag wins over the file, the file over the default.  A file key
+the subcommand does not read is an error that names its path and line.
 """
 
 from __future__ import annotations
@@ -22,37 +23,31 @@ from .synthgen import (NORMAL, GenConfig, Modality, dataset_windows,
                        generate_dataset, load_windows, save_windows)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path) as f:
-        for ln_no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
+class _ConfigFile(dict):
+    """key -> value of a key=value --config file (empty without one), with the
+    line of each key and the set of keys the subcommand has looked up."""
 
+    def __init__(self, path: str | None):
+        super().__init__()
+        self.path, self.lines, self.looked_up = path, {}, set()
+        if path is None:
+            return
+        with open(path) as f:
+            for ln_no, raw in enumerate(f, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{path}:{ln_no}: expected key=value, got {line!r}")
+                key, _, value = (t.strip() for t in line.partition("="))
+                self[key], self.lines[key] = value, ln_no
 
-_CASTERS = {"int": int, "float": float, "str": str}
-
-
-def _resolve(args, file_cfg, key, default, cast=str):
-    """One setting: the flag value, else the file value, else the default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in file_cfg:
-        return cast(file_cfg[key])
-    return default
-
-
-def _build_dataclass(cls, args: argparse.Namespace, file_cfg: dict[str, str]):
-    """Dataclass with every field resolved by _resolve."""
-    return cls(**{fld.name: _resolve(args, file_cfg, fld.name, fld.default, _CASTERS[fld.type])
-                  for fld in fields(cls)})
+    def check_all_read(self) -> None:
+        """ValueError("path:line: unknown key ...") for the first key no lookup read."""
+        unread = sorted(self.keys() - self.looked_up, key=self.lines.get)
+        if unread:
+            raise ValueError(f"{self.path}:{self.lines[unread[0]]}: unknown key {unread[0]!r} "
+                             f"(known keys: {', '.join(sorted(self.looked_up))})")
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -61,6 +56,29 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 
 def _csv_strs(text: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+_CASTERS = {"int": int, "float": float, "str": str,
+            "tuple[int, ...]": _csv_ints, "tuple[str, ...]": _csv_strs}
+
+
+def _resolve(args, file_cfg: _ConfigFile, key, default, cast=str):
+    """One setting: the flag value, else the file value, else the default."""
+    file_cfg.looked_up.add(key)
+    val = getattr(args, key, None)
+    if val is not None:
+        return val
+    if key in file_cfg:
+        return cast(file_cfg[key])
+    return default
+
+
+def _build_dataclass(cls, args: argparse.Namespace, file_cfg: _ConfigFile, skip=(), **given):
+    """Dataclass with the given fields, the skipped ones at their defaults and
+    every other field resolved by _resolve."""
+    return cls(**given, **{fld.name: _resolve(args, file_cfg, fld.name, fld.default,
+                                              _CASTERS[fld.type])
+                           for fld in fields(cls) if fld.name not in (*skip, *given)})
 
 
 def _add_dataclass_args(parser: argparse.ArgumentParser, cls, skip=()):
@@ -76,9 +94,10 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _cmd_generate(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
+    file_cfg = _ConfigFile(args.config)
     cfg = _build_dataclass(GenConfig, args, file_cfg)
     labelling = _resolve(args, file_cfg, "labelling", "original")
+    file_cfg.check_all_read()
     ds = generate_dataset(cfg)
     windows = dataset_windows(ds, labelling)
     save_windows(args.out, cfg, labelling, windows)
@@ -88,7 +107,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
+    file_cfg = _ConfigFile(args.config)
     tcfg = _build_dataclass(trainer.TrainConfig, args, file_cfg)
     modality = Modality.from_key(_resolve(args, file_cfg, "modality", "top_depth"))
     head = _resolve(args, file_cfg, "head", "projection")
@@ -96,6 +115,7 @@ def _cmd_train(args) -> int:
                         experiment.DEFAULT_ENCODER_DIMS, _csv_ints)
     proj_dims = _resolve(args, file_cfg, "projection_dims",
                          experiment.DEFAULT_PROJECTION_DIMS, _csv_ints)
+    file_cfg.check_all_read()
 
     _, _, windows = load_windows(args.data)
     train_windows = [w for w in windows if w.split == "train" and w.modality == modality]
@@ -128,25 +148,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
+# grid sets these per cell from --seeds and --loss-modes; no flag or file key does
+_GRID_PER_CELL = ("seed", "negative_mode")
+
+
 def _cmd_grid(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    gen = _build_dataclass(GenConfig, args, file_cfg)
-    tcfg = _build_dataclass(trainer.TrainConfig, args, file_cfg)
-    cfg = experiment.ExperimentConfig(
-        gen=gen,
-        train=tcfg,
-        encoder_dims=_resolve(args, file_cfg, "encoder_dims",
-                              experiment.DEFAULT_ENCODER_DIMS, _csv_ints),
-        projection_dims=_resolve(args, file_cfg, "projection_dims",
-                                 experiment.DEFAULT_PROJECTION_DIMS, _csv_ints),
-        loss_modes=_resolve(args, file_cfg, "loss_modes", experiment.LOSS_MODES, _csv_strs),
-        head_modes=_resolve(args, file_cfg, "head_modes", experiment.HEAD_MODES, _csv_strs),
-        labelling_modes=_resolve(args, file_cfg, "labelling_modes",
-                                 experiment.LABELLING_MODES_AXIS, _csv_strs),
-        combos=_resolve(args, file_cfg, "combos", tuple(scoring.MODALITY_COMBOS), _csv_strs),
-        seeds=_resolve(args, file_cfg, "seeds", (42,), _csv_ints),
-        outdir=_resolve(args, file_cfg, "outdir", "grid_out"),
-    )
+    file_cfg = _ConfigFile(args.config)
+    cfg = _build_dataclass(
+        experiment.ExperimentConfig, args, file_cfg,
+        gen=_build_dataclass(GenConfig, args, file_cfg, _GRID_PER_CELL),
+        train=_build_dataclass(trainer.TrainConfig, args, file_cfg, _GRID_PER_CELL))
+    file_cfg.check_all_read()
     result = experiment.run_grid(cfg)
     print(f"grid written to {cfg.outdir} "
           f"({len(result.cells)} cells, {len(result.failures)} failures)")
@@ -214,16 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="run the full method grid")
     _add_common(p)
-    _add_dataclass_args(p, GenConfig, skip=("seed",))
-    _add_dataclass_args(p, trainer.TrainConfig, skip=("seed", "negative_mode"))
-    p.add_argument("--encoder-dims", type=_csv_ints, default=None)
-    p.add_argument("--projection-dims", type=_csv_ints, default=None)
-    p.add_argument("--loss-modes", type=_csv_strs, default=None)
-    p.add_argument("--head-modes", type=_csv_strs, default=None)
-    p.add_argument("--labelling-modes", type=_csv_strs, default=None)
-    p.add_argument("--combos", type=_csv_strs, default=None)
-    p.add_argument("--seeds", type=_csv_ints, default=None)
-    p.add_argument("--outdir", default=None)
+    _add_dataclass_args(p, GenConfig, _GRID_PER_CELL)
+    _add_dataclass_args(p, trainer.TrainConfig, _GRID_PER_CELL)
+    _add_dataclass_args(p, experiment.ExperimentConfig, skip=("gen", "train"))
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("stats", help="rank analysis of a method-by-dataset AUC matrix")

@@ -2,16 +2,19 @@
 
 The encoder maps a flattened window to a latent vector h; the projection head
 maps h to the contrastive embedding, which is L2-normalized before entering
-the loss.  Forward passes accept a single vector or a (batch, dim) matrix and
-record every intermediate needed for the exact reverse pass, including the
-normalization Jacobian (I - v v^T) / ||v_raw||.  The reverse pass gives the
-gradients w.r.t. the weights and biases only; nothing needs the gradient
-w.r.t. the input, so it is not computed.
+the loss.  Every weight and bias is a view into one float64 vector,
+``ModelParams.flat``; the backward pass returns one gradient vector with the
+same layout, so an SGD step and a checkpoint copy are each one vector
+operation.  Forward passes take a (batch, input_dim) matrix (one window is a
+batch of one) and record every intermediate needed for the exact reverse
+pass, including the normalization Jacobian (I - v v^T) / ||v_raw||.  The
+reverse pass gives the gradients w.r.t. the weights and biases only; nothing
+needs the gradient w.r.t. the input, so it is not computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +44,9 @@ class LayerParams:
 class ModelParams:
     encoder: list[LayerParams]
     projection: list[LayerParams]
+    # a copy of each layer's weight (row-major) then bias, in layer order; the
+    # layers are rebound to views of it
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         chain = self.encoder + self.projection
@@ -51,6 +57,13 @@ class ModelParams:
                 raise ValueError("consecutive layer dimensions are incompatible")
         if self.projection[-1].weight.shape[0] < 2:
             raise ValueError("projection output dimension must be >= 2")
+        self.flat = np.concatenate([a.ravel() for l in chain for a in (l.weight, l.bias)])
+        views = [LayerParams(w, b, l.activation) for l, (w, b) in zip(chain, self.split(self.flat))]
+        self.encoder, self.projection = views[:len(self.encoder)], views[len(self.encoder):]
+
+    def __reduce__(self):
+        # unpickled views would be separate arrays; rebuilding rebinds them
+        return ModelParams, (self.encoder, self.projection)
 
     @property
     def layers(self) -> list[LayerParams]:
@@ -60,19 +73,18 @@ class ModelParams:
     def input_dim(self) -> int:
         return self.encoder[0].weight.shape[1]
 
-    @property
-    def h_dim(self) -> int:
-        return self.encoder[-1].weight.shape[0]
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.projection[-1].weight.shape[0]
+    def split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views into vec, one pair per layer, in flat's layout."""
+        out, pos = [], 0
+        for layer in self.layers:
+            n_out, n_in = layer.weight.shape
+            end = pos + n_out * n_in
+            out.append((vec[pos:end].reshape(n_out, n_in), vec[end:end + n_out]))
+            pos = end + n_out
+        return out
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [LayerParams(l.weight.copy(), l.bias.copy(), l.activation) for l in self.encoder],
-            [LayerParams(l.weight.copy(), l.bias.copy(), l.activation) for l in self.projection],
-        )
+        return ModelParams(self.encoder, self.projection)
 
 
 @dataclass
@@ -83,14 +95,7 @@ class ForwardTrace:
     h: np.ndarray           # encoder output (unnormalized)
     v_raw: np.ndarray       # projection output before normalization
     v: np.ndarray           # unit-norm embedding
-    norms: np.ndarray       # ||v_raw|| per row, shape (batch, 1) even for a single vector
-    single: bool            # True when x was a single vector
-
-
-@dataclass
-class ParamGrads:
-    encoder: list[tuple[np.ndarray, np.ndarray]]     # (d_weight, d_bias) per layer
-    projection: list[tuple[np.ndarray, np.ndarray]]
+    norms: np.ndarray       # ||v_raw|| per row, shape (batch, 1)
 
 
 def init_params(encoder_dims: list[int], projection_dims: list[int], rng: Rng) -> ModelParams:
@@ -115,12 +120,12 @@ def init_params(encoder_dims: list[int], projection_dims: list[int], rng: Rng) -
 
 
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Run the full encoder + projection chain, recording intermediates."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = x if x.ndim == 2 else np.atleast_2d(x)
-    if a.shape[1] != params.input_dim:
-        raise ValueError(f"input dim {a.shape[1]} != expected {params.input_dim}")
+    """Run the full encoder + projection chain over a (batch, input_dim) matrix,
+    recording intermediates."""
+    a = x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ValueError(f"input dim: expected a (batch, {params.input_dim}) matrix, "
+                         f"got shape {x.shape}")
     pre, act = [], []
     for layer in params.layers:
         z = a @ layer.weight.T + layer.bias
@@ -133,68 +138,47 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     # a NaN norm fails both comparisons
     if not (norms.min() >= NORM_EPS and norms.max() < np.inf):
         raise DegenerateVectorError("projection output norm is degenerate or non-finite")
-    v = v_raw / norms
-    if single:
-        pre = [z[0] for z in pre]
-        act = [m[0] for m in act]
-        v_raw, v = v_raw[0], v[0]
     return ForwardTrace(x=x, pre=pre, act=act, h=act[len(params.encoder) - 1],
-                        v_raw=v_raw, v=v, norms=norms, single=single)
+                        v_raw=v_raw, v=v_raw / norms, norms=norms)
 
 
-def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> ParamGrads:
-    """Exact gradients of (grad_v . v) w.r.t. every weight and bias.
+def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> np.ndarray:
+    """Exact gradient of (grad_v . v), summed over the batch, w.r.t. every weight
+    and bias: one vector laid out like params.flat.
 
-    For batched traces grad_v is (batch, embed_dim) and parameter gradients
-    are summed over the batch.  The gradient w.r.t. the input is not formed.
+    grad_v is (batch, embed_dim).  The gradient w.r.t. the input is not formed.
     """
     grad_v = np.asarray(grad_v, dtype=np.float64)
-    if trace.single:
-        grad_v = np.atleast_2d(grad_v)
-        v, x = np.atleast_2d(trace.v), np.atleast_2d(trace.x)
-        pres = [np.atleast_2d(z) for z in trace.pre]
-        acts = [np.atleast_2d(m) for m in trace.act]
-    else:
-        v, x, pres, acts = trace.v, trace.x, trace.pre, trace.act
+    v = trace.v
     if grad_v.shape != v.shape:
         raise ValueError(f"grad_v shape {grad_v.shape} != embedding shape {v.shape}")
 
     g = (grad_v - v * np.add.reduce(grad_v * v, axis=1, keepdims=True)) / trace.norms
 
+    grads = np.empty_like(params.flat)
     layers = params.layers
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
-    for li in range(len(layers) - 1, -1, -1):
-        layer = layers[li]
-        if layer.activation == "relu":
-            g = g * (pres[li] > 0)
-        a_in = acts[li - 1] if li > 0 else x
-        grads.append((g.T @ a_in, np.add.reduce(g, axis=0)))
+    for li, (dw, db) in reversed(list(enumerate(params.split(grads)))):
+        if layers[li].activation == "relu":
+            g = g * (trace.pre[li] > 0)
+        np.matmul(g.T, trace.act[li - 1] if li > 0 else trace.x, out=dw)
+        np.add.reduce(g, axis=0, out=db)
         if li > 0:
-            g = g @ layer.weight
-    grads.reverse()
-    n_enc = len(params.encoder)
-    return ParamGrads(encoder=grads[:n_enc], projection=grads[n_enc:])
+            g = g @ layers[li].weight
+    return grads
 
 
-def sgd_step(params: ModelParams, grads: ParamGrads, lr: float,
-             momentum: float = 0.0, velocity: list | None = None):
-    """In-place SGD update; returns the velocity buffers (None without momentum)."""
-    layer_grads = grads.encoder + grads.projection
-    layers = params.layers
+def sgd_step(params: ModelParams, grads: np.ndarray, lr: float,
+             momentum: float = 0.0, velocity: np.ndarray | None = None):
+    """In-place SGD update of params.flat; returns the velocity vector (None
+    without momentum)."""
     if not momentum:
-        for layer, (dw, db) in zip(layers, layer_grads):
-            layer.weight -= lr * dw
-            layer.bias -= lr * db
+        params.flat -= lr * grads
         return velocity
     if velocity is None:
-        velocity = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in layers]
-    for layer, (dw, db), (vw, vb) in zip(layers, layer_grads, velocity):
-        vw *= momentum
-        vw += dw
-        vb *= momentum
-        vb += db
-        layer.weight -= lr * vw
-        layer.bias -= lr * vb
+        velocity = np.zeros_like(params.flat)
+    velocity *= momentum
+    velocity += grads
+    params.flat -= lr * velocity
     return velocity
 
 

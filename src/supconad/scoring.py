@@ -59,22 +59,18 @@ def _pathway_flag(use_projection: bool) -> str:
 
 
 def embed(params: model_mod.ModelParams, features: np.ndarray, use_projection: bool) -> np.ndarray:
-    """Unit-norm embedding(s) of one window or a (batch, dim) feature matrix."""
+    """Unit-norm embeddings of the rows of a (batch, input_dim) feature matrix."""
     trace = model_mod.forward(params, features)
-    if use_projection:
-        return trace.v
-    h = np.atleast_2d(trace.h)
-    out = l2_normalize_rows(h)
-    return out[0] if trace.single else out
+    return trace.v if use_projection else l2_normalize_rows(trace.h)
 
 
 def build_template(params: model_mod.ModelParams, normal_features: np.ndarray,
                    use_projection: bool, modality: Modality | None = None) -> NormalTemplate:
-    """Mean of unit embeddings of normal windows (not re-normalized)."""
-    feats = np.atleast_2d(np.asarray(normal_features, dtype=np.float64))
-    if feats.shape[0] == 0:
+    """Mean of unit embeddings of the normal windows, the rows of a
+    (batch, input_dim) matrix (not re-normalized)."""
+    if len(normal_features) == 0:
         raise ValueError("need at least one normal window to build a template")
-    emb = embed(params, feats, use_projection)
+    emb = embed(params, normal_features, use_projection)
     return NormalTemplate(emb.mean(axis=0), _pathway_flag(use_projection), modality)
 
 
@@ -86,7 +82,7 @@ def score_windows(template: NormalTemplate, params: model_mod.ModelParams,
             f"template was built from the {template.source} pathway, "
             f"scoring requested {_pathway_flag(use_projection)}"
         )
-    v = embed(params, np.atleast_2d(features), use_projection)
+    v = embed(params, features, use_projection)
     return v @ template.v_n
 
 

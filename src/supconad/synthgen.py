@@ -406,6 +406,8 @@ def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
                 if len(parts) != n_fields:
                     raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
                 split, mod_key, clip_id, w_idx, label, arch = parts[:6]
+                if split not in ("train", "test"):
+                    raise ValueError(f"unknown split {split!r}")
                 if label not in (NORMAL, ANOMALOUS):
                     raise ValueError(f"unknown label {label!r}")
                 windows.append(Window(

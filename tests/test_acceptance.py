@@ -98,19 +98,18 @@ def test_criterion_3_gradient_correctness():
         dims = [2 + model_rng.below(10), 2 + model_rng.below(14), 2 + model_rng.below(10)]
         proj = [dims[-1], 2 + model_rng.below(8)]
         params = M.init_params(dims, proj, model_rng)
-        x = model_rng.gaussian(0, 1, dims[0])
-        grad_v = model_rng.gaussian(0, 1, proj[-1])
+        x = model_rng.gaussian(0, 1, dims[0]).reshape(1, dims[0])
+        grad_v = model_rng.gaussian(0, 1, proj[-1]).reshape(1, proj[-1])
         try:
             M.forward(params, x)
         except DegenerateVectorError:
             continue
 
         def value():
-            return float(grad_v @ M.forward(params, x).v)
+            return float(np.sum(grad_v * M.forward(params, x).v))
 
         grads = M.backward(params, M.forward(params, x), grad_v)
-        layer_grads = grads.encoder + grads.projection
-        for layer, (dw, db) in zip(params.layers, layer_grads):
+        for layer, (dw, db) in zip(params.layers, params.split(grads)):
             for arr, g in ((layer.weight, dw), (layer.bias, db)):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:

@@ -208,6 +208,27 @@ def test_diverged_training_is_a_one_line_error(tmp_path, capsys):
                           "at epoch 1, step ")
 
 
+@pytest.mark.parametrize("command, known, typo", [
+    ("generate", "frame_dim=6", "seeed=9"),
+    ("train", "epochs=4", "seeed=9"),
+    ("grid", "epochs=4", "seeed=9"),
+    ("grid", "epochs=4", "seed=9"),          # grid takes seeds; seed is set per run
+    ("grid", "epochs=4", "negative_mode=sum"),
+], ids=["generate", "train", "grid", "grid-seed", "grid-negative-mode"])
+def test_unknown_config_key_is_a_one_line_error(tmp_path, capsys, command, known, typo):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a comment\n{known}\n{typo}\n")
+    out = tmp_path / "out"
+    argv = {"generate": ["generate", "--out", str(out)],
+            "train": ["train", "--data", str(tmp_path / "missing.txt")],
+            "grid": ["grid", "--outdir", str(out)]}[command]
+    key = typo.split("=")[0]
+    # the key is rejected before any work: no output, and no read of the missing data file
+    assert_one_line_error(capsys, [*argv, "--config", str(cfg)],
+                          f"{cfg}:3: unknown key '{key}'")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["stats", "--matrix", "m.csv"], ["fixtures"]],
                          ids=["stats", "fixtures"])
 def test_config_flag_is_rejected_where_nothing_reads_it(tmp_path, capsys, argv):

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -27,11 +28,11 @@ def param_arrays(params):
             yield layer.bias
 
 
-def grad_arrays(grads):
-    for stack in (grads.encoder, grads.projection):
-        for dw, db in stack:
-            yield dw
-            yield db
+def grad_arrays(params, grads):
+    """The gradient vector's (weight, bias) blocks, in param_arrays order."""
+    for dw, db in params.split(grads):
+        yield dw
+        yield db
 
 
 def fd_param_check(params, x, grad_v, h=1e-5, rel_tol=1e-5):
@@ -39,10 +40,10 @@ def fd_param_check(params, x, grad_v, h=1e-5, rel_tol=1e-5):
     analytic = M.backward(params, M.forward(params, x), grad_v)
 
     def value():
-        return float(grad_v @ M.forward(params, x).v)
+        return float(np.sum(grad_v * M.forward(params, x).v))
 
     worst = 0.0
-    for arr, g in zip(param_arrays(params), grad_arrays(analytic)):
+    for arr, g in zip(param_arrays(params), grad_arrays(params, analytic)):
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             ix = it.multi_index
@@ -91,7 +92,7 @@ def test_init_dimension_chain_validated():
 
 def test_identity_network_normalizes_input():
     p = identity_net(3)
-    x = np.array([3.0, 0.0, 4.0])
+    x = np.array([[3.0, 0.0, 4.0]])
     tr = M.forward(p, x)
     assert np.allclose(tr.v, x / 5.0, atol=1e-12)
     assert np.array_equal(tr.h, x)
@@ -101,8 +102,8 @@ def test_identity_network_normalizes_input():
 def test_zero_input_output_set_by_biases():
     p = identity_net(2)
     p.projection[0].bias[:] = [0.0, 2.0]
-    tr = M.forward(p, np.zeros(2))
-    assert np.allclose(tr.v, [0.0, 1.0], atol=1e-12)
+    tr = M.forward(p, np.zeros((1, 2)))
+    assert np.allclose(tr.v, [[0.0, 1.0]], atol=1e-12)
 
 
 def viable_case(seed, dims_enc, dims_proj, n=1):
@@ -115,7 +116,6 @@ def viable_case(seed, dims_enc, dims_proj, n=1):
     for _ in range(50):
         p = M.init_params(dims_enc, dims_proj, rng)
         x = rng.gaussian(0, 1, n * dims_enc[0]).reshape(n, dims_enc[0])
-        x = x[0] if n == 1 else x
         try:
             M.forward(p, x)
             return p, x
@@ -136,9 +136,10 @@ def test_forward_batch_matches_single():
     p, xs = viable_case(2, [6, 8, 5], [5, 4], n=7)
     batch = M.forward(p, xs)
     for i in range(7):
-        single = M.forward(p, xs[i])
-        assert np.allclose(batch.v[i], single.v, atol=1e-14)
-        assert np.allclose(batch.h[i], single.h, atol=1e-14)
+        one = M.forward(p, xs[i:i + 1])
+        assert one.v.shape == (1, 4) and one.h.shape == (1, 5)
+        assert np.allclose(batch.v[i], one.v[0], atol=1e-14)
+        assert np.allclose(batch.h[i], one.h[0], atol=1e-14)
 
 
 def test_forward_unit_norm_embedding():
@@ -151,7 +152,7 @@ def test_forward_degenerate_projection_errors():
     p = identity_net(2)
     p.projection[0].weight[:] = 0.0
     with pytest.raises(DegenerateVectorError):
-        M.forward(p, np.array([1.0, 1.0]))
+        M.forward(p, np.array([[1.0, 1.0]]))
 
 
 @pytest.mark.parametrize("bad_row", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0],
@@ -169,17 +170,18 @@ def test_forward_one_degenerate_row_in_a_batch_errors(bad_row, position):
 
 def test_forward_wrong_input_dim_errors():
     p = identity_net(3)
-    with pytest.raises(ValueError, match="input dim"):
-        M.forward(p, np.ones(4))
+    for shape in [(1, 4), (3,), (), (2, 3, 1)]:     # a 1-D vector is not a batch of one
+        with pytest.raises(ValueError, match=r"input dim: expected a \(batch, 3\) matrix"):
+            M.forward(p, np.ones(shape))
 
 
 # -- backward -----------------------------------------------------------------------
 
 def test_backward_zero_grad_gives_zero():
     p = random_net(Rng(4), [5, 6, 4], [4, 3])
-    tr = M.forward(p, np.ones(5))
-    grads = M.backward(p, tr, np.zeros(3))
-    assert all(np.all(g == 0) for g in grad_arrays(grads))
+    tr = M.forward(p, np.ones((1, 5)))
+    grads = M.backward(p, tr, np.zeros((1, 3)))
+    assert grads.shape == p.flat.shape and np.all(grads == 0)
 
 
 def test_backward_matches_finite_differences():
@@ -192,8 +194,8 @@ def test_backward_matches_finite_differences():
         d_h = 2 + shapes.below(6)
         d_out = 2 + shapes.below(4)
         p = M.init_params([d_in, d_hid, d_h], [d_h, d_out], rng)
-        x = rng.gaussian(0, 1, d_in)
-        grad_v = rng.gaussian(0, 1, d_out)
+        x = rng.gaussian(0, 1, d_in).reshape(1, d_in)
+        grad_v = rng.gaussian(0, 1, d_out).reshape(1, d_out)
         try:
             M.forward(p, x)
         except DegenerateVectorError:
@@ -205,12 +207,13 @@ def test_backward_matches_finite_differences():
 def test_normalization_jacobian_is_orthogonal_to_embedding():
     rng = Rng(31)
     p = M.init_params([6, 8, 5], [5, 4], rng)
-    x = rng.gaussian(0, 1, 6)
+    x = rng.gaussian(0, 1, 6).reshape(1, 6)
     tr = M.forward(p, x)
+    v = tr.v[0]
     grad_v = rng.gaussian(0, 1, 4)
     # the Jacobian-transposed gradient must carry no component along v_raw
-    g_raw = (grad_v - tr.v * float(grad_v @ tr.v)) / np.linalg.norm(tr.v_raw)
-    assert abs(float(g_raw @ tr.v)) < 1e-12 * np.linalg.norm(g_raw) * 10
+    g_raw = (grad_v - v * float(grad_v @ v)) / np.linalg.norm(tr.v_raw[0])
+    assert abs(float(g_raw @ v)) < 1e-12 * np.linalg.norm(g_raw) * 10
 
 
 def test_composed_loss_gradient_matches_fd():
@@ -230,7 +233,7 @@ def test_composed_loss_gradient_matches_fd():
     grads = M.backward(p, tr, np.vstack([gn, ga]))
     h = 1e-5
     worst = 0.0
-    for arr, g in zip(param_arrays(p), grad_arrays(grads)):
+    for arr, g in zip(param_arrays(p), grad_arrays(p, grads)):
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             ix = it.multi_index
@@ -248,9 +251,11 @@ def test_composed_loss_gradient_matches_fd():
 
 def test_backward_shape_mismatch_errors():
     p = random_net(Rng(6), [5, 6, 4], [4, 3])
-    tr = M.forward(p, np.ones(5))
+    tr = M.forward(p, np.ones((1, 5)))
     with pytest.raises(ValueError, match="grad_v shape"):
-        M.backward(p, tr, np.zeros(4))
+        M.backward(p, tr, np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="grad_v shape"):
+        M.backward(p, tr, np.zeros(3))
 
 
 def test_sgd_step_plain_and_momentum_updates():
@@ -261,17 +266,64 @@ def test_sgd_step_plain_and_momentum_updates():
     lr, mu = 0.05, 0.9
 
     plain = p.copy()
-    assert M.sgd_step(plain, grads, lr) is None   # no velocity buffers without momentum
-    for new, old, g in zip(param_arrays(plain), param_arrays(p), grad_arrays(grads)):
+    assert M.sgd_step(plain, grads, lr) is None   # no velocity vector without momentum
+    assert np.array_equal(plain.flat, p.flat - lr * grads)
+    for new, old, g in zip(param_arrays(plain), param_arrays(p), grad_arrays(p, grads)):
         assert np.array_equal(new, old - lr * g)
 
     # two momentum steps with the same gradient: v1 = g, v2 = mu * g + g
     heavy = p.copy()
     velocity = M.sgd_step(heavy, grads, lr, mu)
+    assert np.array_equal(velocity, grads) and velocity is not grads
     velocity = M.sgd_step(heavy, grads, lr, mu, velocity)
-    for new, old, g in zip(param_arrays(heavy), param_arrays(p), grad_arrays(grads)):
+    assert velocity.shape == p.flat.shape
+    assert np.array_equal(velocity, mu * grads + grads)
+    assert np.array_equal(heavy.flat, (p.flat - lr * grads) - lr * (mu * grads + grads))
+    for new, old, g in zip(param_arrays(heavy), param_arrays(p), grad_arrays(p, grads)):
         assert np.array_equal(new, (old - lr * g) - lr * (mu * g + g))
-    assert np.array_equal(velocity[0][0], mu * grads.encoder[0][0] + grads.encoder[0][0])
+
+
+# -- the flat parameter vector ----------------------------------------------------------
+
+def assert_owns_flat(params, *others):
+    """Every weight and bias is a view of params.flat and of no other model's flat."""
+    assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+    assert params.flat.size == sum(a.size for a in param_arrays(params))
+    for arr in param_arrays(params):
+        assert np.shares_memory(arr, params.flat)
+        for other in others:
+            assert not np.shares_memory(arr, other.flat)
+
+
+def test_layers_are_views_of_their_own_flat(tmp_path):
+    src = random_net(Rng(9), [5, 6, 4], [4, 3])
+    path = str(tmp_path / "params.txt")
+    M.save_params(src, path)
+    loaded = M.load_params(path)
+    dup = src.copy()
+    unpickled = pickle.loads(pickle.dumps(src))
+    built = identity_net(3)
+    for p in (src, loaded, dup, unpickled):
+        assert_owns_flat(p, *(q for q in (src, loaded, dup, unpickled, built) if q is not p))
+    assert_owns_flat(built, src)
+    assert np.array_equal(dup.flat, src.flat) and np.array_equal(unpickled.flat, src.flat)
+    # a write through flat shows in the layer it covers
+    src.flat[:] = 0.0
+    assert not np.any(src.encoder[0].weight) and np.any(dup.encoder[0].weight)
+
+
+def test_sgd_step_on_the_source_leaves_its_copy_unchanged():
+    rng = Rng(22)
+    p = random_net(rng, [5, 6, 4], [4, 3])
+    grads = M.backward(p, M.forward(p, rng.gaussian_array((7, 5))),
+                       rng.gaussian_array((7, 3)))
+    dup = p.copy()
+    before = [a.copy() for a in param_arrays(dup)]
+    M.sgd_step(p, grads, 0.1, 0.9)
+    # the step reaches the source's layers, and only the source's
+    assert all(not np.array_equal(a, old) for a, old in zip(param_arrays(p), before))
+    for arr, old in zip(param_arrays(dup), before):
+        assert np.array_equal(arr, old)
 
 
 # -- invariance and persistence --------------------------------------------------------

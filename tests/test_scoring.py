@@ -17,7 +17,7 @@ def default_net(seed=0):
 
 def test_embed_identity_network_both_pathways():
     p = identity_net(4)
-    x = np.array([3.0, 0.0, 0.0, 4.0])
+    x = np.array([[3.0, 0.0, 0.0, 4.0]])
     expect = x / 5.0
     assert np.allclose(scoring.embed(p, x, use_projection=True), expect, atol=1e-12)
     assert np.allclose(scoring.embed(p, x, use_projection=False), expect, atol=1e-12)
@@ -33,9 +33,23 @@ def test_embed_output_is_unit_norm():
 
 def test_pathways_have_different_dimensions():
     p = default_net()
-    x = Rng(4).gaussian(0, 1, 192)
-    assert scoring.embed(p, x, use_projection=True).shape == (16,)
-    assert scoring.embed(p, x, use_projection=False).shape == (32,)
+    x = Rng(4).gaussian(0, 1, 192).reshape(1, 192)
+    assert scoring.embed(p, x, use_projection=True).shape == (1, 16)
+    assert scoring.embed(p, x, use_projection=False).shape == (1, 32)
+
+
+def test_one_dimensional_input_is_rejected_naming_the_shape():
+    p = identity_net(3)
+    t = scoring.build_template(p, np.array([[1.0, 0.0, 0.0]]), True)
+    x = np.array([1.0, 2.0, 3.0])
+    expect = r"expected a \(batch, 3\) matrix, got shape \(3,\)"
+    for use_proj in (True, False):
+        with pytest.raises(ValueError, match=expect):
+            scoring.embed(p, x, use_proj)
+        with pytest.raises(ValueError, match=expect):
+            scoring.build_template(p, x, use_proj)
+    with pytest.raises(ValueError, match=expect):
+        scoring.score_windows(t, p, x, True)
 
 
 # -- template ------------------------------------------------------------------------
@@ -72,7 +86,7 @@ def test_template_order_invariance():
     perm = Rng(6).shuffled(40)
     t2 = scoring.build_template(p, feats[perm], True)
     assert np.max(np.abs(t1.v_n - t2.v_n)) < 1e-12
-    x = Rng(7).gaussian(0, 1, 192)
+    x = Rng(7).gaussian(0, 1, 192).reshape(1, 192)
     s1 = scoring.score_windows(t1, p, x, True)
     s2 = scoring.score_windows(t2, p, x, True)
     assert abs(s1[0] - s2[0]) < 1e-12
@@ -83,19 +97,19 @@ def test_template_order_invariance():
 def test_score_of_template_matching_window_is_one():
     p = identity_net(2)
     t = scoring.build_template(p, np.array([[3.0, 0.0]]), True)
-    assert abs(scoring.score_windows(t, p, np.array([9.0, 0.0]), True)[0] - 1.0) < 1e-12
+    assert abs(scoring.score_windows(t, p, np.array([[9.0, 0.0]]), True)[0] - 1.0) < 1e-12
 
 
 def test_score_of_orthogonal_window_is_zero():
     p = identity_net(2)
     t = scoring.build_template(p, np.array([[3.0, 0.0]]), True)
-    assert abs(scoring.score_windows(t, p, np.array([0.0, 2.0]), True)[0]) < 1e-12
+    assert abs(scoring.score_windows(t, p, np.array([[0.0, 2.0]]), True)[0]) < 1e-12
 
 
 def test_score_hand_value():
     p = identity_net(2)
     t = scoring.build_template(p, np.array([[1.0, 0.0], [0.0, 1.0]]), True)
-    assert abs(scoring.score_windows(t, p, np.array([7.0, 0.0]), True)[0] - 0.5) < 1e-12
+    assert abs(scoring.score_windows(t, p, np.array([[7.0, 0.0]]), True)[0] - 0.5) < 1e-12
 
 
 def test_scores_bounded_by_template_norm():
@@ -113,7 +127,7 @@ def test_pathway_mismatch_rejected():
     p = identity_net(2)
     t = scoring.build_template(p, np.array([[1.0, 0.0]]), True)
     with pytest.raises(ValueError, match="pathway"):
-        scoring.score_windows(t, p, np.array([1.0, 0.0]), False)
+        scoring.score_windows(t, p, np.array([[1.0, 0.0]]), False)
 
 
 # -- fusion (experiment.CellScores.fused) ---------------------------------------------

@@ -431,12 +431,13 @@ def test_window_file_truncated_last_row_names_path_and_line(tmp_path):
         load_windows(path)
 
 
-@pytest.mark.parametrize("column", [1, 2, 3, 4, 5, 6, -1])
+@pytest.mark.parametrize("column", [0, 1, 2, 3, 4, 5, 6, -1])
 def test_window_file_bad_field_names_path_and_line(tmp_path, column):
     path, lines = _saved_window_lines(tmp_path)
     i = _first_data_line(lines) + 1
     parts = lines[i].split(",")
-    parts[column] = "x1"      # not a number, a modality key (column 1) or a label (column 4)
+    # not a split (column 0), a modality key (column 1), a label (column 4) or a number
+    parts[column] = "x1"
     lines[i] = ",".join(parts)
     (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{i + 1}: .*'x1'"):

@@ -139,6 +139,18 @@ def test_training_is_deterministic():
     assert [(r.epoch, r.mean_loss) for r in a.log] == [(r.epoch, r.mean_loss) for r in b.log]
 
 
+def test_checkpoints_do_not_share_memory_with_the_final_params():
+    result = train(toy_windows(), *DIMS, quick_cfg(momentum=0.5))
+    final = result.final_params
+    for ckpt in result.best.values():
+        assert not np.shares_memory(ckpt.params.flat, final.flat)
+        for layer in ckpt.params.layers:
+            assert np.shares_memory(layer.weight, ckpt.params.flat)
+            assert not np.shares_memory(layer.weight, final.flat)
+    assert not np.shares_memory(result.best["projection"].params.flat,
+                                result.best["encoder"].params.flat)
+
+
 def test_best_checkpoint_dominates_log():
     result = train(toy_windows(), *DIMS, quick_cfg())
     assert result.best["projection"].val_auc >= max(r.val_auc_projection for r in result.log)
