@@ -4,7 +4,8 @@
 plain ``key=value`` text file passed with --config (keys are the flag names
 with underscores; input and output paths of generate and train are flags
 only).  A flag wins over the file, the file over the default.  A file key
-the subcommand does not read is an error that names its path and line.
+the subcommand does not read, or a file value that does not parse or is not
+one of its known values, is an error that names its path and line.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import experiment, fixtures, scoring, stats, trainer
 from .metrics import LabeledScores, dump_curves, pr_auc, roc_auc
 from .model import save_params
-from .synthgen import (NORMAL, GenConfig, Modality, dataset_windows,
+from .synthgen import (LABELLING_MODES, WINDOW_LEN, GenConfig, Modality, dataset_windows,
                        generate_dataset, load_windows, save_windows)
 
 
@@ -58,18 +57,31 @@ def _csv_strs(text: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
+def _one_of(known: tuple[str, ...]):
+    """Caster of a file value that must be one of known (a flag is checked by its choices)."""
+    def cast(text: str) -> str:
+        if text not in known:
+            raise ValueError(f"unknown {text!r} (known: {', '.join(known)})")
+        return text
+    return cast
+
+
 _CASTERS = {"int": int, "float": float, "str": str,
             "tuple[int, ...]": _csv_ints, "tuple[str, ...]": _csv_strs}
+_MODALITY_KEYS = tuple(m.key for m in Modality)
 
 
 def _resolve(args, file_cfg: _ConfigFile, key, default, cast=str):
-    """One setting: the flag value, else the file value, else the default."""
+    """One setting: the flag value, else the file value (bad ones name path:line), else default."""
     file_cfg.looked_up.add(key)
     val = getattr(args, key, None)
     if val is not None:
         return val
     if key in file_cfg:
-        return cast(file_cfg[key])
+        try:
+            return cast(file_cfg[key])
+        except ValueError as exc:
+            raise ValueError(f"{file_cfg.path}:{file_cfg.lines[key]}: {key}: {exc}") from None
     return default
 
 
@@ -96,7 +108,7 @@ def _add_common(parser: argparse.ArgumentParser):
 def _cmd_generate(args) -> int:
     file_cfg = _ConfigFile(args.config)
     cfg = _build_dataclass(GenConfig, args, file_cfg)
-    labelling = _resolve(args, file_cfg, "labelling", "original")
+    labelling = _resolve(args, file_cfg, "labelling", "original", _one_of(LABELLING_MODES))
     file_cfg.check_all_read()
     ds = generate_dataset(cfg)
     windows = dataset_windows(ds, labelling)
@@ -109,15 +121,20 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     file_cfg = _ConfigFile(args.config)
     tcfg = _build_dataclass(trainer.TrainConfig, args, file_cfg)
-    modality = Modality.from_key(_resolve(args, file_cfg, "modality", "top_depth"))
-    head = _resolve(args, file_cfg, "head", "projection")
+    modality = Modality.from_key(
+        _resolve(args, file_cfg, "modality", "top_depth", _one_of(_MODALITY_KEYS)))
+    head = _resolve(args, file_cfg, "head", "projection", _one_of(scoring.PATHWAYS))
     enc_dims = _resolve(args, file_cfg, "encoder_dims",
                         experiment.DEFAULT_ENCODER_DIMS, _csv_ints)
     proj_dims = _resolve(args, file_cfg, "projection_dims",
                          experiment.DEFAULT_PROJECTION_DIMS, _csv_ints)
     file_cfg.check_all_read()
 
-    _, _, windows = load_windows(args.data)
+    gen, _, windows = load_windows(args.data)
+    n_in = WINDOW_LEN * gen.frame_dim
+    if enc_dims[:1] != (n_in,):
+        raise ValueError(f"--encoder-dims {','.join(map(str, enc_dims))} must start with "
+                         f"{n_in}: {args.data} has frame_dim {gen.frame_dim}")
     train_windows = [w for w in windows if w.split == "train" and w.modality == modality]
     result = trainer.train(train_windows, list(enc_dims), list(proj_dims), tcfg)
     ckpt = result.best[head]
@@ -130,18 +147,11 @@ def _cmd_train(args) -> int:
 
     test_windows = [w for w in windows if w.split == "test" and w.modality == modality]
     if test_windows:
-        use_proj = head == "projection"
-        normal_feats = np.stack([w.features for w in train_windows if w.label == NORMAL])
-        template = scoring.build_template(ckpt.params, normal_feats, use_proj, modality)
-        feats = np.stack([w.features for w in test_windows])
-        scores = scoring.score_windows(template, ckpt.params, feats, use_proj)
-        labels = np.array([w.label == NORMAL for w in test_windows])
-        ls = LabeledScores(scores, labels)
+        cell = experiment.score_test_set({modality: ckpt.params}, {modality: train_windows},
+                                         {modality: test_windows}, head == "projection")
+        ls = LabeledScores(cell.scores[modality], cell.labels)
         print(f"test ROC AUC {roc_auc(ls):.4f}, PR AUC {pr_auc(ls):.4f}")
         if args.scores_out:
-            cell = experiment.CellScores({modality: scores}, labels,
-                                         [w.clip_id for w in test_windows],
-                                         [w.window_index for w in test_windows])
             scoring.save_scores(args.scores_out, cell.records())
         if args.curves_out:
             dump_curves(ls, args.curves_out + ".roc.csv", args.curves_out + ".pr.csv")
@@ -204,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a synthetic window dataset file")
     _add_common(p)
     _add_dataclass_args(p, GenConfig)
-    p.add_argument("--labelling", choices=["original", "manual"], default=None)
+    p.add_argument("--labelling", choices=LABELLING_MODES, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -212,9 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_dataclass_args(p, trainer.TrainConfig)
     p.add_argument("--data", required=True)
-    p.add_argument("--modality", default=None,
-                   choices=[m.key for m in Modality])
-    p.add_argument("--head", choices=["projection", "encoder"], default=None)
+    p.add_argument("--modality", choices=_MODALITY_KEYS, default=None)
+    p.add_argument("--head", choices=scoring.PATHWAYS, default=None)
     p.add_argument("--encoder-dims", type=_csv_ints, default=None)
     p.add_argument("--projection-dims", type=_csv_ints, default=None)
     p.add_argument("--checkpoint-out", default=None)

@@ -21,17 +21,16 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__, scoring, trainer
+from .loss import NEGATIVE_MODES
 from .metrics import LabeledScores, pr_auc, roc_auc
+from .model import ModelParams
 from .numerics import DegenerateVectorError, Rng
-from .stats import ResultsMatrix
-from .synthgen import (ANOMALOUS, MODALITIES, NORMAL, GenConfig, Modality,
-                       by_modality, dataset_windows, generate_dataset)
+from .synthgen import (ANOMALOUS, LABELLING_MODES, MODALITIES, NORMAL, WINDOW_LEN,
+                       GenConfig, Modality, by_modality, dataset_windows,
+                       generate_dataset)
 
 DEFAULT_ENCODER_DIMS = (192, 64, 32)
 DEFAULT_PROJECTION_DIMS = (32, 16)
-LOSS_MODES = ("sum", "average")
-HEAD_MODES = ("encoder", "projection")
-LABELLING_MODES_AXIS = ("original", "manual")
 
 
 @dataclass(frozen=True)
@@ -40,20 +39,32 @@ class ExperimentConfig:
     train: trainer.TrainConfig = field(default_factory=trainer.TrainConfig)
     encoder_dims: tuple[int, ...] = DEFAULT_ENCODER_DIMS
     projection_dims: tuple[int, ...] = DEFAULT_PROJECTION_DIMS
-    loss_modes: tuple[str, ...] = LOSS_MODES
-    head_modes: tuple[str, ...] = HEAD_MODES
-    labelling_modes: tuple[str, ...] = LABELLING_MODES_AXIS
+    loss_modes: tuple[str, ...] = NEGATIVE_MODES
+    head_modes: tuple[str, ...] = scoring.PATHWAYS
+    labelling_modes: tuple[str, ...] = LABELLING_MODES
     combos: tuple[str, ...] = tuple(scoring.MODALITY_COMBOS)
     seeds: tuple[int, ...] = (42,)
     outdir: str = "grid_out"
 
     def __post_init__(self):
-        if not (self.loss_modes and self.head_modes and self.labelling_modes
-                and self.combos and self.seeds):
-            raise ValueError("grid axes and seeds must be non-empty")
-        for combo in self.combos:
-            if combo not in scoring.MODALITY_COMBOS:
-                raise ValueError(f"unknown modality combination {combo!r}")
+        if not self.seeds:
+            raise ValueError("seeds must be non-empty")
+        for name, known in (("loss_modes", NEGATIVE_MODES), ("head_modes", scoring.PATHWAYS),
+                            ("labelling_modes", LABELLING_MODES),
+                            ("combos", tuple(scoring.MODALITY_COMBOS))):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            for value in values:
+                if value not in known:
+                    raise ValueError(f"{name}: unknown {value!r} (known: {', '.join(known)})")
+        n_in = WINDOW_LEN * self.gen.frame_dim
+        if self.encoder_dims[:1] != (n_in,):
+            raise ValueError(f"encoder_dims {self.encoder_dims} must start with {n_in}, "
+                             f"the features of a window at frame_dim {self.gen.frame_dim}")
+        if self.projection_dims[:1] != self.encoder_dims[-1:]:
+            raise ValueError(f"projection_dims {self.projection_dims} must start with "
+                             f"{self.encoder_dims[-1]}, the last of encoder_dims")
 
     def method_labels(self) -> list[str]:
         return [f"{loss}-{head}-{lab}"
@@ -64,9 +75,9 @@ class ExperimentConfig:
 
 def derive_cell_seed(run_seed: int, labelling: str, loss: str, modality: Modality) -> int:
     """Stable per-training-run seed from the run seed and cell coordinates."""
-    stream = (LABELLING_MODES_AXIS.index(labelling) * len(LOSS_MODES) * len(MODALITIES)
-              + LOSS_MODES.index(loss) * len(MODALITIES)
-              + list(MODALITIES).index(modality))
+    stream = (LABELLING_MODES.index(labelling) * len(NEGATIVE_MODES) * len(MODALITIES)
+              + NEGATIVE_MODES.index(loss) * len(MODALITIES)
+              + MODALITIES.index(modality))
     return Rng(run_seed).spawn(500 + stream).seed
 
 
@@ -178,17 +189,22 @@ def _train_models_for(windows_by_mod, cfg: ExperimentConfig, run_seed: int,
     return dict(zip(MODALITIES, results))
 
 
-def _score_test_set(models: dict[Modality, object], train_by_mod, test_by_mod,
-                    use_projection: bool) -> CellScores:
-    """Score every modality's test windows, which must be aligned: entry i of
-    each modality is the same (clip_id, window_index)."""
-    ref = test_by_mod[MODALITIES[0]]
+def score_test_set(models: dict[Modality, ModelParams], train_by_mod, test_by_mod,
+                   use_projection: bool) -> CellScores:
+    """Score the test windows of each modality in ``models``, in MODALITIES order.
+
+    A modality's template is the mean embedding of its normal training
+    windows.  The test windows must be aligned: entry i of each scored
+    modality is the same (clip_id, window_index).
+    """
+    mods = [m for m in MODALITIES if m in models]
+    ref = test_by_mod[mods[0]]
     keys = [(w.clip_id, w.window_index) for w in ref]
-    for mod in MODALITIES[1:]:
+    for mod in mods[1:]:
         if [(w.clip_id, w.window_index) for w in test_by_mod[mod]] != keys:
             raise ValueError("test windows are not aligned across modalities")
     scores = {}
-    for mod in MODALITIES:
+    for mod in mods:
         normal_feats = np.stack([w.features for w in train_by_mod[mod] if w.label == NORMAL])
         template = scoring.build_template(models[mod], normal_feats, use_projection, mod)
         test_feats = np.stack([w.features for w in test_by_mod[mod]])
@@ -201,8 +217,8 @@ def _score_test_set(models: dict[Modality, object], train_by_mod, test_by_mod,
     )
 
 
-def run_grid(cfg: ExperimentConfig, write_scores: bool = True) -> GridResult:
-    """Run the full grid, writing per-seed and mean AUC matrices + manifest."""
+def run_grid(cfg: ExperimentConfig) -> GridResult:
+    """Run the full grid, writing per-cell scores, per-seed and mean AUC matrices + manifest."""
     os.makedirs(cfg.outdir, exist_ok=True)
     cells: dict[tuple[int, str, str], tuple[float, float]] = {}
     failures: list[dict] = []
@@ -219,7 +235,7 @@ def run_grid(cfg: ExperimentConfig, write_scores: bool = True) -> GridResult:
                 try:
                     results = _train_models_for(train_by_mod, cfg, run_seed, labelling, loss_mode)
                     scored = {
-                        head: _score_test_set(
+                        head: score_test_set(
                             {m: results[m].best[head].params for m in MODALITIES},
                             train_by_mod, test_by_mod, head == "projection")
                         for head in cfg.head_modes
@@ -238,11 +254,10 @@ def run_grid(cfg: ExperimentConfig, write_scores: bool = True) -> GridResult:
                         fused = cell.fused(combo)
                         ls = LabeledScores(fused, cell.labels)
                         cells[(run_seed, method, combo_name)] = (roc_auc(ls), pr_auc(ls))
-                    if write_scores:
-                        scoring.save_scores(
-                            os.path.join(cfg.outdir, f"scores_seed{run_seed}_{method}.csv"),
-                            cell.records(),
-                        )
+                    scoring.save_scores(
+                        os.path.join(cfg.outdir, f"scores_seed{run_seed}_{method}.csv"),
+                        cell.records(),
+                    )
 
         for metric_idx, metric in enumerate(("roc", "pr")):
             rows = []
@@ -269,7 +284,7 @@ def run_grid(cfg: ExperimentConfig, write_scores: bool = True) -> GridResult:
 
     manifest = {
         "version": __version__,
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "seeds": list(cfg.seeds),
         "failures": failures,
     }
@@ -285,30 +300,6 @@ def _write_grid_csv(path, method_labels, combos, values):
         for label, row in zip(method_labels, values):
             cells = ["failed" if np.isnan(x) else repr(float(x)) for x in row]
             f.write(label + "," + ",".join(cells) + "\n")
-
-
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["gen"] = asdict(cfg.gen)
-    d["train"] = asdict(cfg.train)
-    return d
-
-
-def grid_to_results_matrix(cfg: ExperimentConfig, result: GridResult,
-                           metric: str = "roc") -> ResultsMatrix:
-    """Mean-over-seeds grid as a stats-ready matrix; fails on failed cells."""
-    idx = {"roc": 0, "pr": 1}[metric]
-    rows = []
-    for method in cfg.method_labels():
-        row = []
-        for combo in cfg.combos:
-            vals = [result.cells[(s, method, combo)][idx]
-                    for s in cfg.seeds if (s, method, combo) in result.cells]
-            if len(vals) != len(cfg.seeds):
-                raise ValueError(f"cell ({method}, {combo}) has failed runs")
-            row.append(float(np.mean(vals)))
-        rows.append(row)
-    return ResultsMatrix(tuple(cfg.method_labels()), tuple(cfg.combos), np.array(rows))
 
 
 @dataclass
@@ -331,7 +322,7 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
     results = _train_models_for(train_by_mod, cfg, run_seed, "manual", "average")
     models = {m: results[m].best["projection"].params for m in MODALITIES}
-    cell = _score_test_set(models, train_by_mod, test_by_mod, use_projection=True)
+    cell = score_test_set(models, train_by_mod, test_by_mod, use_projection=True)
 
     fused = cell.fused(tuple(MODALITIES))
     fused_auc = roc_auc(LabeledScores(fused, cell.labels))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 UNIT_NORM_TOL = 1e-9
+NEGATIVE_MODES = ("sum", "average")
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class LossConfig:
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.negative_mode not in ("sum", "average"):
+        if self.negative_mode not in NEGATIVE_MODES:
             raise ValueError(f"unknown negative_mode {self.negative_mode!r}")
 
     def scale(self, n_negatives: int) -> float:

@@ -21,7 +21,7 @@ from . import model as model_mod
 from .numerics import l2_normalize_rows
 from .synthgen import MODALITIES, Modality
 
-PATHWAYS = ("projection", "encoder")
+PATHWAYS = ("encoder", "projection")
 
 # The nine evaluated modality combinations: single view+channel, per-view
 # channel fusion, per-channel view fusion, and everything combined.

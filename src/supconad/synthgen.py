@@ -12,7 +12,6 @@ training fast while leaving the detection task non-trivial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -97,10 +96,6 @@ class GenConfig:
                 f"from target {self.target_imbalance}"
             )
 
-    @property
-    def windows_per_clip(self) -> int:
-        return math.ceil(self.frames_per_clip / WINDOW_RAW_LEN)
-
 
 @dataclass(frozen=True)
 class AnomalyArchetype:
@@ -136,9 +131,6 @@ class Dataset:
     config: GenConfig
     archetypes: list[AnomalyArchetype]
     clips: list[ClipRecord]
-
-    def clips_for(self, split: str) -> list[ClipRecord]:
-        return [c for c in self.clips if c.split == split]
 
 
 def _normal_means(cfg: GenConfig, rng: Rng) -> dict[Modality, np.ndarray]:
@@ -310,19 +302,18 @@ def make_windows(clip: ClipRecord, labelling: str) -> list[Window]:
     return windows
 
 
-def dataset_windows(ds: Dataset, labelling: str, split: str | None = None,
-                    test_labelling: str = "manual") -> list[Window]:
-    """Windows for the whole dataset.
+def dataset_windows(ds: Dataset, labelling: str, split: str | None = None) -> list[Window]:
+    """Windows for the whole dataset, or for one split.
 
-    The labelling mode is a training-data property; the test split always
-    uses frame-level truth (``manual`` majority labelling) so all method
-    variants are evaluated against one fixed, comparable test set.
+    ``labelling`` applies to the training split only.  The test split always
+    uses ``manual`` labelling (frame-level majority truth), so every method
+    variant is evaluated against one fixed, comparable test set.
     """
     out = []
     for clip in ds.clips:
         if split is not None and clip.split != split:
             continue
-        mode = labelling if clip.split == "train" else test_labelling
+        mode = labelling if clip.split == "train" else "manual"
         out.extend(make_windows(clip, mode))
     return out
 

@@ -162,8 +162,9 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
         due = epoch % cfg.validate_every == 0
         if due or (last_epoch and not best):
             aucs = {}
-            for pathway, use_proj in (("projection", True), ("encoder", False)):
-                auc = _validation_auc(params, normal_pool, val_feats, val_is_normal, use_proj)
+            for pathway in scoring.PATHWAYS:
+                auc = _validation_auc(params, normal_pool, val_feats, val_is_normal,
+                                      pathway == "projection")
                 aucs[pathway] = auc
                 if pathway not in best or auc > best[pathway].val_auc:
                     best[pathway] = Checkpoint(params.copy(), auc, epoch)

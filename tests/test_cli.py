@@ -229,6 +229,42 @@ def test_unknown_config_key_is_a_one_line_error(tmp_path, capsys, command, known
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, known, bad, message", [
+    ("train", "epochs=4", "head=encoderr", "head: unknown 'encoderr' (known: encoder, projection)"),
+    ("train", "head=encoder", "epochs=abc", "epochs: invalid literal for int()"),
+    ("generate", "frame_dim=6", "labelling=manul", "labelling: unknown 'manul'"),
+    ("grid", "epochs=4", "seeds=3,x", "seeds: invalid literal for int()"),
+], ids=["train-head", "train-epochs", "generate-labelling", "grid-seeds"])
+def test_bad_config_value_is_a_one_line_error(tmp_path, capsys, command, known, bad, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a comment\n{known}\n{bad}\n")
+    out = tmp_path / "out"
+    argv = {"generate": ["generate", "--out", str(out)],
+            "train": ["train", "--data", str(tmp_path / "missing.txt"),
+                      "--checkpoint-out", str(out)],
+            "grid": ["grid", "--outdir", str(out)]}[command]
+    # the value is rejected before any work: no output, and no read of the missing data file
+    assert_one_line_error(capsys, [*argv, "--config", str(cfg)], f"{cfg}:3: {message}")
+    assert not out.exists()
+
+
+def test_train_rejects_encoder_dims_that_do_not_fit_the_data(tmp_path, capsys):
+    data = str(tmp_path / "data.txt")
+    run(["generate", *GEN_FLAGS, "--seed", "7", "--out", data])   # frame_dim 6: 96 features
+    capsys.readouterr()
+    out = tmp_path / "model.txt"
+    assert_one_line_error(capsys, ["train", "--data", data, "--checkpoint-out", str(out)],
+                          f"--encoder-dims 192,64,32 must start with 96: {data} has frame_dim 6")
+    assert not out.exists()
+
+
+def test_grid_rejects_default_dims_at_another_frame_dim(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert_one_line_error(capsys, ["grid", "--frame-dim", "6", "--outdir", str(out)],
+                          "encoder_dims (192, 64, 32) must start with 96")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["stats", "--matrix", "m.csv"], ["fixtures"]],
                          ids=["stats", "fixtures"])
 def test_config_flag_is_rejected_where_nothing_reads_it(tmp_path, capsys, argv):

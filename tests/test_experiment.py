@@ -7,13 +7,12 @@ import pytest
 from dataclasses import replace
 
 from supconad import experiment, scoring, trainer
-from supconad.experiment import (CellScores, ExperimentConfig,
-                                 _score_test_set, _train_models_for,
-                                 derive_cell_seed, grid_to_results_matrix,
-                                 run_benchmark_seed, run_grid)
+from supconad.experiment import (CellScores, ExperimentConfig, _train_models_for,
+                                 derive_cell_seed, run_benchmark_seed, run_grid,
+                                 score_test_set)
 from supconad.metrics import LabeledScores, roc_auc
 from supconad.numerics import DegenerateVectorError
-from supconad.stats import analyze
+from supconad.stats import analyze, load_matrix_csv
 from supconad.synthgen import (MODALITIES, GenConfig, Modality, by_modality,
                                dataset_windows, generate_dataset)
 from supconad.trainer import TrainConfig
@@ -28,6 +27,25 @@ TINY = ExperimentConfig(
     projection_dims=(16, 8),
     seeds=(5,),
 )
+
+
+@pytest.mark.parametrize("field, value", [
+    ("loss_modes", "averge"), ("head_modes", "encoderr"),
+    ("labelling_modes", "manul"), ("combos", "fusion_rgb"),
+])
+def test_unknown_axis_value_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field}: unknown '{value}' \\(known: "):
+        replace(TINY, **{field: (*getattr(TINY, field), value)})
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(encoder_dims=(192, 32, 16)), r"encoder_dims \(192, 32, 16\) must start with 96, "
+                                        r"the features of a window at frame_dim 6"),
+    (dict(projection_dims=(8, 4)), r"projection_dims \(8, 4\) must start with 16"),
+])
+def test_dims_that_do_not_chain_are_rejected(changes, message):
+    with pytest.raises(ValueError, match=message):
+        replace(TINY, **changes)
 
 
 def test_method_labels_cover_the_eight_variants():
@@ -60,10 +78,11 @@ def test_cell_scores_fuse_is_subset_mean(np_rng):
 
 def test_tiny_grid_to_stats_pipeline(tmp_path):
     cfg = replace(TINY, outdir=str(tmp_path))
-    result = run_grid(cfg, write_scores=False)
+    result = run_grid(cfg)
     assert result.ok
     assert len(result.cells) == 8 * 9
-    matrix = grid_to_results_matrix(cfg, result, metric="roc")
+    matrix = load_matrix_csv(os.path.join(cfg.outdir, "grid_roc_mean.csv"))
+    assert matrix.methods == tuple(cfg.method_labels())
     assert matrix.values.shape == (8, 9)
     report = analyze(matrix)  # smoke: full pipeline runs on grid output
     assert 0.0 <= report.friedman_p <= 1.0
@@ -83,7 +102,7 @@ def _default_cell_fused_roc(cfg, seed, labelling, loss_mode, head):
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
     results = _train_models_for(train_by_mod, cfg, seed, labelling, loss_mode)
     models = {m: results[m].best[head].params for m in MODALITIES}
-    cell = _score_test_set(models, train_by_mod, test_by_mod, head == "projection")
+    cell = score_test_set(models, train_by_mod, test_by_mod, head == "projection")
     return roc_auc(LabeledScores(cell.fused(tuple(MODALITIES)), cell.labels))
 
 
@@ -168,8 +187,7 @@ def test_grid_failures_are_the_same_pooled_and_in_process(monkeypatch, tmp_path)
     results = {}
     for workers in (1, 2):
         _use_workers(monkeypatch, workers)
-        results[workers] = run_grid(replace(TINY, outdir=str(tmp_path / str(workers))),
-                                    write_scores=False)
+        results[workers] = run_grid(replace(TINY, outdir=str(tmp_path / str(workers))))
     serial, pooled = results[1], results[2]
     assert pooled.failures == serial.failures
     assert [(f["labelling"], f["loss"], f["head"]) for f in serial.failures] == [

@@ -3,7 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import exact_floats
 from supconad import model as M
 from supconad.loss import LossBatch, LossConfig, batch_loss, batch_loss_grad
 from supconad.numerics import DegenerateVectorError, Rng
@@ -339,15 +342,29 @@ def test_scaling_final_projection_layer_leaves_v_unchanged(c, np_rng):
     assert np.max(np.abs(M.forward(scaled, x).v - base)) < 1e-12
 
 
-def test_checkpoint_round_trip_is_exact(tmp_path):
-    p = random_net(Rng(8), [7, 9, 5], [5, 3])
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=4),
+       st.lists(st.integers(2, 5), min_size=1, max_size=2), st.data())
+def test_checkpoint_round_trip_is_exact(tmp_path, encoder_dims, projection_tail, data):
+    def layer(d_in, d_out):
+        values = data.draw(st.lists(exact_floats(), min_size=d_out * (d_in + 1),
+                                    max_size=d_out * (d_in + 1)))
+        w = np.array(values[d_out:]).reshape(d_out, d_in)
+        return M.LayerParams(w, np.array(values[:d_out]), data.draw(st.sampled_from(M.ACTIVATIONS)))
+
+    dims = encoder_dims + projection_tail
+    layers = [layer(d_in, d_out) for d_in, d_out in zip(dims, dims[1:])]
+    n_enc = len(encoder_dims) - 1
+    p = M.ModelParams(layers[:n_enc], layers[n_enc:])
     path = str(tmp_path / "params.txt")
     M.save_params(p, path)
     q = M.load_params(path)
-    for la, lb in zip(p.layers, q.layers):
-        assert np.array_equal(la.weight, lb.weight)
-        assert np.array_equal(la.bias, lb.bias)
-        assert la.activation == lb.activation
+    # bytes, not ==: -0.0 must come back as -0.0
+    assert q.flat.tobytes() == p.flat.tobytes()
+    assert [(la.weight.shape, la.activation) for la in q.layers] == \
+        [(la.weight.shape, la.activation) for la in p.layers]
+    assert (len(q.encoder), len(q.projection)) == (len(p.encoder), len(p.projection))
 
 
 def test_checkpoint_rejects_unknown_header(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from supconad import model as M
 from supconad import scoring
-from supconad.experiment import CellScores, ExperimentConfig, _score_test_set
+from supconad.experiment import CellScores, ExperimentConfig, score_test_set
 from supconad.numerics import Rng
 from supconad.synthgen import ANOMALOUS, MODALITIES, NORMAL, Modality, Window
 from test_model import identity_net
@@ -185,7 +185,7 @@ def test_scores_invariant_to_projection_output_scale(c):
     assert np.max(np.abs(got - base)) < 1e-9
 
 
-# -- aligned multi-modality scoring (experiment._score_test_set) ------------------------
+# -- aligned multi-modality scoring (experiment.score_test_set) -------------------------
 
 def _aligned_setup(n_windows=8, dim=6):
     rng = Rng(20)
@@ -203,7 +203,7 @@ def _aligned_setup(n_windows=8, dim=6):
 
 
 def test_score_aligned_windows_fuses_means():
-    cell = _score_test_set(*_aligned_setup(), True)
+    cell = score_test_set(*_aligned_setup(), True)
     records = cell.records()
     assert len(records) == 8
     for r in records:
@@ -214,15 +214,29 @@ def test_score_aligned_windows_fuses_means():
     assert [r.label for r in records] == [NORMAL, ANOMALOUS] * 4
 
 
+def test_score_test_set_scores_only_the_modalities_given():
+    models, train, test = _aligned_setup()
+    full = score_test_set(models, train, test, True)
+    subset = (Modality.FRONT_IR, Modality.TOP_IR)
+    # only the given modalities need windows; the others are absent altogether
+    cell = score_test_set({m: models[m] for m in subset}, {m: train[m] for m in subset},
+                          {m: test[m] for m in subset}, True)
+    assert list(cell.scores) == [Modality.TOP_IR, Modality.FRONT_IR]
+    for m in subset:
+        assert np.array_equal(cell.scores[m], full.scores[m])
+    assert np.array_equal(cell.labels, full.labels)
+    assert (cell.clip_ids, cell.window_indices) == (full.clip_ids, full.window_indices)
+
+
 def test_score_aligned_windows_rejects_misalignment():
     models, train, test = _aligned_setup()
     test[Modality.TOP_IR] = test[Modality.TOP_IR][::-1]
     with pytest.raises(ValueError, match="not aligned"):
-        _score_test_set(models, train, test, True)
+        score_test_set(models, train, test, True)
 
 
 def test_save_scores_csv(tmp_path):
-    records = _score_test_set(*_aligned_setup(), True).records()
+    records = score_test_set(*_aligned_setup(), True).records()
     path = tmp_path / "scores.csv"
     scoring.save_scores(str(path), records)
     lines = path.read_text().splitlines()

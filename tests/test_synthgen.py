@@ -1,12 +1,16 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import exact_floats
 from supconad import synthgen
 from supconad.numerics import Rng
-from supconad.synthgen import (ANOMALOUS, MODALITIES, NORMAL, ClipRecord,
-                               GenConfig, Window, by_modality,
+from supconad.synthgen import (ANOMALOUS, MODALITIES, NORMAL, WINDOW_LEN, WINDOW_RAW_LEN,
+                               ClipRecord, GenConfig, Window, by_modality,
                                dataset_windows, generate_dataset, load_windows,
                                make_windows, save_windows, split_train_val)
 
@@ -18,6 +22,15 @@ SMALL = dict(frame_dim=5, frames_per_clip=96, train_normal_clips=22,
 
 def small_cfg(**overrides):
     return GenConfig(**{**SMALL, **overrides, "seed": overrides.get("seed", 11)})
+
+
+def split_clips(ds, split):
+    return [c for c in ds.clips if c.split == split]
+
+
+def original_windows(ds, split):
+    """Windows of one split under original labelling, the test split included."""
+    return [w for c in split_clips(ds, split) for w in make_windows(c, "original")]
 
 
 def manual_clip(frame_labels, n_dims=3, clip_label=ANOMALOUS, split="test",
@@ -71,8 +84,10 @@ def test_training_split_never_uses_unseen_archetypes():
     seen_ids = {a.id for a in ds.archetypes if a.seen_in_training}
     unseen_ids = {a.id for a in ds.archetypes if not a.seen_in_training}
     assert len(seen_ids) == 3 and len(unseen_ids) == 4
-    train_arches = {c.archetype_id for c in ds.clips_for("train") if c.archetype_id is not None}
-    test_arches = {c.archetype_id for c in ds.clips_for("test") if c.archetype_id is not None}
+    train_arches = {c.archetype_id for c in split_clips(ds, "train")
+                    if c.archetype_id is not None}
+    test_arches = {c.archetype_id for c in split_clips(ds, "test")
+                   if c.archetype_id is not None}
     assert train_arches <= seen_ids
     assert test_arches & unseen_ids  # unseen archetypes do occur at test time
 
@@ -85,7 +100,7 @@ def test_clip_label_consistency():
 
 def test_modalities_share_labels_but_differ_in_features():
     ds = generate_dataset(small_cfg())
-    clip = ds.clips_for("train")[0]
+    clip = split_clips(ds, "train")[0]
     feats = [clip.features[m] for m in MODALITIES]
     assert all(f.shape == feats[0].shape for f in feats)
     for i in range(1, len(feats)):
@@ -298,9 +313,7 @@ def test_make_windows_is_deterministic():
 def test_manual_anomalous_count_never_exceeds_original():
     ds = generate_dataset(small_cfg(contamination=0.45))
     for split in ("train", "test"):
-        orig = sum(1 for w in dataset_windows(ds, "original", split=split,
-                                              test_labelling="original")
-                   if w.label == ANOMALOUS)
+        orig = sum(1 for w in original_windows(ds, split) if w.label == ANOMALOUS)
         manual = sum(1 for w in dataset_windows(ds, "manual", split=split)
                      if w.label == ANOMALOUS)
         assert manual <= orig
@@ -309,12 +322,13 @@ def test_manual_anomalous_count_never_exceeds_original():
 def test_windows_never_straddle_clips():
     ds = generate_dataset(small_cfg())
     cfg = ds.config
-    windows = dataset_windows(ds, "original", split="train", test_labelling="original")
     counts = {}
-    for w in windows:
-        counts.setdefault((w.clip_id, w.modality), 0)
-        counts[(w.clip_id, w.modality)] += 1
-    assert set(counts.values()) == {cfg.windows_per_clip}
+    for split in ("train", "test"):
+        for w in original_windows(ds, split):
+            counts.setdefault((w.clip_id, w.modality), 0)
+            counts[(w.clip_id, w.modality)] += 1
+    assert len(counts) == len(ds.clips) * len(MODALITIES)
+    assert set(counts.values()) == {math.ceil(cfg.frames_per_clip / WINDOW_RAW_LEN)}
 
 
 def test_test_windows_record_archetypes():
@@ -378,18 +392,44 @@ def test_split_rejects_bad_fraction():
 
 # -- persistence --------------------------------------------------------------------
 
-def test_window_file_round_trip_is_exact(tmp_path):
-    cfg = small_cfg()
-    ds = generate_dataset(cfg)
-    windows = dataset_windows(ds, "manual")
+def test_test_split_is_always_manually_labelled():
+    ds = generate_dataset(small_cfg())
+    manual = dataset_windows(ds, "manual", split="test")
+    got = dataset_windows(ds, "original", split="test")
+    assert [(w.clip_id, w.window_index, w.modality, w.label) for w in got] == \
+        [(w.clip_id, w.window_index, w.modality, w.label) for w in manual]
+    assert len(got) < len(original_windows(ds, "test"))   # majority rule dropped some
+
+
+@st.composite
+def window_files(draw):
+    frame_dim = draw(st.integers(1, 4))
+    cfg = GenConfig(frame_dim=frame_dim, contamination=draw(st.floats(0.0, 0.99)),
+                    seed=draw(st.integers(0, 2 ** 63)))
+    n_feat = WINDOW_LEN * frame_dim
+    window = st.builds(
+        Window, features=st.lists(exact_floats(), min_size=n_feat, max_size=n_feat).map(np.array),
+        label=st.sampled_from((NORMAL, ANOMALOUS)), clip_id=st.integers(0, 10 ** 6),
+        window_index=st.integers(0, 99), modality=st.sampled_from(MODALITIES),
+        split=st.sampled_from(("train", "test")), archetype_id=st.none() | st.integers(0, 99))
+    return cfg, draw(st.sampled_from(synthgen.LABELLING_MODES)), \
+        draw(st.lists(window, min_size=1, max_size=4))
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(window_files())
+def test_window_file_round_trip_is_exact(tmp_path, case):
+    cfg, labelling, windows = case
     path = str(tmp_path / "windows.txt")
-    save_windows(path, cfg, "manual", windows)
-    cfg2, labelling, loaded = load_windows(path)
+    save_windows(path, cfg, labelling, windows)
+    cfg2, labelling2, loaded = load_windows(path)
     assert cfg2 == cfg
-    assert labelling == "manual"
+    assert labelling2 == labelling
     assert len(loaded) == len(windows)
     for a, b in zip(windows, loaded):
-        assert np.array_equal(a.features, b.features)
+        # bytes, not ==: -0.0 must come back as -0.0
+        assert a.features.tobytes() == b.features.tobytes()
         assert (a.label, a.clip_id, a.window_index, a.modality, a.split,
                 a.archetype_id) == (b.label, b.clip_id, b.window_index,
                                     b.modality, b.split, b.archetype_id)
