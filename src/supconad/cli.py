@@ -1,11 +1,15 @@
 """Command-line interface: generate / train / grid / stats / fixtures.
 
-``generate``, ``train`` and ``grid`` also read their configuration from a
-plain ``key=value`` text file passed with --config (keys are the flag names
-with underscores; input and output paths of generate and train are flags
-only).  A flag wins over the file, the file over the default.  A file key
-the subcommand does not read, or a file value that does not parse or is not
-one of its known values, is an error that names its path and line.
+Each setting is declared once, as its flag, with its type, default and known
+values.  ``generate``, ``train`` and ``grid`` also read settings from a plain
+``key=value`` text file passed with --config (keys are the flag names with
+underscores; input and output paths of generate and train are flags only).
+A file value goes through its flag's type and choices and becomes the flag's
+default, so a flag wins over the file, the file over the default.  A file
+key with no flag, or a file value that fails that check, is an error that
+names its path and line; a bad flag value is an argparse usage error.
+``train`` checks --projection-dims against --encoder-dims before it reads
+--data.
 """
 
 from __future__ import annotations
@@ -16,124 +20,108 @@ import sys
 from dataclasses import fields
 
 from . import experiment, fixtures, scoring, stats, trainer
+from .loss import NEGATIVE_MODES
 from .metrics import LabeledScores, dump_curves, pr_auc, roc_auc
 from .model import save_params
 from .synthgen import (LABELLING_MODES, WINDOW_LEN, GenConfig, Modality, dataset_windows,
                        generate_dataset, load_windows, save_windows)
 
 
-class _ConfigFile(dict):
-    """key -> value of a key=value --config file (empty without one), with the
-    line of each key and the set of keys the subcommand has looked up."""
-
-    def __init__(self, path: str | None):
-        super().__init__()
-        self.path, self.lines, self.looked_up = path, {}, set()
-        if path is None:
-            return
-        with open(path) as f:
-            for ln_no, raw in enumerate(f, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{ln_no}: expected key=value, got {line!r}")
-                key, _, value = (t.strip() for t in line.partition("="))
-                self[key], self.lines[key] = value, ln_no
-
-    def check_all_read(self) -> None:
-        """ValueError("path:line: unknown key ...") for the first key no lookup read."""
-        unread = sorted(self.keys() - self.looked_up, key=self.lines.get)
-        if unread:
-            raise ValueError(f"{self.path}:{self.lines[unread[0]]}: unknown key {unread[0]!r} "
-                             f"(known keys: {', '.join(sorted(self.looked_up))})")
-
-
 def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t)
 
 
-def _csv_strs(text: str) -> tuple[str, ...]:
-    return tuple(t.strip() for t in text.split(",") if t.strip())
-
-
-def _one_of(known: tuple[str, ...]):
-    """Caster of a file value that must be one of known (a flag is checked by its choices)."""
-    def cast(text: str) -> str:
-        if text not in known:
-            raise ValueError(f"unknown {text!r} (known: {', '.join(known)})")
-        return text
+def _csv_of(known: tuple[str, ...]):
+    """Caster of a comma list whose every entry is one of known."""
+    def cast(text: str) -> tuple[str, ...]:
+        values = tuple(t.strip() for t in text.split(",") if t.strip())
+        for value in values:
+            if value not in known:
+                raise argparse.ArgumentTypeError(
+                    f"unknown {value!r} (known: {', '.join(known)})")
+        return values
     return cast
 
 
-_CASTERS = {"int": int, "float": float, "str": str,
-            "tuple[int, ...]": _csv_ints, "tuple[str, ...]": _csv_strs}
-_MODALITY_KEYS = tuple(m.key for m in Modality)
-
-
-def _resolve(args, file_cfg: _ConfigFile, key, default, cast=str):
-    """One setting: the flag value, else the file value (bad ones name path:line), else default."""
-    file_cfg.looked_up.add(key)
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in file_cfg:
-        try:
-            return cast(file_cfg[key])
-        except ValueError as exc:
-            raise ValueError(f"{file_cfg.path}:{file_cfg.lines[key]}: {key}: {exc}") from None
-    return default
-
-
-def _build_dataclass(cls, args: argparse.Namespace, file_cfg: _ConfigFile, skip=(), **given):
-    """Dataclass with the given fields, the skipped ones at their defaults and
-    every other field resolved by _resolve."""
-    return cls(**given, **{fld.name: _resolve(args, file_cfg, fld.name, fld.default,
-                                              _CASTERS[fld.type])
-                           for fld in fields(cls) if fld.name not in (*skip, *given)})
+_CASTERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _csv_ints}
 
 
 def _add_dataclass_args(parser: argparse.ArgumentParser, cls, skip=()):
+    """One flag per field of cls not in skip, defaulting to the field's default;
+    a grid axis takes a comma list of its experiment.AXES values."""
     for fld in fields(cls):
         if fld.name in skip:
             continue
-        flag = "--" + fld.name.replace("_", "-")
-        parser.add_argument(flag, type=_CASTERS[fld.type], default=None)
+        cast = (_csv_of(experiment.AXES[fld.name]) if fld.name in experiment.AXES
+                else _CASTERS[fld.type])
+        parser.add_argument("--" + fld.name.replace("_", "-"), type=cast, default=fld.default,
+                            choices=NEGATIVE_MODES if fld.name == "negative_mode" else None)
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _from_flags(cls, args: argparse.Namespace, **given):
+    """cls with the given fields and every other field that has a flag set from args."""
+    return cls(**given, **{fld.name: getattr(args, fld.name) for fld in fields(cls)
+                           if fld.name not in given and hasattr(args, fld.name)})
+
+
+def _add_config(parser: argparse.ArgumentParser):
     parser.add_argument("--config", default=None, help="key=value config file")
+    parser.set_defaults(config_parser=parser)
+
+
+def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make each key=value line of the --config file the default of its flag in parser.
+
+    A value goes through the flag's own type, then its choices.  The keys are
+    the flags that have a default (path flags have none, so they are flags
+    only); any other key, or a value that fails, raises ValueError("path:line: ...").
+    """
+    settable = {a.dest: a for a in parser._actions if a.default not in (None, argparse.SUPPRESS)}
+    with open(path) as f:
+        for ln_no, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, text = (t.strip() for t in line.partition("="))
+            where = f"{path}:{ln_no}"
+            if not sep:
+                raise ValueError(f"{where}: expected key=value, got {line!r}")
+            if key not in settable:
+                raise ValueError(f"{where}: unknown key {key!r} "
+                                 f"(known keys: {', '.join(sorted(settable))})")
+            action = settable[key]
+            try:
+                value = action.type(text) if action.type else text
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise ValueError(f"{where}: {key}: {exc}") from None
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{where}: {key}: unknown {value!r} "
+                                 f"(known: {', '.join(action.choices)})")
+            action.default = value
 
 
 def _cmd_generate(args) -> int:
-    file_cfg = _ConfigFile(args.config)
-    cfg = _build_dataclass(GenConfig, args, file_cfg)
-    labelling = _resolve(args, file_cfg, "labelling", "original", _one_of(LABELLING_MODES))
-    file_cfg.check_all_read()
-    ds = generate_dataset(cfg)
-    windows = dataset_windows(ds, labelling)
-    save_windows(args.out, cfg, labelling, windows)
+    cfg = _from_flags(GenConfig, args)
+    windows = dataset_windows(generate_dataset(cfg), args.labelling)
+    save_windows(args.out, cfg, args.labelling, windows)
     n_train = sum(1 for w in windows if w.split == "train")
     print(f"wrote {len(windows)} windows ({n_train} train) to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    file_cfg = _ConfigFile(args.config)
-    tcfg = _build_dataclass(trainer.TrainConfig, args, file_cfg)
-    modality = Modality.from_key(
-        _resolve(args, file_cfg, "modality", "top_depth", _one_of(_MODALITY_KEYS)))
-    head = _resolve(args, file_cfg, "head", "projection", _one_of(scoring.PATHWAYS))
-    enc_dims = _resolve(args, file_cfg, "encoder_dims",
-                        experiment.DEFAULT_ENCODER_DIMS, _csv_ints)
-    proj_dims = _resolve(args, file_cfg, "projection_dims",
-                         experiment.DEFAULT_PROJECTION_DIMS, _csv_ints)
-    file_cfg.check_all_read()
+    tcfg = _from_flags(trainer.TrainConfig, args)
+    modality, head = Modality.from_key(args.modality), args.head
+    enc_dims, proj_dims = args.encoder_dims, args.projection_dims
+    enc_text, proj_text = ",".join(map(str, enc_dims)), ",".join(map(str, proj_dims))
+    if proj_dims[:1] != enc_dims[-1:]:
+        raise ValueError(f"--projection-dims {proj_text} must start with the last entry "
+                         f"of --encoder-dims {enc_text}")
 
     gen, _, windows = load_windows(args.data)
     n_in = WINDOW_LEN * gen.frame_dim
     if enc_dims[:1] != (n_in,):
-        raise ValueError(f"--encoder-dims {','.join(map(str, enc_dims))} must start with "
+        raise ValueError(f"--encoder-dims {enc_text} must start with "
                          f"{n_in}: {args.data} has frame_dim {gen.frame_dim}")
     train_windows = [w for w in windows if w.split == "train" and w.modality == modality]
     result = trainer.train(train_windows, list(enc_dims), list(proj_dims), tcfg)
@@ -163,12 +151,8 @@ _GRID_PER_CELL = ("seed", "negative_mode")
 
 
 def _cmd_grid(args) -> int:
-    file_cfg = _ConfigFile(args.config)
-    cfg = _build_dataclass(
-        experiment.ExperimentConfig, args, file_cfg,
-        gen=_build_dataclass(GenConfig, args, file_cfg, _GRID_PER_CELL),
-        train=_build_dataclass(trainer.TrainConfig, args, file_cfg, _GRID_PER_CELL))
-    file_cfg.check_all_read()
+    cfg = _from_flags(experiment.ExperimentConfig, args, gen=_from_flags(GenConfig, args),
+                      train=_from_flags(trainer.TrainConfig, args))
     result = experiment.run_grid(cfg)
     print(f"grid written to {cfg.outdir} "
           f"({len(result.cells)} cells, {len(result.failures)} failures)")
@@ -212,20 +196,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic window dataset file")
-    _add_common(p)
+    _add_config(p)
     _add_dataclass_args(p, GenConfig)
-    p.add_argument("--labelling", choices=LABELLING_MODES, default=None)
+    p.add_argument("--labelling", choices=LABELLING_MODES, default="original")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="train one modality model from a dataset file")
-    _add_common(p)
+    _add_config(p)
     _add_dataclass_args(p, trainer.TrainConfig)
     p.add_argument("--data", required=True)
-    p.add_argument("--modality", choices=_MODALITY_KEYS, default=None)
-    p.add_argument("--head", choices=scoring.PATHWAYS, default=None)
-    p.add_argument("--encoder-dims", type=_csv_ints, default=None)
-    p.add_argument("--projection-dims", type=_csv_ints, default=None)
+    p.add_argument("--modality", choices=[m.key for m in Modality], default="top_depth")
+    p.add_argument("--head", choices=scoring.PATHWAYS, default="projection")
+    p.add_argument("--encoder-dims", type=_csv_ints, default=experiment.DEFAULT_ENCODER_DIMS)
+    p.add_argument("--projection-dims", type=_csv_ints,
+                   default=experiment.DEFAULT_PROJECTION_DIMS)
     p.add_argument("--checkpoint-out", default=None)
     p.add_argument("--log-out", default=None)
     p.add_argument("--scores-out", default=None)
@@ -234,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("grid", help="run the full method grid")
-    _add_common(p)
+    _add_config(p)
     _add_dataclass_args(p, GenConfig, _GRID_PER_CELL)
     _add_dataclass_args(p, trainer.TrainConfig, _GRID_PER_CELL)
     _add_dataclass_args(p, experiment.ExperimentConfig, skip=("gen", "train"))
@@ -261,8 +246,12 @@ def main(argv=None) -> int:
     TrainingDivergedError becomes the one line ``supconad: error: <message>``
     on stderr, without a traceback.
     """
-    args = build_parser().parse_args(argv)
+    parser = build_parser()   # per call: --config values become its flags' defaults
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None) is not None:
+            _config_as_defaults(args.config_parser, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, trainer.TrainingDivergedError) as exc:
         print(f"supconad: error: {exc}", file=sys.stderr)

@@ -31,6 +31,9 @@ from .synthgen import (ANOMALOUS, LABELLING_MODES, MODALITIES, NORMAL, WINDOW_LE
 
 DEFAULT_ENCODER_DIMS = (192, 64, 32)
 DEFAULT_PROJECTION_DIMS = (32, 16)
+# grid axis -> its known values; an ExperimentConfig axis defaults to all of them
+AXES = {"loss_modes": NEGATIVE_MODES, "head_modes": scoring.PATHWAYS,
+        "labelling_modes": LABELLING_MODES, "combos": tuple(scoring.MODALITY_COMBOS)}
 
 
 @dataclass(frozen=True)
@@ -39,19 +42,17 @@ class ExperimentConfig:
     train: trainer.TrainConfig = field(default_factory=trainer.TrainConfig)
     encoder_dims: tuple[int, ...] = DEFAULT_ENCODER_DIMS
     projection_dims: tuple[int, ...] = DEFAULT_PROJECTION_DIMS
-    loss_modes: tuple[str, ...] = NEGATIVE_MODES
-    head_modes: tuple[str, ...] = scoring.PATHWAYS
-    labelling_modes: tuple[str, ...] = LABELLING_MODES
-    combos: tuple[str, ...] = tuple(scoring.MODALITY_COMBOS)
+    loss_modes: tuple[str, ...] = AXES["loss_modes"]
+    head_modes: tuple[str, ...] = AXES["head_modes"]
+    labelling_modes: tuple[str, ...] = AXES["labelling_modes"]
+    combos: tuple[str, ...] = AXES["combos"]
     seeds: tuple[int, ...] = (42,)
     outdir: str = "grid_out"
 
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        for name, known in (("loss_modes", NEGATIVE_MODES), ("head_modes", scoring.PATHWAYS),
-                            ("labelling_modes", LABELLING_MODES),
-                            ("combos", tuple(scoring.MODALITY_COMBOS))):
+        for name, known in AXES.items():
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must be non-empty")
@@ -222,7 +223,6 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     os.makedirs(cfg.outdir, exist_ok=True)
     cells: dict[tuple[int, str, str], tuple[float, float]] = {}
     failures: list[dict] = []
-    method_labels = cfg.method_labels()
 
     for run_seed in cfg.seeds:
         ds = generate_dataset(replace(cfg.gen, seed=run_seed))
@@ -259,28 +259,8 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
                         cell.records(),
                     )
 
-        for metric_idx, metric in enumerate(("roc", "pr")):
-            rows = []
-            for method in method_labels:
-                row = []
-                for combo_name in cfg.combos:
-                    got = cells.get((run_seed, method, combo_name))
-                    row.append(got[metric_idx] if got else np.nan)
-                rows.append(row)
-            _write_grid_csv(
-                os.path.join(cfg.outdir, f"grid_{metric}_seed{run_seed}.csv"),
-                method_labels, cfg.combos, np.array(rows),
-            )
-
-    for metric_idx, metric in enumerate(("roc", "pr")):
-        mean_rows = np.array([
-            [np.mean([cells[(s, method, combo)][metric_idx]
-                      for s in cfg.seeds if (s, method, combo) in cells] or [np.nan])
-             for combo in cfg.combos]
-            for method in method_labels
-        ])
-        _write_grid_csv(os.path.join(cfg.outdir, f"grid_{metric}_mean.csv"),
-                        method_labels, cfg.combos, mean_rows)
+        _write_grid_csvs(cfg, cells, (run_seed,), f"seed{run_seed}")
+    _write_grid_csvs(cfg, cells, cfg.seeds, "mean")
 
     manifest = {
         "version": __version__,
@@ -294,12 +274,19 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     return GridResult(cfg, cells, failures)
 
 
-def _write_grid_csv(path, method_labels, combos, values):
-    with open(path, "w") as f:
-        f.write("method," + ",".join(combos) + "\n")
-        for label, row in zip(method_labels, values):
-            cells = ["failed" if np.isnan(x) else repr(float(x)) for x in row]
-            f.write(label + "," + ",".join(cells) + "\n")
+def _write_grid_csvs(cfg: ExperimentConfig, cells, seeds, name: str) -> None:
+    """grid_roc_<name>.csv and grid_pr_<name>.csv: per method and combination, the
+    mean AUC over the cells present for seeds, or ``failed`` where there are none."""
+    for metric_idx, metric in enumerate(("roc", "pr")):
+        with open(os.path.join(cfg.outdir, f"grid_{metric}_{name}.csv"), "w") as f:
+            f.write("method," + ",".join(cfg.combos) + "\n")
+            for method in cfg.method_labels():
+                row = []
+                for combo in cfg.combos:
+                    aucs = [cells[(s, method, combo)][metric_idx]
+                            for s in seeds if (s, method, combo) in cells]
+                    row.append(repr(float(np.mean(aucs))) if aucs else "failed")
+                f.write(method + "," + ",".join(row) + "\n")
 
 
 @dataclass

@@ -390,6 +390,8 @@ def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
                     elif key in field_types:
                         caster = {"int": int, "float": float}[field_types[key]]
                         cfg_kwargs[key] = caster(value)
+                    else:
+                        raise ValueError(f"unknown header key {key!r}")
                     continue
                 if n_fields is None:
                     n_fields = 6 + WINDOW_LEN * cfg_kwargs.get("frame_dim", GenConfig.frame_dim)

@@ -46,8 +46,9 @@ class TrainConfig:
         if min(self.epochs, self.lr_decay_every, self.validate_every,
                self.batch_anomalous) < 1 or self.batch_normal < 2:
             raise ValueError("epochs/schedule must be positive and batch_normal >= 2")
-        if self.lr0 < 0 or self.lr_decay_factor <= 0 or self.tau <= 0:
-            raise ValueError("lr0 must be non-negative; decay factor and tau positive")
+        if self.lr0 < 0 or self.lr_decay_factor <= 0:
+            raise ValueError("lr0 must be non-negative and decay factor positive")
+        LossConfig(self.tau, self.negative_mode)   # checks tau and negative_mode
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.jitter_sigma < 0 or self.momentum < 0:

@@ -234,7 +234,12 @@ def test_unknown_config_key_is_a_one_line_error(tmp_path, capsys, command, known
     ("train", "head=encoder", "epochs=abc", "epochs: invalid literal for int()"),
     ("generate", "frame_dim=6", "labelling=manul", "labelling: unknown 'manul'"),
     ("grid", "epochs=4", "seeds=3,x", "seeds: invalid literal for int()"),
-], ids=["train-head", "train-epochs", "generate-labelling", "grid-seeds"])
+    ("grid", "epochs=4", "head_modes=encoderr",
+     "head_modes: unknown 'encoderr' (known: encoder, projection)"),
+    ("train", "epochs=4", "negative_mode=avg",
+     "negative_mode: unknown 'avg' (known: sum, average)"),
+], ids=["train-head", "train-epochs", "generate-labelling", "grid-seeds", "grid-head-modes",
+        "train-negative-mode"])
 def test_bad_config_value_is_a_one_line_error(tmp_path, capsys, command, known, bad, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# a comment\n{known}\n{bad}\n")
@@ -245,6 +250,47 @@ def test_bad_config_value_is_a_one_line_error(tmp_path, capsys, command, known, 
             "grid": ["grid", "--outdir", str(out)]}[command]
     # the value is rejected before any work: no output, and no read of the missing data file
     assert_one_line_error(capsys, [*argv, "--config", str(cfg)], f"{cfg}:3: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, bad, known", [
+    ("grid", "--head-modes", "encoderr", ["encoder", "projection"]),
+    ("train", "--negative-mode", "avg", ["sum", "average"]),
+], ids=["grid-head-modes", "train-negative-mode"])
+def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, command, flag, bad, known):
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--data", str(tmp_path / "missing.txt"),
+                      "--checkpoint-out", str(out)],
+            "grid": ["grid", "--outdir", str(out)]}[command]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, flag, bad])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and repr(bad) in err, err
+    assert all(value in err for value in known), err
+    assert not out.exists()
+
+
+def test_config_values_do_not_outlive_their_call(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=9\nlabelling=manual\n")
+    first, second = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    assert run(["generate", *GEN_FLAGS, "--config", str(cfg), "--out", first]) == 0
+    assert run(["generate", *GEN_FLAGS, "--out", second]) == 0
+    cfg1, labelling1, _ = load_windows(first)
+    cfg2, labelling2, _ = load_windows(second)
+    assert (cfg1.seed, labelling1) == (9, "manual")
+    assert (cfg2.seed, labelling2) == (0, "original")
+
+
+def test_train_rejects_projection_dims_that_do_not_chain(tmp_path, capsys):
+    out = tmp_path / "model.txt"
+    # the dims are checked before the (missing) data file is opened
+    assert_one_line_error(capsys, ["train", "--data", str(tmp_path / "missing.txt"),
+                                   "--encoder-dims", "96,16,8", "--projection-dims", "16,4",
+                                   "--checkpoint-out", str(out)],
+                          "--projection-dims 16,4 must start with the last entry of "
+                          "--encoder-dims 96,16,8")
     assert not out.exists()
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_floats
+
 from supconad.metrics import (LabeledScores, dump_curves, pr_auc,
                               pr_curve_points, roc_auc, roc_curve_points)
 
@@ -162,15 +164,41 @@ def test_pr_in_unit_interval(np_rng):
         assert 0.0 <= pr_auc(ls) <= 1.0
 
 
-@pytest.mark.parametrize("transform", [lambda s: 2.0 * s + 3.0, lambda s: s ** 3])
-def test_aucs_invariant_under_increasing_transforms(np_rng, transform):
-    scores = np_rng.normal(size=40)
-    labels = np_rng.random(40) < 0.5
+# a few levels drawn from all finite float64s (both zeros, subnormals and the
+# largest magnitudes included), so ties are the rule and the scale is extreme
+extreme_levels = st.lists(exact_floats(), min_size=1, max_size=6).flatmap(
+    lambda levels: st.integers(2, 60).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from(levels), min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n))))
+
+
+def ranks_of_levels(scores, data):
+    """Each distinct score mapped to its rank among the distinct scores."""
+    return np.unique(scores, return_inverse=True)[1].astype(float)
+
+
+def power_of_two_scaling(scores, data):
+    """scores * 2**k for a k that keeps every product exact: no overflow, and no
+    rounding into the subnormal range (a subnormal score is only scaled up)."""
+    exps = np.frexp(scores[scores != 0])[1]
+    if exps.size == 0:
+        return scores.copy()
+    low = min(0, -1021 - int(exps.min()))
+    k = data.draw(st.integers(low, 1024 - int(exps.max())), label="k")
+    return np.ldexp(scores, k)
+
+
+@pytest.mark.parametrize("transform", [ranks_of_levels, power_of_two_scaling])
+@settings(deadline=None, max_examples=200)
+@given(extreme_levels, st.data())
+def test_aucs_invariant_under_increasing_transforms(transform, case, data):
+    levels, labels = case
     labels[0], labels[-1] = True, False
-    base = LabeledScores(scores, labels)
-    mapped = LabeledScores(transform(scores), labels)
-    assert abs(roc_auc(base) - roc_auc(mapped)) < 1e-12
-    assert abs(pr_auc(base) - pr_auc(mapped)) < 1e-12
+    scores = np.array(levels)
+    mapped = transform(scores, data)
+    base, moved = LabeledScores(scores, labels), LabeledScores(mapped, labels)
+    assert roc_auc(base) == roc_auc(moved)
+    assert pr_auc(base) == pr_auc(moved)
 
 
 def test_roc_negated_scores_complement_when_no_ties(np_rng):
@@ -182,10 +210,12 @@ def test_roc_negated_scores_complement_when_no_ties(np_rng):
     assert abs(a + b - 1.0) < 1e-12
 
 
-def test_roc_label_swap_complements(np_rng):
-    scores = np_rng.integers(0, 4, size=30).astype(float)
-    labels = np_rng.random(30) < 0.5
+@settings(deadline=None, max_examples=200)
+@given(extreme_levels)
+def test_roc_label_swap_complements(case):
+    levels, labels = case
     labels[0], labels[-1] = True, False
+    scores, labels = np.array(levels), np.array(labels)
     a = roc_auc(LabeledScores(scores, labels))
     b = roc_auc(LabeledScores(scores, ~labels))
     assert abs(a + b - 1.0) < 1e-12

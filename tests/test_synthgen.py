@@ -471,6 +471,17 @@ def test_window_file_truncated_last_row_names_path_and_line(tmp_path):
         load_windows(path)
 
 
+@pytest.mark.parametrize("good, typo", [("# seed=", "# seeed=3"), ("# frame_dim=", "# frame_dimm=6")])
+def test_window_file_unknown_header_key_names_path_and_line(tmp_path, good, typo):
+    path, lines = _saved_window_lines(tmp_path)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(good))
+    lines[i] = typo
+    (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
+    key = typo[2:].split("=")[0]
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{i + 1}: unknown header key '{key}'$"):
+        load_windows(path)
+
+
 @pytest.mark.parametrize("column", [0, 1, 2, 3, 4, 5, 6, -1])
 def test_window_file_bad_field_names_path_and_line(tmp_path, column):
     path, lines = _saved_window_lines(tmp_path)

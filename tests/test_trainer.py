@@ -237,4 +237,7 @@ def test_config_validation():
         TrainConfig(val_fraction=0.0)
     with pytest.raises(ValueError):
         TrainConfig(jitter_sigma=-0.1)
+    with pytest.raises(ValueError, match="unknown negative_mode 'avg'"):
+        TrainConfig(negative_mode="avg")
     TrainConfig(lr0=0.0)  # zero learning rate is a legitimate configuration
+
