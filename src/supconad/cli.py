@@ -136,7 +136,7 @@ def _cmd_train(args) -> int:
     test_windows = [w for w in windows if w.split == "test" and w.modality == modality]
     if test_windows:
         cell = experiment.score_test_set({modality: ckpt.params}, {modality: train_windows},
-                                         {modality: test_windows}, head == "projection")
+                                         {modality: test_windows}, head)
         ls = LabeledScores(cell.scores[modality], cell.labels)
         print(f"test ROC AUC {roc_auc(ls):.4f}, PR AUC {pr_auc(ls):.4f}")
         if args.scores_out:

@@ -6,6 +6,9 @@ embedding pathways (the head is always trained; only its use at test time
 varies, with checkpoint selection matching the pathway).  Results land as
 method-by-combination AUC matrices directly consumable by the statistics
 pipeline, plus per-cell score exports and a deterministic run manifest.
+
+``run_group`` trains and scores one (labelling, loss) group.  The fused
+benchmark is the grid's (manual, average, projection) group, run through it.
 """
 
 from __future__ import annotations
@@ -51,11 +54,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+            raise ValueError("seeds: must be non-empty")
         for name, known in AXES.items():
             values = getattr(self, name)
             if not values:
-                raise ValueError(f"{name} must be non-empty")
+                raise ValueError(f"{name}: must be non-empty")
             for value in values:
                 if value not in known:
                     raise ValueError(f"{name}: unknown {value!r} (known: {', '.join(known)})")
@@ -109,7 +112,6 @@ class CellScores:
 
 @dataclass
 class GridResult:
-    config: ExperimentConfig
     # (seed, method_label, combo) -> (roc_auc, pr_auc); missing when failed
     cells: dict[tuple[int, str, str], tuple[float, float]]
     failures: list[dict]
@@ -191,13 +193,17 @@ def _train_models_for(windows_by_mod, cfg: ExperimentConfig, run_seed: int,
 
 
 def score_test_set(models: dict[Modality, ModelParams], train_by_mod, test_by_mod,
-                   use_projection: bool) -> CellScores:
-    """Score the test windows of each modality in ``models``, in MODALITIES order.
+                   pathway: str) -> CellScores:
+    """Score the test windows of each modality in ``models``, in MODALITIES order,
+    through the embedding ``pathway``, one of scoring.PATHWAYS.
 
     A modality's template is the mean embedding of its normal training
     windows.  The test windows must be aligned: entry i of each scored
     modality is the same (clip_id, window_index).
     """
+    if pathway not in scoring.PATHWAYS:
+        raise ValueError(f"unknown pathway {pathway!r} (known: {', '.join(scoring.PATHWAYS)})")
+    use_projection = pathway == "projection"
     mods = [m for m in MODALITIES if m in models]
     ref = test_by_mod[mods[0]]
     keys = [(w.clip_id, w.window_index) for w in ref]
@@ -218,6 +224,16 @@ def score_test_set(models: dict[Modality, ModelParams], train_by_mod, test_by_mo
     )
 
 
+def run_group(cfg: ExperimentConfig, run_seed: int, labelling: str, loss_mode: str,
+              train_by_mod, test_by_mod, heads) -> dict[str, CellScores]:
+    """Train the four modality models of one (labelling, loss) group and score
+    the test windows once per head, each with that pathway's best checkpoints."""
+    results = _train_models_for(train_by_mod, cfg, run_seed, labelling, loss_mode)
+    return {head: score_test_set({m: results[m].best[head].params for m in MODALITIES},
+                                 train_by_mod, test_by_mod, head)
+            for head in heads}
+
+
 def run_grid(cfg: ExperimentConfig) -> GridResult:
     """Run the full grid, writing per-cell scores, per-seed and mean AUC matrices + manifest."""
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -233,13 +249,8 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
             for loss_mode in cfg.loss_modes:
                 # a group that fails in training, validation or scoring loses all its cells
                 try:
-                    results = _train_models_for(train_by_mod, cfg, run_seed, labelling, loss_mode)
-                    scored = {
-                        head: score_test_set(
-                            {m: results[m].best[head].params for m in MODALITIES},
-                            train_by_mod, test_by_mod, head == "projection")
-                        for head in cfg.head_modes
-                    }
+                    scored = run_group(cfg, run_seed, labelling, loss_mode,
+                                       train_by_mod, test_by_mod, cfg.head_modes)
                 except (trainer.TrainingDivergedError, DegenerateVectorError) as exc:
                     for head in cfg.head_modes:
                         failures.append({
@@ -271,7 +282,7 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     with open(os.path.join(cfg.outdir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    return GridResult(cfg, cells, failures)
+    return GridResult(cells, failures)
 
 
 def _write_grid_csvs(cfg: ExperimentConfig, cells, seeds, name: str) -> None:
@@ -303,13 +314,12 @@ class BenchmarkSeedResult:
 
 
 def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedResult:
-    """One seed of the fused benchmark: average loss, projection head, manual labels."""
+    """One seed of the fused benchmark: the (manual, average, projection) grid group."""
     ds = generate_dataset(replace(cfg.gen, seed=run_seed))
     train_by_mod = by_modality(dataset_windows(ds, "manual", split="train"))
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
-    results = _train_models_for(train_by_mod, cfg, run_seed, "manual", "average")
-    models = {m: results[m].best["projection"].params for m in MODALITIES}
-    cell = score_test_set(models, train_by_mod, test_by_mod, use_projection=True)
+    cell = run_group(cfg, run_seed, "manual", "average", train_by_mod, test_by_mod,
+                     ("projection",))["projection"]
 
     fused = cell.fused(tuple(MODALITIES))
     fused_auc = roc_auc(LabeledScores(fused, cell.labels))

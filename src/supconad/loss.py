@@ -34,10 +34,11 @@ class LossConfig:
     negative_mode: str = "average"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not self.tau > 0:
+            raise ValueError(f"tau: must be > 0, got {self.tau!r}")
         if self.negative_mode not in NEGATIVE_MODES:
-            raise ValueError(f"unknown negative_mode {self.negative_mode!r}")
+            raise ValueError(f"negative_mode: unknown {self.negative_mode!r} "
+                             f"(known: {', '.join(NEGATIVE_MODES)})")
 
     def scale(self, n_negatives: int) -> float:
         """The factor c on the summed negative exponentials: 1 (sum) or 1/M (average)."""

@@ -18,19 +18,12 @@ class DegenerateVectorError(ValueError):
     """Raised when a vector with (near-)zero norm reaches a normalization."""
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a 2-D float64 array with finite entries."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"{name} must be 2-D and non-empty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise unit normalization of a 2-D array."""
-    m = as_matrix(m)
+    """Row-wise unit normalization of a non-empty 2-D array.  A non-finite
+    entry makes its row norm non-finite, so the norm check rejects it."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.size == 0:
+        raise ValueError(f"matrix must be 2-D and non-empty, got shape {m.shape}")
     n = np.linalg.norm(m, axis=1, keepdims=True)
     if np.any(n < NORM_EPS) or not np.all(np.isfinite(n)):
         raise DegenerateVectorError("cannot normalize row with degenerate norm")
@@ -76,7 +69,7 @@ class Rng:
       ``c`` by ``n``.
     * ``uniform`` maps each 64-bit output to ``[0, 1)`` via the top 53 bits:
       ``(u >> 11) * 2**-53``.
-    * ``gaussian`` consumes exactly two uniforms per value using the
+    * ``gaussian_array`` consumes exactly two uniforms per value using the
       Box-Muller cosine branch: ``sqrt(-2*log(1 - u1)) * cos(2*pi*u2)``.
       Batched and one-at-a-time draws therefore produce identical streams.
 
@@ -128,23 +121,18 @@ class Rng:
             u = _to_unit(self.next_u64(m))
         return float(u[0]) if n is None else u
 
-    def gaussian(self, mean: float = 0.0, std: float = 1.0, n: int | None = None):
-        """Normal draws via Box-Muller; scalar when n is None.
+    def gaussian_array(self, shape: tuple[int, ...], mean: float = 0.0,
+                       std: float = 1.0) -> np.ndarray:
+        """Normal draws via Box-Muller, filling an array of the given shape in C order.
 
         Two uniforms are consumed per value even when std == 0, so the stream
         position does not depend on parameter values.
         """
         if std < 0:
             raise ValueError("std must be non-negative")
-        m = 1 if n is None else n
-        u = self.uniform(2 * m)
+        u = self.uniform(2 * int(np.prod(shape)))
         z = np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
-        out = mean + std * z
-        return float(out[0]) if n is None else out
-
-    def gaussian_array(self, shape: tuple[int, ...], mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        n = int(np.prod(shape))
-        return self.gaussian(mean, std, n).reshape(shape)
+        return (mean + std * z).reshape(shape)
 
     def below(self, bound: int) -> int:
         """Integer in [0, bound) via floor(uniform * bound)."""

@@ -35,16 +35,8 @@ class Modality(Enum):
     FRONT_IR = ("front", "ir")
 
     @property
-    def view(self) -> str:
-        return self.value[0]
-
-    @property
-    def channel(self) -> str:
-        return self.value[1]
-
-    @property
     def key(self) -> str:
-        return f"{self.view}_{self.channel}"
+        return "_".join(self.value)
 
     @classmethod
     def from_key(cls, key: str) -> "Modality":
@@ -75,17 +67,15 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.frame_dim <= 0 or self.frames_per_clip <= 0:
-            raise ValueError("frame_dim and frames_per_clip must be positive")
-        if min(self.train_normal_clips, self.train_anomalous_clips,
-               self.test_normal_clips, self.test_anomalous_clips) <= 0:
-            raise ValueError("clip counts must be positive")
+        for name in ("frame_dim", "frames_per_clip", "train_normal_clips",
+                     "train_anomalous_clips", "test_normal_clips", "test_anomalous_clips",
+                     "seen_archetypes", "unseen_archetypes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)!r}")
         if not 0.0 <= self.contamination < 1.0:
-            raise ValueError("contamination must be in [0, 1)")
-        if self.target_imbalance <= 1.0:
-            raise ValueError("target_imbalance must exceed 1")
-        if self.seen_archetypes <= 0 or self.unseen_archetypes <= 0:
-            raise ValueError("archetype counts must be positive")
+            raise ValueError(f"contamination: must be in [0, 1), got {self.contamination!r}")
+        if not self.target_imbalance > 1.0:
+            raise ValueError(f"target_imbalance: must be > 1, got {self.target_imbalance!r}")
         # Every clip yields the same window count, so the achievable
         # training imbalance is fixed by the clip counts; reject configs
         # that cannot land within 10% of the requested ratio.

@@ -43,16 +43,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.lr_decay_every, self.validate_every,
-               self.batch_anomalous) < 1 or self.batch_normal < 2:
-            raise ValueError("epochs/schedule must be positive and batch_normal >= 2")
-        if self.lr0 < 0 or self.lr_decay_factor <= 0:
-            raise ValueError("lr0 must be non-negative and decay factor positive")
+        for name, low in (("epochs", 1), ("lr_decay_every", 1), ("validate_every", 1),
+                          ("batch_normal", 2), ("batch_anomalous", 1), ("lr0", 0),
+                          ("jitter_sigma", 0), ("momentum", 0)):
+            if not getattr(self, name) >= low:    # a NaN fails too
+                raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
+        if not self.lr_decay_factor > 0:
+            raise ValueError(f"lr_decay_factor: must be > 0, got {self.lr_decay_factor!r}")
         LossConfig(self.tau, self.negative_mode)   # checks tau and negative_mode
         if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
-        if self.jitter_sigma < 0 or self.momentum < 0:
-            raise ValueError("jitter_sigma and momentum must be non-negative")
+            raise ValueError(f"val_fraction: must be in (0, 1), got {self.val_fraction!r}")
 
 
 @dataclass

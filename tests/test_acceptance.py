@@ -98,8 +98,8 @@ def test_criterion_3_gradient_correctness():
         dims = [2 + model_rng.below(10), 2 + model_rng.below(14), 2 + model_rng.below(10)]
         proj = [dims[-1], 2 + model_rng.below(8)]
         params = M.init_params(dims, proj, model_rng)
-        x = model_rng.gaussian(0, 1, dims[0]).reshape(1, dims[0])
-        grad_v = model_rng.gaussian(0, 1, proj[-1]).reshape(1, proj[-1])
+        x = model_rng.gaussian_array((1, dims[0]))
+        grad_v = model_rng.gaussian_array((1, proj[-1]))
         try:
             M.forward(params, x)
         except DegenerateVectorError:

@@ -8,8 +8,7 @@ from dataclasses import replace
 
 from supconad import experiment, scoring, trainer
 from supconad.experiment import (CellScores, ExperimentConfig, _train_models_for,
-                                 derive_cell_seed, run_benchmark_seed, run_grid,
-                                 score_test_set)
+                                 derive_cell_seed, run_benchmark_seed, run_grid, run_group)
 from supconad.metrics import LabeledScores, roc_auc
 from supconad.numerics import DegenerateVectorError
 from supconad.stats import analyze, load_matrix_csv
@@ -96,13 +95,43 @@ def test_benchmark_seed_reports_consistent_fields(tmp_path):
     assert r.best_single == max(r.single_roc_auc.values())
 
 
+# the single-modality combination of each modality, by modality key
+_SINGLE_COMBO = {combo[0].key: name for name, combo in scoring.MODALITY_COMBOS.items()
+                 if len(combo) == 1}
+
+
+@pytest.fixture(scope="module")
+def tiny_grid_seeds_5_6(tmp_path_factory):
+    cfg = replace(TINY, seeds=(5, 6), outdir=str(tmp_path_factory.mktemp("grid")))
+    return cfg, run_grid(cfg)
+
+
+def test_benchmark_seed_is_the_grid_cell_of_its_group(tiny_grid_seeds_5_6):
+    cfg, grid = tiny_grid_seeds_5_6
+    assert grid.ok and set(_SINGLE_COMBO) == {m.key for m in MODALITIES}
+    method = "average-projection-manual"
+    for seed in cfg.seeds:
+        r = run_benchmark_seed(TINY, seed)
+        assert r.fused_roc_auc == grid.cells[(seed, method, "fusion_dir")][0]
+        for key, combo in _SINGLE_COMBO.items():
+            assert r.single_roc_auc[key] == grid.cells[(seed, method, combo)][0]
+
+
+def test_grid_over_a_subset_of_the_axes_gives_the_same_cells(tiny_grid_seeds_5_6, tmp_path):
+    cfg, full = tiny_grid_seeds_5_6
+    combos = ("front_ir", "fusion_d")
+    sub = run_grid(replace(cfg, labelling_modes=("manual",), loss_modes=("average",),
+                           head_modes=("encoder",), combos=combos, outdir=str(tmp_path)))
+    assert sub.ok and set(sub.cells) == {
+        (seed, "average-encoder-manual", combo) for seed in cfg.seeds for combo in combos}
+    assert sub.cells == {key: full.cells[key] for key in sub.cells}
+
+
 def _default_cell_fused_roc(cfg, seed, labelling, loss_mode, head):
     ds = generate_dataset(replace(cfg.gen, seed=seed))
     train_by_mod = by_modality(dataset_windows(ds, labelling, split="train"))
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
-    results = _train_models_for(train_by_mod, cfg, seed, labelling, loss_mode)
-    models = {m: results[m].best[head].params for m in MODALITIES}
-    cell = score_test_set(models, train_by_mod, test_by_mod, head == "projection")
+    cell = run_group(cfg, seed, labelling, loss_mode, train_by_mod, test_by_mod, (head,))[head]
     return roc_auc(LabeledScores(cell.fused(tuple(MODALITIES)), cell.labels))
 
 

@@ -118,7 +118,7 @@ def viable_case(seed, dims_enc, dims_proj, n=1):
     rng = Rng(seed)
     for _ in range(50):
         p = M.init_params(dims_enc, dims_proj, rng)
-        x = rng.gaussian(0, 1, n * dims_enc[0]).reshape(n, dims_enc[0])
+        x = rng.gaussian_array((n, dims_enc[0]))
         try:
             M.forward(p, x)
             return p, x
@@ -197,8 +197,8 @@ def test_backward_matches_finite_differences():
         d_h = 2 + shapes.below(6)
         d_out = 2 + shapes.below(4)
         p = M.init_params([d_in, d_hid, d_h], [d_h, d_out], rng)
-        x = rng.gaussian(0, 1, d_in).reshape(1, d_in)
-        grad_v = rng.gaussian(0, 1, d_out).reshape(1, d_out)
+        x = rng.gaussian_array((1, d_in))
+        grad_v = rng.gaussian_array((1, d_out))
         try:
             M.forward(p, x)
         except DegenerateVectorError:
@@ -210,10 +210,10 @@ def test_backward_matches_finite_differences():
 def test_normalization_jacobian_is_orthogonal_to_embedding():
     rng = Rng(31)
     p = M.init_params([6, 8, 5], [5, 4], rng)
-    x = rng.gaussian(0, 1, 6).reshape(1, 6)
+    x = rng.gaussian_array((1, 6))
     tr = M.forward(p, x)
     v = tr.v[0]
-    grad_v = rng.gaussian(0, 1, 4)
+    grad_v = rng.gaussian_array((4,))
     # the Jacobian-transposed gradient must carry no component along v_raw
     g_raw = (grad_v - v * float(grad_v @ v)) / np.linalg.norm(tr.v_raw[0])
     assert abs(float(g_raw @ v)) < 1e-12 * np.linalg.norm(g_raw) * 10
@@ -223,7 +223,7 @@ def test_composed_loss_gradient_matches_fd():
     # end-to-end: batch_loss(forward(params, X)) differentiated through both modules
     rng = Rng(41)
     p = M.init_params([5, 6, 4], [4, 3], rng)
-    x = rng.gaussian(0, 1, 5 * 6).reshape(6, 5)
+    x = rng.gaussian_array((6, 5))
     cfg = LossConfig(tau=0.5, negative_mode="average")
     k = 3
 

@@ -37,6 +37,18 @@ def test_l2_normalize_rows_degenerate_row_errors():
         l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_l2_normalize_rows_non_finite_row_errors(bad):
+    with pytest.raises(DegenerateVectorError):
+        l2_normalize_rows(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+
+@pytest.mark.parametrize("m", [[1.0, 2.0], np.empty((0, 3)), np.ones((2, 0))])
+def test_l2_normalize_rows_rejects_non_matrix(m):
+    with pytest.raises(ValueError, match="must be 2-D and non-empty"):
+        l2_normalize_rows(m)
+
+
 @settings(deadline=None, max_examples=80)
 @given(vec_strategy(5))
 def test_l2_normalize_unit_norm_and_scale_invariance(a):
@@ -79,30 +91,31 @@ def test_gaussian_matches_reference_pipeline():
         * math.cos(2.0 * math.pi * uniforms[2 * i + 1])
         for i in range(n)
     ]
-    got = Rng(seed).gaussian(0.0, 1.0, n)
+    got = Rng(seed).gaussian_array((n,))
     assert np.allclose(got, ref, atol=1e-12)
 
 
 def test_gaussian_zero_std_is_exact_mean():
-    assert Rng(7).gaussian(2.5, 0.0) == 2.5
-    assert np.all(Rng(7).gaussian(-1.25, 0.0, 10) == -1.25)
+    assert np.all(Rng(7).gaussian_array((2, 3), 2.5, 0.0) == 2.5)
+    assert np.all(Rng(7).gaussian_array((10,), -1.25, 0.0) == -1.25)
 
 
 def test_gaussian_law_of_large_numbers():
     n = 10 ** 5
-    draws = Rng(1).gaussian(3.0, 2.0, n)
+    draws = Rng(1).gaussian_array((n,), 3.0, 2.0)
     assert abs(draws.mean() - 3.0) < 4 * 2.0 / math.sqrt(n)
 
 
 def test_same_seed_same_sequence():
-    assert np.array_equal(Rng(5).gaussian(0, 1, 1000), Rng(5).gaussian(0, 1, 1000))
+    assert np.array_equal(Rng(5).gaussian_array((1000,)), Rng(5).gaussian_array((1000,)))
     assert np.array_equal(Rng(5).uniform(100), Rng(5).uniform(100))
 
 
 def test_batched_and_single_draws_agree():
     a = Rng(11)
-    singles = np.array([a.gaussian() for _ in range(9)])
-    assert np.array_equal(singles, Rng(11).gaussian(0, 1, 9))
+    singles = np.concatenate([a.gaussian_array((1,)) for _ in range(9)])
+    assert np.array_equal(singles, Rng(11).gaussian_array((9,)))
+    assert np.array_equal(Rng(11).gaussian_array((3, 3)), singles.reshape(3, 3))
     b = Rng(11)
     u_singles = np.array([b.uniform() for _ in range(9)])
     assert np.array_equal(u_singles, Rng(11).uniform(9))
@@ -110,7 +123,7 @@ def test_batched_and_single_draws_agree():
 
 def test_negative_std_rejected():
     with pytest.raises(ValueError):
-        Rng(0).gaussian(0.0, -1.0)
+        Rng(0).gaussian_array((1,), 0.0, -1.0)
 
 
 def test_choice_without_replacement():
@@ -175,7 +188,7 @@ def _check_draw(rng, seed, pos, op):
     elif kind == "gaussian":
         u = _uniforms_at(seed, pos, 2 * n)
         want = np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
-        assert np.array_equal(rng.gaussian(0.0, 1.0, n), want)
+        assert np.array_equal(rng.gaussian_array((n,)), want)
         return pos + 2 * n
     elif kind == "u64":
         got = rng.next_u64(n).tolist()
@@ -228,9 +241,9 @@ def test_shuffled_is_permutation():
 
 def test_spawn_streams_are_stable_and_distinct():
     parent = Rng(1234)
-    a1 = parent.spawn(0).gaussian(0, 1, 8)
-    a2 = Rng(1234).spawn(0).gaussian(0, 1, 8)
-    b = Rng(1234).spawn(1).gaussian(0, 1, 8)
+    a1 = parent.spawn(0).gaussian_array((8,))
+    a2 = Rng(1234).spawn(0).gaussian_array((8,))
+    b = Rng(1234).spawn(1).gaussian_array((8,))
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
 

@@ -25,7 +25,7 @@ def test_embed_identity_network_both_pathways():
 
 def test_embed_output_is_unit_norm():
     p = default_net()
-    x = Rng(4).gaussian(0, 1, 10 * 192).reshape(10, 192)
+    x = Rng(4).gaussian_array((10, 192))
     for use_proj in (True, False):
         emb = scoring.embed(p, x, use_proj)
         assert np.max(np.abs(np.linalg.norm(emb, axis=1) - 1.0)) < 1e-12
@@ -33,7 +33,7 @@ def test_embed_output_is_unit_norm():
 
 def test_pathways_have_different_dimensions():
     p = default_net()
-    x = Rng(4).gaussian(0, 1, 192).reshape(1, 192)
+    x = Rng(4).gaussian_array((1, 192))
     assert scoring.embed(p, x, use_projection=True).shape == (1, 16)
     assert scoring.embed(p, x, use_projection=False).shape == (1, 32)
 
@@ -81,12 +81,12 @@ def test_template_requires_windows():
 
 def test_template_order_invariance():
     p = default_net(3)
-    feats = Rng(5).gaussian(0, 1, 40 * 192).reshape(40, 192)
+    feats = Rng(5).gaussian_array((40, 192))
     t1 = scoring.build_template(p, feats, True)
     perm = Rng(6).shuffled(40)
     t2 = scoring.build_template(p, feats[perm], True)
     assert np.max(np.abs(t1.v_n - t2.v_n)) < 1e-12
-    x = Rng(7).gaussian(0, 1, 192).reshape(1, 192)
+    x = Rng(7).gaussian_array((1, 192))
     s1 = scoring.score_windows(t1, p, x, True)
     s2 = scoring.score_windows(t2, p, x, True)
     assert abs(s1[0] - s2[0]) < 1e-12
@@ -115,7 +115,7 @@ def test_score_hand_value():
 def test_scores_bounded_by_template_norm():
     p = default_net(8)
     rng = Rng(9)
-    feats = rng.gaussian(0, 1, 30 * 192).reshape(30, 192)
+    feats = rng.gaussian_array((30, 192))
     t = scoring.build_template(p, feats[:10], True)
     assert np.linalg.norm(t.v_n) <= 1.0 + 1e-12  # mean of unit vectors
     scores = scoring.score_windows(t, p, feats[10:], True)
@@ -173,8 +173,8 @@ def test_modality_combos_cover_the_nine_cases():
 def test_scores_invariant_to_projection_output_scale(c):
     p = default_net(10)
     rng = Rng(11)
-    normal = rng.gaussian(0, 1, 12 * 192).reshape(12, 192)
-    test = rng.gaussian(0, 1, 20 * 192).reshape(20, 192)
+    normal = rng.gaussian_array((12, 192))
+    test = rng.gaussian_array((20, 192))
     t = scoring.build_template(p, normal, True)
     base = scoring.score_windows(t, p, test, True)
     scaled = p.copy()
@@ -193,17 +193,17 @@ def _aligned_setup(n_windows=8, dim=6):
     test, train = {}, {}
     for m in MODALITIES:
         test[m] = [
-            Window(rng.gaussian(0, 1, dim), NORMAL if i % 2 == 0 else ANOMALOUS,
+            Window(rng.gaussian_array((dim,)), NORMAL if i % 2 == 0 else ANOMALOUS,
                    i // 2, i % 2, m, "test", None)
             for i in range(n_windows)
         ]
-        train[m] = [Window(rng.gaussian(0, 1, dim), NORMAL, 100 + i, 0, m, "train", None)
+        train[m] = [Window(rng.gaussian_array((dim,)), NORMAL, 100 + i, 0, m, "train", None)
                     for i in range(5)]
     return models, train, test
 
 
 def test_score_aligned_windows_fuses_means():
-    cell = score_test_set(*_aligned_setup(), True)
+    cell = score_test_set(*_aligned_setup(), "projection")
     records = cell.records()
     assert len(records) == 8
     for r in records:
@@ -216,11 +216,11 @@ def test_score_aligned_windows_fuses_means():
 
 def test_score_test_set_scores_only_the_modalities_given():
     models, train, test = _aligned_setup()
-    full = score_test_set(models, train, test, True)
+    full = score_test_set(models, train, test, "projection")
     subset = (Modality.FRONT_IR, Modality.TOP_IR)
     # only the given modalities need windows; the others are absent altogether
     cell = score_test_set({m: models[m] for m in subset}, {m: train[m] for m in subset},
-                          {m: test[m] for m in subset}, True)
+                          {m: test[m] for m in subset}, "projection")
     assert list(cell.scores) == [Modality.TOP_IR, Modality.FRONT_IR]
     for m in subset:
         assert np.array_equal(cell.scores[m], full.scores[m])
@@ -232,11 +232,18 @@ def test_score_aligned_windows_rejects_misalignment():
     models, train, test = _aligned_setup()
     test[Modality.TOP_IR] = test[Modality.TOP_IR][::-1]
     with pytest.raises(ValueError, match="not aligned"):
-        score_test_set(models, train, test, True)
+        score_test_set(models, train, test, "projection")
+
+
+@pytest.mark.parametrize("pathway", ["projector", "", True])
+def test_score_test_set_rejects_an_unknown_pathway(pathway):
+    with pytest.raises(ValueError, match=rf"^unknown pathway {pathway!r} "
+                                         r"\(known: encoder, projection\)$"):
+        score_test_set(*_aligned_setup(), pathway)
 
 
 def test_save_scores_csv(tmp_path):
-    records = score_test_set(*_aligned_setup(), True).records()
+    records = score_test_set(*_aligned_setup(), "projection").records()
     path = tmp_path / "scores.csv"
     scoring.save_scores(str(path), records)
     lines = path.read_text().splitlines()

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -54,6 +55,19 @@ def manual_clip(frame_labels, n_dims=3, clip_label=ANOMALOUS, split="test",
 def test_config_rejects_bad_contamination():
     with pytest.raises(ValueError):
         small_cfg(contamination=1.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("frame_dim", 0), ("frames_per_clip", 0), ("train_normal_clips", 0),
+    ("train_anomalous_clips", 0), ("test_normal_clips", 0), ("test_anomalous_clips", 0),
+    ("contamination", 1.0), ("target_imbalance", 1.0), ("target_imbalance", math.nan),
+    ("seen_archetypes", 0), ("unseen_archetypes", 0),
+])
+def test_range_error_names_exactly_its_field(name, value):
+    with pytest.raises(ValueError, match=f"^{name}: ") as exc:
+        small_cfg(**{name: value})
+    named = set(re.findall(r"\w+", str(exc.value))) & {f.name for f in fields(GenConfig)}
+    assert named == {name}
 
 
 def test_config_rejects_infeasible_imbalance():

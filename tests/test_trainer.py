@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ def toy_windows(n_normal=60, n_anomalous=30, dim=4, seed=0, gap=2.0):
         label = NORMAL if i < n_normal else ANOMALOUS
         center = np.zeros(dim)
         center[0] = gap if label == NORMAL else -gap
-        out.append(Window(center + rng.gaussian(0, 0.4, dim), label,
+        out.append(Window(center + rng.gaussian_array((dim,), 0, 0.4), label,
                           i, 0, MODALITIES[0], "train", None))
     return out
 
@@ -169,7 +171,7 @@ def test_single_sgd_step_decreases_batch_loss():
     for seed in range(10):
         rng = Rng(100 + seed)
         params = M.init_params([5, 24, 12], [12, 4], rng)
-        x = rng.gaussian(0, 1, 9 * 5).reshape(9, 5)
+        x = rng.gaussian_array((9, 5))
         k = 4
 
         def current_loss():
@@ -188,7 +190,7 @@ def test_divergence_aborts_with_diagnostic():
     # an absurd learning rate with extreme-magnitude features overflows the
     # forward pass; the trainer must abort with a located diagnostic
     rng = Rng(0)
-    windows = [Window(np.ones(4) + rng.gaussian(0, 0.2, 4), NORMAL, i, 0,
+    windows = [Window(np.ones(4) + rng.gaussian_array((4,), 0, 0.2), NORMAL, i, 0,
                       MODALITIES[0], "train", None) for i in range(40)]
     windows += [Window(np.full(4, 1e250), ANOMALOUS, 40 + i, 0,
                        MODALITIES[0], "train", None) for i in range(20)]
@@ -237,7 +239,20 @@ def test_config_validation():
         TrainConfig(val_fraction=0.0)
     with pytest.raises(ValueError):
         TrainConfig(jitter_sigma=-0.1)
-    with pytest.raises(ValueError, match="unknown negative_mode 'avg'"):
+    with pytest.raises(ValueError, match="negative_mode: unknown 'avg'"):
         TrainConfig(negative_mode="avg")
     TrainConfig(lr0=0.0)  # zero learning rate is a legitimate configuration
+
+
+@pytest.mark.parametrize("name, value", [
+    ("epochs", 0), ("lr0", -0.01), ("lr0", math.nan), ("lr_decay_factor", 0.0),
+    ("lr_decay_every", 0), ("tau", 0.0), ("batch_normal", 1), ("batch_anomalous", 0),
+    ("validate_every", 0), ("negative_mode", "avg"), ("val_fraction", 1.0),
+    ("jitter_sigma", -0.1), ("momentum", -0.5),
+])
+def test_range_error_names_exactly_its_field(name, value):
+    with pytest.raises(ValueError, match=f"^{name}: ") as exc:
+        TrainConfig(**{name: value})
+    named = set(re.findall(r"\w+", str(exc.value))) & {f.name for f in fields(TrainConfig)}
+    assert named == {name}
 
