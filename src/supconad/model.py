@@ -6,10 +6,11 @@ the loss.  Every weight and bias is a view into one float64 vector,
 ``ModelParams.flat``; the backward pass returns one gradient vector with the
 same layout, so an SGD step and a checkpoint copy are each one vector
 operation.  Forward passes take a (batch, input_dim) matrix (one window is a
-batch of one) and record every intermediate needed for the exact reverse
-pass, including the normalization Jacobian (I - v v^T) / ||v_raw||.  The
-reverse pass gives the gradients w.r.t. the weights and biases only; nothing
-needs the gradient w.r.t. the input, so it is not computed.
+batch of one) and record what the exact reverse pass needs: each layer's
+activation (a ReLU's mask is read back from it) and the norm of the raw
+projection output v_raw, for the normalization Jacobian (I - v v^T) / ||v_raw||.
+The reverse pass gives the gradients w.r.t. the weights and biases only;
+nothing needs the gradient w.r.t. the input, so it is not computed.
 """
 
 from __future__ import annotations
@@ -90,12 +91,10 @@ class ModelParams:
 @dataclass
 class ForwardTrace:
     x: np.ndarray
-    pre: list[np.ndarray]   # pre-activations, one per layer in encoder+projection order
-    act: list[np.ndarray]   # activations, same order
+    act: list[np.ndarray]   # activations, one per layer in encoder+projection order
     h: np.ndarray           # encoder output (unnormalized)
-    v_raw: np.ndarray       # projection output before normalization
     v: np.ndarray           # unit-norm embedding
-    norms: np.ndarray       # ||v_raw|| per row, shape (batch, 1)
+    norms: np.ndarray       # ||act[-1]|| per row, shape (batch, 1)
 
 
 def init_params(encoder_dims: list[int], projection_dims: list[int], rng: Rng) -> ModelParams:
@@ -126,11 +125,10 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"input dim: expected a (batch, {params.input_dim}) matrix, "
                          f"got shape {x.shape}")
-    pre, act = [], []
+    act = []
     for layer in params.layers:
         z = a @ layer.weight.T + layer.bias
         a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        pre.append(z)
         act.append(a)
     v_raw = act[-1]
     # what np.linalg.norm(v_raw, axis=1, keepdims=True) computes for real input
@@ -138,8 +136,8 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     # a NaN norm fails both comparisons
     if not (norms.min() >= NORM_EPS and norms.max() < np.inf):
         raise DegenerateVectorError("projection output norm is degenerate or non-finite")
-    return ForwardTrace(x=x, pre=pre, act=act, h=act[len(params.encoder) - 1],
-                        v_raw=v_raw, v=v_raw / norms, norms=norms)
+    return ForwardTrace(x=x, act=act, h=act[len(params.encoder) - 1],
+                        v=v_raw / norms, norms=norms)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> np.ndarray:
@@ -159,7 +157,7 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> np
     layers = params.layers
     for li, (dw, db) in reversed(list(enumerate(params.split(grads)))):
         if layers[li].activation == "relu":
-            g = g * (trace.pre[li] > 0)
+            g = g * (trace.act[li] > 0)   # max(z, 0) > 0 exactly where z > 0
         np.matmul(g.T, trace.act[li - 1] if li > 0 else trace.x, out=dw)
         np.add.reduce(g, axis=0, out=db)
         if li > 0:
@@ -167,19 +165,9 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> np
     return grads
 
 
-def sgd_step(params: ModelParams, grads: np.ndarray, lr: float,
-             momentum: float = 0.0, velocity: np.ndarray | None = None):
-    """In-place SGD update of params.flat; returns the velocity vector (None
-    without momentum)."""
-    if not momentum:
-        params.flat -= lr * grads
-        return velocity
-    if velocity is None:
-        velocity = np.zeros_like(params.flat)
-    velocity *= momentum
-    velocity += grads
-    params.flat -= lr * velocity
-    return velocity
+def sgd_step(params: ModelParams, grads: np.ndarray, lr: float) -> None:
+    """In-place SGD update of params.flat."""
+    params.flat -= lr * grads
 
 
 # -- checkpoint file format (version 1) -------------------------------------

@@ -67,13 +67,16 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("frame_dim", "frames_per_clip", "train_normal_clips",
-                     "train_anomalous_clips", "test_normal_clips", "test_anomalous_clips",
-                     "seen_archetypes", "unseen_archetypes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)!r}")
-        if not 0.0 <= self.contamination < 1.0:
-            raise ValueError(f"contamination: must be in [0, 1), got {self.contamination!r}")
+        counts = ("frame_dim", "frames_per_clip", "train_normal_clips", "train_anomalous_clips",
+                  "test_normal_clips", "test_anomalous_clips", "seen_archetypes",
+                  "unseen_archetypes")
+        for name in counts + ("archetype_radius", "frame_noise_std"):
+            low = 1 if name in counts else 0
+            if not getattr(self, name) >= low:    # a NaN fails too
+                raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
+        for name in ("contamination", "ar_coeff"):   # AR(1) noise dies at 1, explodes above
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name}: must be in [0, 1), got {getattr(self, name)!r}")
         if not self.target_imbalance > 1.0:
             raise ValueError(f"target_imbalance: must be > 1, got {self.target_imbalance!r}")
         # Every clip yields the same window count, so the achievable
@@ -360,8 +363,10 @@ def save_windows(path: str, cfg: GenConfig, labelling: str, windows: list[Window
 
 
 def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
-    """Read a version-1 window file; a malformed line raises ValueError("path:line: ...")."""
+    """Read a version-1 window file; a malformed line, or a header value GenConfig
+    rejects, raises ValueError("path:line: ...")."""
     cfg_kwargs: dict = {}
+    key_lines: dict[str, int] = {}
     labelling = None
     windows = []
     field_types = {f.name: f.type for f in fields(GenConfig)}
@@ -376,10 +381,14 @@ def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
                 if line.startswith("# "):
                     key, _, value = line[2:].partition("=")
                     if key == "labelling":
+                        if value not in LABELLING_MODES:
+                            raise ValueError(f"unknown labelling {value!r} "
+                                             f"(known: {', '.join(LABELLING_MODES)})")
                         labelling = value
                     elif key in field_types:
                         caster = {"int": int, "float": float}[field_types[key]]
                         cfg_kwargs[key] = caster(value)
+                        key_lines[key] = ln_no
                     else:
                         raise ValueError(f"unknown header key {key!r}")
                     continue
@@ -405,5 +414,10 @@ def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln_no}: {exc}") from None
     if labelling is None:
-        raise ValueError("window file is missing the labelling header")
-    return GenConfig(**cfg_kwargs), labelling, windows
+        raise ValueError(f"{path}: window file is missing the labelling header")
+    try:
+        cfg = GenConfig(**cfg_kwargs)
+    except ValueError as exc:   # a single-field range error reads "<field>: ..."
+        where = key_lines.get(str(exc).split(":", 1)[0])
+        raise ValueError(f"{path}:{where}: {exc}" if where else f"{path}: {exc}") from None
+    return cfg, labelling, windows

@@ -38,14 +38,11 @@ class TrainConfig:
     validate_every: int = 5
     negative_mode: str = "average"
     val_fraction: float = 0.2
-    jitter_sigma: float = 0.0    # feature-space augmentation noise
-    momentum: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         for name, low in (("epochs", 1), ("lr_decay_every", 1), ("validate_every", 1),
-                          ("batch_normal", 2), ("batch_anomalous", 1), ("lr0", 0),
-                          ("jitter_sigma", 0), ("momentum", 0)):
+                          ("batch_normal", 2), ("batch_anomalous", 1), ("lr0", 0)):
             if not getattr(self, name) >= low:    # a NaN fails too
                 raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
         if not self.lr_decay_factor > 0:
@@ -84,20 +81,14 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * cfg.lr_decay_factor ** ((epoch - 1) // cfg.lr_decay_every)
 
 
-def _sample_batch(pool: np.ndarray, n_normal: int, k: int, m: int, rng: Rng,
-                  jitter_sigma: float) -> np.ndarray:
+def _sample_batch(pool: np.ndarray, n_normal: int, k: int, m: int, rng: Rng) -> np.ndarray:
     """k normal then m anomalous rows of pool, each group drawn without replacement.
 
-    pool holds its n_normal normal rows first, then the anomalous ones.  Jitter
-    is additive Gaussian feature noise, the desk-scale stand-in for image-space
-    augmentation; sigma = 0 returns the rows unmodified.
+    pool holds its n_normal normal rows first, then the anomalous ones.
     """
     idx_n = rng.choice_without_replacement(n_normal, k)
     idx_a = rng.choice_without_replacement(len(pool) - n_normal, m)
-    x = pool[np.concatenate([idx_n, idx_a + n_normal])]
-    if jitter_sigma > 0:
-        x = x + rng.gaussian_array(x.shape, 0.0, jitter_sigma)
-    return x
+    return pool[np.concatenate([idx_n, idx_a + n_normal])]
 
 
 def _validation_auc(params, train_normal_feats, val_feats, val_is_normal, use_projection):
@@ -131,7 +122,6 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
 
     params = model_mod.init_params(encoder_dims, projection_dims, rng)
     loss_cfg = LossConfig(tau=cfg.tau, negative_mode=cfg.negative_mode)
-    velocity = None
     best: dict[str, Checkpoint] = {}
     log: list[LogRow] = []
     n_batches = math.ceil(n_normal / k)
@@ -140,7 +130,7 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
         lr = lr_at(epoch, cfg)
         epoch_loss = 0.0
         for step in range(n_batches):
-            x = _sample_batch(pool, n_normal, k, m, rng, cfg.jitter_sigma)
+            x = _sample_batch(pool, n_normal, k, m, rng)
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     trace = model_mod.forward(params, x)
@@ -156,7 +146,7 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
                 )
             grad_n, grad_a = batch_loss_grad(batch, loss_cfg)
             grads = model_mod.backward(params, trace, np.concatenate([grad_n, grad_a]))
-            velocity = model_mod.sgd_step(params, grads, lr, cfg.momentum, velocity)
+            model_mod.sgd_step(params, grads, lr)
             epoch_loss += loss
 
         last_epoch = epoch == cfg.epochs

@@ -214,7 +214,10 @@ def test_diverged_training_is_a_one_line_error(tmp_path, capsys):
     ("grid", "epochs=4", "seeed=9"),
     ("grid", "epochs=4", "seed=9"),          # grid takes seeds; seed is set per run
     ("grid", "epochs=4", "negative_mode=sum"),
-], ids=["generate", "train", "grid", "grid-seed", "grid-negative-mode"])
+    ("train", "epochs=4", "momentum=0.9"),
+    ("grid", "epochs=4", "jitter_sigma=0.1"),
+], ids=["generate", "train", "grid", "grid-seed", "grid-negative-mode", "train-momentum",
+        "grid-jitter-sigma"])
 def test_unknown_config_key_is_a_one_line_error(tmp_path, capsys, command, known, typo):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# a comment\n{known}\n{typo}\n")

@@ -99,7 +99,7 @@ def test_identity_network_normalizes_input():
     tr = M.forward(p, x)
     assert np.allclose(tr.v, x / 5.0, atol=1e-12)
     assert np.array_equal(tr.h, x)
-    assert np.array_equal(tr.v_raw, x)
+    assert np.array_equal(tr.act[-1], x)
 
 
 def test_zero_input_output_set_by_biases():
@@ -215,7 +215,7 @@ def test_normalization_jacobian_is_orthogonal_to_embedding():
     v = tr.v[0]
     grad_v = rng.gaussian_array((4,))
     # the Jacobian-transposed gradient must carry no component along v_raw
-    g_raw = (grad_v - v * float(grad_v @ v)) / np.linalg.norm(tr.v_raw[0])
+    g_raw = (grad_v - v * float(grad_v @ v)) / np.linalg.norm(tr.act[-1][0])
     assert abs(float(g_raw @ v)) < 1e-12 * np.linalg.norm(g_raw) * 10
 
 
@@ -261,29 +261,18 @@ def test_backward_shape_mismatch_errors():
         M.backward(p, tr, np.zeros(3))
 
 
-def test_sgd_step_plain_and_momentum_updates():
+def test_sgd_step_is_one_vector_update():
     rng = Rng(21)
     p = random_net(rng, [5, 6, 4], [4, 3])
     x = rng.gaussian_array((7, 5))
     grads = M.backward(p, M.forward(p, x), rng.gaussian_array((7, 3)))
-    lr, mu = 0.05, 0.9
+    lr = 0.05
 
     plain = p.copy()
-    assert M.sgd_step(plain, grads, lr) is None   # no velocity vector without momentum
+    M.sgd_step(plain, grads, lr)
     assert np.array_equal(plain.flat, p.flat - lr * grads)
     for new, old, g in zip(param_arrays(plain), param_arrays(p), grad_arrays(p, grads)):
         assert np.array_equal(new, old - lr * g)
-
-    # two momentum steps with the same gradient: v1 = g, v2 = mu * g + g
-    heavy = p.copy()
-    velocity = M.sgd_step(heavy, grads, lr, mu)
-    assert np.array_equal(velocity, grads) and velocity is not grads
-    velocity = M.sgd_step(heavy, grads, lr, mu, velocity)
-    assert velocity.shape == p.flat.shape
-    assert np.array_equal(velocity, mu * grads + grads)
-    assert np.array_equal(heavy.flat, (p.flat - lr * grads) - lr * (mu * grads + grads))
-    for new, old, g in zip(param_arrays(heavy), param_arrays(p), grad_arrays(p, grads)):
-        assert np.array_equal(new, (old - lr * g) - lr * (mu * g + g))
 
 
 # -- the flat parameter vector ----------------------------------------------------------
@@ -322,7 +311,7 @@ def test_sgd_step_on_the_source_leaves_its_copy_unchanged():
                        rng.gaussian_array((7, 3)))
     dup = p.copy()
     before = [a.copy() for a in param_arrays(dup)]
-    M.sgd_step(p, grads, 0.1, 0.9)
+    M.sgd_step(p, grads, 0.1)
     # the step reaches the source's layers, and only the source's
     assert all(not np.array_equal(a, old) for a, old in zip(param_arrays(p), before))
     for arr, old in zip(param_arrays(dup), before):

@@ -61,7 +61,8 @@ def test_config_rejects_bad_contamination():
     ("frame_dim", 0), ("frames_per_clip", 0), ("train_normal_clips", 0),
     ("train_anomalous_clips", 0), ("test_normal_clips", 0), ("test_anomalous_clips", 0),
     ("contamination", 1.0), ("target_imbalance", 1.0), ("target_imbalance", math.nan),
-    ("seen_archetypes", 0), ("unseen_archetypes", 0),
+    ("seen_archetypes", 0), ("unseen_archetypes", 0), ("ar_coeff", 1.0), ("ar_coeff", -0.1),
+    ("ar_coeff", math.nan), ("frame_noise_std", -1.0), ("archetype_radius", -3.0),
 ])
 def test_range_error_names_exactly_its_field(name, value):
     with pytest.raises(ValueError, match=f"^{name}: ") as exc:
@@ -506,4 +507,28 @@ def test_window_file_bad_field_names_path_and_line(tmp_path, column):
     lines[i] = ",".join(parts)
     (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{i + 1}: .*'x1'"):
+        load_windows(path)
+
+
+def test_window_file_unknown_labelling_names_path_and_line(tmp_path):
+    path, lines = _saved_window_lines(tmp_path)
+    i = lines.index("# labelling=manual")
+    lines[i] = "# labelling=bogus"
+    (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{i + 1}: unknown labelling "
+                                         r"'bogus' \(known: original, manual\)$"):
+        load_windows(path)
+
+
+@pytest.mark.parametrize("key, value, where", [
+    ("contamination", "1.5", "line"),
+    ("train_normal_clips", "10", "path"),   # clip counts too far from the target imbalance
+])
+def test_window_file_config_error_names_path_and_header_line(tmp_path, key, value, where):
+    path, lines = _saved_window_lines(tmp_path)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(f"# {key}="))
+    lines[i] = f"# {key}={value}"
+    (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
+    prefix = f"{path}:{i + 1}: {key}: " if where == "line" else f"{path}: clip counts "
+    with pytest.raises(ValueError, match=f"^{re.escape(prefix)}"):
         load_windows(path)

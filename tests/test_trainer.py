@@ -57,29 +57,21 @@ def toy_pool(n_normal, n_anomalous):
 
 
 def test_sample_batch_sizes_match_reference_protocol():
-    x = _sample_batch(toy_pool(220, 400), 220, 10, 150, Rng(0), 0.0)
+    x = _sample_batch(toy_pool(220, 400), 220, 10, 150, Rng(0))
     assert x.shape == (160, 4)
     assert np.all(x[:10] < 220)      # anchors come from the normal rows
     assert np.all(x[10:] >= 220)     # negatives from the anomalous rows
 
 
-def test_sample_batch_zero_jitter_returns_features_unmodified():
+def test_sample_batch_returns_rows_unmodified():
     pool = toy_pool(20, 10)
-    x = _sample_batch(pool, 20, 4, 3, Rng(1), 0.0)
+    x = _sample_batch(pool, 20, 4, 3, Rng(1))
     for row in x:
         assert np.array_equal(pool[int(row[0])], row)
 
 
-def test_sample_batch_jitter_perturbs_features():
-    pool = toy_pool(20, 10)
-    plain = _sample_batch(pool, 20, 4, 3, Rng(1), 0.0)
-    jittered = _sample_batch(pool, 20, 4, 3, Rng(1), 0.1)   # same rows, then noise
-    assert np.all(plain != jittered)
-    assert np.max(np.abs(plain - jittered)) < 1.0
-
-
 def test_sample_batch_without_replacement():
-    x = _sample_batch(toy_pool(12, 6), 12, 12, 6, Rng(2), 0.0)
+    x = _sample_batch(toy_pool(12, 6), 12, 12, 6, Rng(2))
     assert sorted(x[:, 0]) == list(range(18))
 
 
@@ -142,7 +134,7 @@ def test_training_is_deterministic():
 
 
 def test_checkpoints_do_not_share_memory_with_the_final_params():
-    result = train(toy_windows(), *DIMS, quick_cfg(momentum=0.5))
+    result = train(toy_windows(), *DIMS, quick_cfg())
     final = result.final_params
     for ckpt in result.best.values():
         assert not np.shares_memory(ckpt.params.flat, final.flat)
@@ -237,8 +229,6 @@ def test_config_validation():
         TrainConfig(lr0=-0.01)
     with pytest.raises(ValueError):
         TrainConfig(val_fraction=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(jitter_sigma=-0.1)
     with pytest.raises(ValueError, match="negative_mode: unknown 'avg'"):
         TrainConfig(negative_mode="avg")
     TrainConfig(lr0=0.0)  # zero learning rate is a legitimate configuration
@@ -248,7 +238,6 @@ def test_config_validation():
     ("epochs", 0), ("lr0", -0.01), ("lr0", math.nan), ("lr_decay_factor", 0.0),
     ("lr_decay_every", 0), ("tau", 0.0), ("batch_normal", 1), ("batch_anomalous", 0),
     ("validate_every", 0), ("negative_mode", "avg"), ("val_fraction", 1.0),
-    ("jitter_sigma", -0.1), ("momentum", -0.5),
 ])
 def test_range_error_names_exactly_its_field(name, value):
     with pytest.raises(ValueError, match=f"^{name}: ") as exc:
