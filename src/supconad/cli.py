@@ -7,9 +7,9 @@ underscores; input and output paths of generate and train are flags only).
 A file value goes through its flag's type and choices and becomes the flag's
 default, so a flag wins over the file, the file over the default.  A file
 key with no flag, or a file value that fails that check, is an error that
-names its path and line; a bad flag value is an argparse usage error.
-``train`` checks --projection-dims against --encoder-dims before it reads
---data.
+names its path and line; a bad flag value is an argparse usage error.  A
+range error names the flag or file line that set the value, and ``train``
+checks its layer widths before it reads --data.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import fields
 from . import experiment, fixtures, scoring, stats, trainer
 from .loss import NEGATIVE_MODES
 from .metrics import LabeledScores, dump_curves, pr_auc, roc_auc
-from .model import save_params
+from .model import check_dims, save_params
 from .synthgen import (LABELLING_MODES, WINDOW_LEN, GenConfig, Modality, dataset_windows,
                        generate_dataset, load_windows, save_windows)
 
@@ -69,14 +69,13 @@ def _add_config(parser: argparse.ArgumentParser):
     parser.set_defaults(config_parser=parser)
 
 
-def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> None:
-    """Make each key=value line of the --config file the default of its flag in parser.
-
-    A value goes through the flag's own type, then its choices.  The keys are
-    the flags that have a default (path flags have none, so they are flags
-    only); any other key, or a value that fails, raises ValueError("path:line: ...").
-    """
+def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> dict[str, int]:
+    """Make each key=value line of the --config file the default of its flag in parser,
+    and return the line of each key.  A value goes through the flag's own type, then
+    its choices.  The keys are the flags that have a default (path flags have none);
+    any other key, or a value that fails, raises ValueError("path:line: ...")."""
     settable = {a.dest: a for a in parser._actions if a.default not in (None, argparse.SUPPRESS)}
+    lines = {}
     with open(path) as f:
         for ln_no, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -92,12 +91,26 @@ def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> None:
             action = settable[key]
             try:
                 value = action.type(text) if action.type else text
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"unknown {value!r} (known: {', '.join(action.choices)})")
             except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise ValueError(f"{where}: {key}: {exc}") from None
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(f"{where}: {key}: unknown {value!r} "
-                                 f"(known: {', '.join(action.choices)})")
             action.default = value
+            lines[key] = ln_no
+    return lines
+
+
+def _locate(message: str, parser: argparse.ArgumentParser, argv, args, lines) -> str:
+    """message with its leading "<field>: " traced to the flag or --config line that set it."""
+    field, _, rest = message.partition(": ")
+    sub = getattr(args, "config_parser", None)   # generate, train and grid have one
+    action = sub and {a.dest: a for a in sub._actions}.get(field)
+    if not action:
+        return message
+    action.default = unset = object()   # parsed again, a field no flag sets keeps this
+    if getattr(parser.parse_args(argv), field) is not unset:
+        return f"{action.option_strings[0]}: {rest}"
+    return f"{args.config}:{lines[field]}: {message}" if field in lines else message
 
 
 def _cmd_generate(args) -> int:
@@ -113,16 +126,13 @@ def _cmd_train(args) -> int:
     tcfg = _from_flags(trainer.TrainConfig, args)
     modality, head = Modality.from_key(args.modality), args.head
     enc_dims, proj_dims = args.encoder_dims, args.projection_dims
-    enc_text, proj_text = ",".join(map(str, enc_dims)), ",".join(map(str, proj_dims))
-    if proj_dims[:1] != enc_dims[-1:]:
-        raise ValueError(f"--projection-dims {proj_text} must start with the last entry "
-                         f"of --encoder-dims {enc_text}")
+    check_dims(enc_dims, proj_dims)
 
     gen, _, windows = load_windows(args.data)
     n_in = WINDOW_LEN * gen.frame_dim
-    if enc_dims[:1] != (n_in,):
-        raise ValueError(f"--encoder-dims {enc_text} must start with "
-                         f"{n_in}: {args.data} has frame_dim {gen.frame_dim}")
+    if enc_dims[0] != n_in:
+        raise ValueError(f"encoder_dims: must start with {n_in}, the features of a window "
+                         f"in {args.data} (frame_dim {gen.frame_dim}), got {enc_dims}")
     train_windows = [w for w in windows if w.split == "train" and w.modality == modality]
     result = trainer.train(train_windows, list(enc_dims), list(proj_dims), tcfg)
     ckpt = result.best[head]
@@ -248,13 +258,14 @@ def main(argv=None) -> int:
     """
     parser = build_parser()   # per call: --config values become its flags' defaults
     args = parser.parse_args(argv)
+    lines: dict[str, int] = {}
     try:
         if getattr(args, "config", None) is not None:
-            _config_as_defaults(args.config_parser, args.config)
+            lines = _config_as_defaults(args.config_parser, args.config)
             args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, trainer.TrainingDivergedError) as exc:
-        print(f"supconad: error: {exc}", file=sys.stderr)
+        print("supconad: error:", _locate(str(exc), parser, argv, args, lines), file=sys.stderr)
         return 2
 
 

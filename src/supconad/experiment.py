@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, scoring, trainer
 from .loss import NEGATIVE_MODES
 from .metrics import LabeledScores, pr_auc, roc_auc
-from .model import ModelParams
+from .model import ModelParams, check_dims
 from .numerics import DegenerateVectorError, Rng
 from .synthgen import (ANOMALOUS, LABELLING_MODES, MODALITIES, NORMAL, WINDOW_LEN,
                        GenConfig, Modality, by_modality, dataset_windows,
@@ -62,13 +62,11 @@ class ExperimentConfig:
             for value in values:
                 if value not in known:
                     raise ValueError(f"{name}: unknown {value!r} (known: {', '.join(known)})")
+        check_dims(self.encoder_dims, self.projection_dims)
         n_in = WINDOW_LEN * self.gen.frame_dim
-        if self.encoder_dims[:1] != (n_in,):
-            raise ValueError(f"encoder_dims {self.encoder_dims} must start with {n_in}, "
-                             f"the features of a window at frame_dim {self.gen.frame_dim}")
-        if self.projection_dims[:1] != self.encoder_dims[-1:]:
-            raise ValueError(f"projection_dims {self.projection_dims} must start with "
-                             f"{self.encoder_dims[-1]}, the last of encoder_dims")
+        if self.encoder_dims[0] != n_in:
+            raise ValueError(f"encoder_dims: must start with {n_in}, the features of a window "
+                             f"at frame_dim {self.gen.frame_dim}, got {self.encoder_dims}")
 
     def method_labels(self) -> list[str]:
         return [f"{loss}-{head}-{lab}"
@@ -327,13 +325,10 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
         m.key: roc_auc(LabeledScores(cell.scores[m], cell.labels)) for m in MODALITIES
     }
 
-    ref = test_by_mod[MODALITIES[0]]
-    seen_ids = {a.id for a in ds.archetypes if a.seen_in_training}
     normal_mask = cell.labels
-    unseen_mask = np.array([
-        (not normal_mask[i]) and ref[i].archetype_id is not None
-        and ref[i].archetype_id not in seen_ids
-        for i in range(len(ref))
+    unseen_mask = np.array([   # only anomalous windows have an archetype, found by its id
+        w.archetype_id is not None and not ds.archetypes[w.archetype_id].seen_in_training
+        for w in test_by_mod[MODALITIES[0]]
     ])
     seen_mask = ~normal_mask & ~unseen_mask
 

@@ -97,15 +97,26 @@ class ForwardTrace:
     norms: np.ndarray       # ||act[-1]|| per row, shape (batch, 1)
 
 
+def check_dims(encoder_dims, projection_dims) -> None:
+    """Raise ValueError("<field>: <reason>") unless init_params can build these widths."""
+    for name, dims in (("encoder_dims", encoder_dims), ("projection_dims", projection_dims)):
+        if len(dims) < 2:
+            raise ValueError(f"{name}: must list at least 2 widths, got {tuple(dims)}")
+        if min(dims) < 1:
+            raise ValueError(f"{name}: every width must be >= 1, got {tuple(dims)}")
+    if projection_dims[0] != encoder_dims[-1]:
+        raise ValueError(f"projection_dims: must start with {encoder_dims[-1]}, the last of "
+                         f"encoder_dims, got {tuple(projection_dims)}")
+    if projection_dims[-1] < 2:   # a cosine of 1-D embeddings is only ever +1 or -1
+        raise ValueError(f"projection_dims: must end at width >= 2, got {tuple(projection_dims)}")
+
+
 def init_params(encoder_dims: list[int], projection_dims: list[int], rng: Rng) -> ModelParams:
     """Fan-in-scaled Gaussian weights (std 1/sqrt(fan_in)), zero biases.
 
     ReLU on every layer except the final projection layer, which is identity.
     """
-    if len(encoder_dims) < 2 or len(projection_dims) < 2:
-        raise ValueError("need at least input and output dims for each stack")
-    if projection_dims[0] != encoder_dims[-1]:
-        raise ValueError("projection input dim must equal encoder output dim")
+    check_dims(encoder_dims, projection_dims)
 
     def build(dims: list[int], final_identity: bool) -> list[LayerParams]:
         layers = []

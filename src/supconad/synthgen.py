@@ -185,8 +185,6 @@ def _ar1_in_place(dev: np.ndarray, blend: float) -> None:
 def generate_dataset(cfg: GenConfig) -> Dataset:
     """Generate synchronized four-modality clips for both splits.
 
-    Training anomalous clips cycle through the seen archetypes only; test
-    anomalous clips cycle through seen + unseen so every archetype appears.
     Modality streams of one clip share the frame-label sequence but are
     generated from modality-specific means with independent noise, each
     (clip, modality) stream from its own spawned Rng.  A frame's features are
@@ -198,55 +196,44 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
     rng_layout = master.spawn(1)
 
     mu = _normal_means(cfg, rng_global)
-    archetypes = _make_archetypes(cfg, mu, rng_global)
-    seen = [a for a in archetypes if a.seen_in_training]
+    archetypes = _make_archetypes(cfg, mu, rng_global)   # an archetype's id is its index
 
-    plan = (
-        [("train", NORMAL)] * cfg.train_normal_clips
-        + [("train", ANOMALOUS)] * cfg.train_anomalous_clips
-        + [("test", NORMAL)] * cfg.test_normal_clips
-        + [("test", ANOMALOUS)] * cfg.test_anomalous_clips
-    )
-    clips = []
-    clip_archs: list[AnomalyArchetype | None] = []
-    anom_counter = {"train": 0, "test": 0}
-    for clip_id, (split, label) in enumerate(plan):
-        if label == ANOMALOUS:
-            pool = seen if split == "train" else archetypes
-            arch = pool[anom_counter[split] % len(pool)]
-            anom_counter[split] += 1
-            mask = _frame_label_layout(cfg, rng_layout)
-        else:
-            arch = None
-            mask = np.zeros(cfg.frames_per_clip, dtype=bool)
-        clips.append(ClipRecord(
-            clip_id=clip_id,
-            split=split,
-            clip_label=label,
-            frame_labels=mask,
-            archetype_id=arch.id if arch else None,
-            features={},
-        ))
-        clip_archs.append(arch)
-
+    # (split, label, clips, archetype pool); clip j of a row takes pool[j % len(pool)]
+    table = (("train", NORMAL, cfg.train_normal_clips, ()),
+             ("train", ANOMALOUS, cfg.train_anomalous_clips, archetypes[:cfg.seen_archetypes]),
+             ("test", NORMAL, cfg.test_normal_clips, ()),
+             ("test", ANOMALOUS, cfg.test_anomalous_clips, archetypes))
     t, d, n_mod = cfg.frames_per_clip, cfg.frame_dim, len(MODALITIES)
+    clips = []
+    for split, label, n_clips, pool in table:
+        for j in range(n_clips):
+            mask = _frame_label_layout(cfg, rng_layout) if pool else np.zeros(t, dtype=bool)
+            clips.append(ClipRecord(
+                clip_id=len(clips),
+                split=split,
+                clip_label=label,
+                frame_labels=mask,
+                archetype_id=pool[j % len(pool)].id if pool else None,
+                features={},
+            ))
+
     buf = np.empty((_BLOCK_CLIPS, n_mod, t, d))
     for lo in range(0, len(clips), _BLOCK_CLIPS):
-        block = list(zip(clips[lo:lo + _BLOCK_CLIPS], clip_archs[lo:lo + _BLOCK_CLIPS]))
+        block = clips[lo:lo + _BLOCK_CLIPS]
         dev = buf[:len(block)]
-        for (clip, arch), clip_dev in zip(block, dev):
+        for clip, clip_dev in zip(block, dev):
             noise_std = np.full((t, 1), cfg.frame_noise_std)
-            if arch is not None:
-                noise_std[clip.frame_labels] *= arch.spread
+            if clip.archetype_id is not None:
+                noise_std[clip.frame_labels] *= archetypes[clip.archetype_id].spread
             for mi in range(n_mod):
                 rng_feat = master.spawn(1000 + clip.clip_id * n_mod + mi)
                 np.multiply(rng_feat.gaussian_array((t, d)), noise_std, out=clip_dev[mi])
         _ar1_in_place(dev, cfg.ar_coeff)
-        for (clip, arch), clip_dev in zip(block, dev):
+        for clip, clip_dev in zip(block, dev):
             for mod, mod_dev in zip(MODALITIES, clip_dev):
                 feats = np.tile(mu[mod], (t, 1))
-                if arch is not None:
-                    feats[clip.frame_labels] = arch.means[mod]
+                if clip.archetype_id is not None:
+                    feats[clip.frame_labels] = archetypes[clip.archetype_id].means[mod]
                 feats += mod_dev
                 clip.features[mod] = feats
     return Dataset(cfg, archetypes, clips)
@@ -257,11 +244,9 @@ def make_windows(clip: ClipRecord, labelling: str) -> list[Window]:
 
     Segments of 32 frames are taken back to back; a short final segment is
     padded by repeating the last available frame, then every other frame is
-    kept (32 -> 16).  Under ``original`` labelling every window of an
-    anomalous clip inherits the clip label.  Under ``manual`` labelling a
-    window of an anomalous clip is kept as anomalous only when at least
-    MANUAL_MAJORITY of its 16 retained frames are anomalous; the rest are
-    discarded.  Windows of normal clips are never relabelled or discarded.
+    kept (32 -> 16).  Every kept window takes its clip's label.  The one
+    drop: under ``manual`` labelling, a window of an anomalous clip with fewer
+    than MANUAL_MAJORITY anomalous frames among its 16 retained frames.
     """
     if labelling not in LABELLING_MODES:
         raise ValueError(f"unknown labelling mode {labelling!r}")
@@ -269,23 +254,16 @@ def make_windows(clip: ClipRecord, labelling: str) -> list[Window]:
     if t == 0:
         raise ValueError("clip has no frames")
 
-    keep = np.arange(0, WINDOW_RAW_LEN, 2)
     windows = []
     for w, start in enumerate(range(0, t, WINDOW_RAW_LEN)):
-        idx = np.minimum(np.arange(start, start + WINDOW_RAW_LEN), t - 1)[keep]
-        if clip.clip_label == ANOMALOUS:
-            if labelling == "original":
-                label = ANOMALOUS
-            else:
-                if int(clip.frame_labels[idx].sum()) < MANUAL_MAJORITY:
-                    continue
-                label = ANOMALOUS
-        else:
-            label = NORMAL
+        idx = np.minimum(np.arange(start, start + WINDOW_RAW_LEN, 2), t - 1)
+        if (clip.clip_label == ANOMALOUS and labelling == "manual"
+                and int(clip.frame_labels[idx].sum()) < MANUAL_MAJORITY):
+            continue
         for mod in MODALITIES:
             windows.append(Window(
                 features=clip.features[mod][idx].reshape(-1).copy(),
-                label=label,
+                label=clip.clip_label,
                 clip_id=clip.clip_id,
                 window_index=w,
                 modality=mod,
@@ -363,22 +341,35 @@ def save_windows(path: str, cfg: GenConfig, labelling: str, windows: list[Window
 
 
 def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
-    """Read a version-1 window file; a malformed line, or a header value GenConfig
-    rejects, raises ValueError("path:line: ...")."""
+    """Read a version-1 window file, its header checked before any row; a malformed
+    line, or a header value GenConfig rejects, raises ValueError("path:line: ...")."""
     cfg_kwargs: dict = {}
     key_lines: dict[str, int] = {}
-    labelling = None
+    labelling = cfg = None
     windows = []
     field_types = {f.name: f.type for f in fields(GenConfig)}
-    n_fields = None   # 6 leading fields + the features, fixed by the frame_dim header
+
+    def header_config() -> GenConfig:
+        if labelling is None:
+            raise ValueError(f"{path}: window file is missing the labelling header")
+        try:
+            return GenConfig(**cfg_kwargs)
+        except ValueError as exc:   # a single-field range error reads "<field>: ..."
+            where = key_lines.get(str(exc).split(":", 1)[0])
+            raise ValueError(f"{path}:{where}: {exc}" if where else f"{path}: {exc}") from None
     with open(path) as f:
         first = f.readline().rstrip("\n")
         if first != "# supconad-windows v1":
             raise ValueError(f"unrecognized window file header in {path}")
         for ln_no, line in enumerate(f, start=2):
             line = line.rstrip("\n")
+            if cfg is None and not line.startswith("# "):   # the header ends at the first row
+                cfg = header_config()
+                n_fields = 6 + WINDOW_LEN * cfg.frame_dim   # 6 leading fields + the features
             try:
                 if line.startswith("# "):
+                    if cfg is not None:
+                        raise ValueError("header line after the first window row")
                     key, _, value = line[2:].partition("=")
                     if key == "labelling":
                         if value not in LABELLING_MODES:
@@ -392,8 +383,6 @@ def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
                     else:
                         raise ValueError(f"unknown header key {key!r}")
                     continue
-                if n_fields is None:
-                    n_fields = 6 + WINDOW_LEN * cfg_kwargs.get("frame_dim", GenConfig.frame_dim)
                 parts = line.split(",")
                 if len(parts) != n_fields:
                     raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
@@ -413,11 +402,4 @@ def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
                 ))
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln_no}: {exc}") from None
-    if labelling is None:
-        raise ValueError(f"{path}: window file is missing the labelling header")
-    try:
-        cfg = GenConfig(**cfg_kwargs)
-    except ValueError as exc:   # a single-field range error reads "<field>: ..."
-        where = key_lines.get(str(exc).split(":", 1)[0])
-        raise ValueError(f"{path}:{where}: {exc}" if where else f"{path}: {exc}") from None
-    return cfg, labelling, windows
+    return cfg or header_config(), labelling, windows

@@ -292,8 +292,8 @@ def test_train_rejects_projection_dims_that_do_not_chain(tmp_path, capsys):
     assert_one_line_error(capsys, ["train", "--data", str(tmp_path / "missing.txt"),
                                    "--encoder-dims", "96,16,8", "--projection-dims", "16,4",
                                    "--checkpoint-out", str(out)],
-                          "--projection-dims 16,4 must start with the last entry of "
-                          "--encoder-dims 96,16,8")
+                          "supconad: error: --projection-dims: must start with 8, the last "
+                          "of encoder_dims, got (16, 4)\n")
     assert not out.exists()
 
 
@@ -303,15 +303,81 @@ def test_train_rejects_encoder_dims_that_do_not_fit_the_data(tmp_path, capsys):
     capsys.readouterr()
     out = tmp_path / "model.txt"
     assert_one_line_error(capsys, ["train", "--data", data, "--checkpoint-out", str(out)],
-                          f"--encoder-dims 192,64,32 must start with 96: {data} has frame_dim 6")
+                          "supconad: error: encoder_dims: must start with 96, the features "
+                          f"of a window in {data} (frame_dim 6), got (192, 64, 32)\n")
     assert not out.exists()
 
 
 def test_grid_rejects_default_dims_at_another_frame_dim(tmp_path, capsys):
     out = tmp_path / "out"
     assert_one_line_error(capsys, ["grid", "--frame-dim", "6", "--outdir", str(out)],
-                          "encoder_dims (192, 64, 32) must start with 96")
+                          "supconad: error: encoder_dims: must start with 96, the features "
+                          "of a window at frame_dim 6, got (192, 64, 32)\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, known, bad, message", [
+    ("train", "head=encoder", "epochs=0", "epochs: must be >= 1, got 0"),
+    ("grid", "epochs=4", "combos=", "combos: must be non-empty"),
+    ("generate", "seed=3", "frame_dim=0", "frame_dim: must be >= 1, got 0"),
+    ("grid", "epochs=4", "encoder_dims=192,0,32",
+     "encoder_dims: every width must be >= 1, got (192, 0, 32)"),
+    ("train", "epochs=4", "projection_dims=32,1",
+     "projection_dims: must end at width >= 2, got (32, 1)"),
+], ids=["train-epochs", "grid-combos", "generate-frame-dim", "grid-encoder-dims",
+        "train-projection-dims"])
+def test_config_range_error_names_its_line(tmp_path, capsys, command, known, bad, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a comment\n{known}\n{bad}\n")
+    out = tmp_path / "out"
+    argv = {"generate": ["generate", "--out", str(out)],
+            "train": ["train", "--data", str(tmp_path / "missing.txt"),
+                      "--checkpoint-out", str(out)],
+            "grid": ["grid", "--outdir", str(out)]}[command]
+    assert_one_line_error(capsys, [*argv, "--config", str(cfg)],
+                          f"supconad: error: {cfg}:3: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("train", "--epochs", "0", "must be >= 1, got 0"),
+    ("train", "--val-fraction", "1.5", "must be in (0, 1), got 1.5"),
+    ("grid", "--seeds", "", "must be non-empty"),
+    ("generate", "--contamination", "1.5", "must be in [0, 1), got 1.5"),
+    ("grid", "--projection-dims", "32,1", "must end at width >= 2, got (32, 1)"),
+    ("grid", "--encoder-dims", "192,0,32", "every width must be >= 1, got (192, 0, 32)"),
+    ("grid", "--encoder-dims", "192,-5,32", "every width must be >= 1, got (192, -5, 32)"),
+    ("grid", "--encoder-dims", "192", "must list at least 2 widths, got (192,)"),
+    ("train", "--encoder-dims", "96,0,8", "every width must be >= 1, got (96, 0, 8)"),
+    ("train", "--projection-dims", "8", "must list at least 2 widths, got (8,)"),
+], ids=["train-epochs", "train-val-fraction", "grid-seeds", "generate-contamination",
+        "grid-output-width-1", "grid-width-0", "grid-width-negative", "grid-one-width",
+        "train-width-0", "train-one-width"])
+def test_flag_range_error_names_the_flag(tmp_path, capsys, command, flag, value, message):
+    """Rejected before any work: no output, no generated data, no read of the data file."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# the flag, not this file, sets the bad value\n")
+    out = tmp_path / "out"
+    argv = {"generate": ["generate", "--out", str(out)],
+            "train": ["train", "--data", str(tmp_path / "missing.txt"),
+                      "--checkpoint-out", str(out)],
+            "grid": ["grid", "--outdir", str(out)]}[command]
+    for extra in ([], ["--config", str(cfg)]):
+        assert_one_line_error(capsys, [*argv, *extra, flag, value],
+                              f"supconad: error: {flag}: {message}\n")
+    assert not out.exists()
+
+
+def test_flag_overrides_a_bad_config_value(tmp_path, capsys):
+    data = str(tmp_path / "data.txt")
+    run(["generate", *GEN_FLAGS, "--seed", "7", "--labelling", "manual", "--out", data])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=0\nprojection_dims=8,1\n")
+    out = tmp_path / "model.txt"
+    # TRAIN_FLAGS sets --epochs and --projection-dims, so the file's bad values never apply
+    assert run(["train", "--data", data, "--config", str(cfg), *TRAIN_FLAGS,
+                "--checkpoint-out", str(out)]) == 0
+    assert load_params(str(out)).projection[-1].weight.shape[0] == 4
 
 
 @pytest.mark.parametrize("argv", [["stats", "--matrix", "m.csv"], ["fixtures"]],

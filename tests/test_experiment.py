@@ -38,13 +38,24 @@ def test_unknown_axis_value_is_rejected(field, value):
 
 
 @pytest.mark.parametrize("changes, message", [
-    (dict(encoder_dims=(192, 32, 16)), r"encoder_dims \(192, 32, 16\) must start with 96, "
-                                        r"the features of a window at frame_dim 6"),
-    (dict(projection_dims=(8, 4)), r"projection_dims \(8, 4\) must start with 16"),
-])
+    (dict(encoder_dims=(192, 32, 16)), "encoder_dims: must start with 96, the features of a "
+                                        "window at frame_dim 6, got (192, 32, 16)"),
+    (dict(projection_dims=(8, 4)),
+     "projection_dims: must start with 16, the last of encoder_dims, got (8, 4)"),
+    (dict(encoder_dims=(96,)), "encoder_dims: must list at least 2 widths, got (96,)"),
+    (dict(projection_dims=(16,)), "projection_dims: must list at least 2 widths, got (16,)"),
+    (dict(encoder_dims=(96, 0, 16)), "encoder_dims: every width must be >= 1, got (96, 0, 16)"),
+    (dict(encoder_dims=(96, -5, 16)),
+     "encoder_dims: every width must be >= 1, got (96, -5, 16)"),
+    (dict(projection_dims=(16, 0, 8)),
+     "projection_dims: every width must be >= 1, got (16, 0, 8)"),
+    (dict(projection_dims=(16, 1)), "projection_dims: must end at width >= 2, got (16, 1)"),
+], ids=["encoder-window", "projection-chain", "encoder-one-width", "projection-one-width",
+        "encoder-zero", "encoder-negative", "projection-zero", "projection-output-1"])
 def test_dims_that_do_not_chain_are_rejected(changes, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as exc:
         replace(TINY, **changes)
+    assert str(exc.value) == message
 
 
 def test_method_labels_cover_the_eight_variants():

@@ -87,8 +87,24 @@ def test_init_weight_std_tracks_fan_in():
 
 
 def test_init_dimension_chain_validated():
-    with pytest.raises(ValueError, match="projection input"):
+    with pytest.raises(ValueError, match="^projection_dims: must start with 16, the last of "
+                                         r"encoder_dims, got \(8, 4\)$"):
         M.init_params([8, 16], [8, 4], Rng(0))
+
+
+@pytest.mark.parametrize("enc, proj, message", [
+    ([192], [192, 16], "encoder_dims: must list at least 2 widths, got (192,)"),
+    ([8, 4], [4], "projection_dims: must list at least 2 widths, got (4,)"),
+    ([192, 0, 32], [32, 16], "encoder_dims: every width must be >= 1, got (192, 0, 32)"),
+    ([192, -5, 32], [32, 16], "encoder_dims: every width must be >= 1, got (192, -5, 32)"),
+    ([8, 4], [4, 0, 2], "projection_dims: every width must be >= 1, got (4, 0, 2)"),
+    ([8, 4], [4, 1], "projection_dims: must end at width >= 2, got (4, 1)"),
+], ids=["encoder-one-width", "projection-one-width", "encoder-zero", "encoder-negative",
+        "projection-zero", "projection-output-1"])
+def test_init_rejects_widths_it_cannot_build(enc, proj, message):
+    with pytest.raises(ValueError) as exc:
+        M.init_params(enc, proj, Rng(0))
+    assert str(exc.value) == message
 
 
 # -- forward -------------------------------------------------------------------------

@@ -532,3 +532,41 @@ def test_window_file_config_error_names_path_and_header_line(tmp_path, key, valu
     prefix = f"{path}:{i + 1}: {key}: " if where == "line" else f"{path}: clip counts "
     with pytest.raises(ValueError, match=f"^{re.escape(prefix)}"):
         load_windows(path)
+
+
+def test_window_file_header_error_comes_before_a_bad_row(tmp_path):
+    path, lines = _saved_window_lines(tmp_path)
+    i = lines.index(next(ln for ln in lines if ln.startswith("# contamination=")))
+    lines[i] = "# contamination=1.5"
+    lines[39] = ",".join(lines[39].split(",")[:4])   # a malformed row further down
+    (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
+    assert i + 1 == 9
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:9: contamination: "):
+        load_windows(path)
+
+
+def test_window_file_header_line_after_a_row_names_path_and_line(tmp_path):
+    path, lines = _saved_window_lines(tmp_path)
+    i = _first_data_line(lines) + 1
+    lines.insert(i, "# seed=3")
+    (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{i + 1}: header line after "
+                                         r"the first window row$"):
+        load_windows(path)
+
+
+def test_window_file_missing_labelling_is_found_at_the_first_row(tmp_path):
+    path, lines = _saved_window_lines(tmp_path)
+    lines.remove("# labelling=manual")
+    i = _first_data_line(lines)
+    lines[i] = "x1"   # never parsed: the header is checked first
+    (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: window file is missing the "
+                                         r"labelling header$"):
+        load_windows(path)
+
+
+def test_window_file_without_rows_loads_its_header(tmp_path):
+    path, lines = _saved_window_lines(tmp_path)
+    (tmp_path / "windows.txt").write_text("\n".join(lines[:_first_data_line(lines)]) + "\n")
+    assert load_windows(path) == (small_cfg(), "manual", [])
