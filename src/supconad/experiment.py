@@ -119,9 +119,9 @@ class GridResult:
         return not self.failures
 
 
-# Inputs of the trainings a pool is about to run.  Workers inherit the list
+# Groups of trainings a pool is about to run.  Workers inherit the list
 # through fork, so the windows are never pickled; only results come back.
-_TASKS: list[tuple] = []
+_GROUPS: list[list[tuple]] = []
 
 
 def train_workers(n_tasks: int) -> int:
@@ -160,15 +160,18 @@ def _pin_blas_to_one_thread() -> None:
                 return
 
 
-def _train_task(i: int) -> trainer.TrainResult:
-    return trainer.train(*_TASKS[i])
+def _train_group(i: int) -> list[trainer.TrainResult]:
+    return trainer.train_group(_GROUPS[i])
 
 
 def _train_models_for(windows_by_mod, cfg: ExperimentConfig, run_seed: int,
                       labelling: str, loss_mode: str):
     """Train one model per modality, in parallel when more than one CPU is usable.
 
-    Results are bit-identical to training in-process and come back in
+    The modalities are split into train_workers contiguous groups, in
+    MODALITIES order, whose sizes differ by at most one; each group trains in
+    lockstep (trainer.train_group), one group per worker.  Results are
+    bit-identical to training each model alone, in-process, and come back in
     MODALITIES order; the first error in that order is re-raised.
     """
     tasks = [
@@ -179,14 +182,16 @@ def _train_models_for(windows_by_mod, cfg: ExperimentConfig, run_seed: int,
     ]
     workers = train_workers(len(tasks))
     if workers <= 1:
-        return {mod: trainer.train(*task) for mod, task in zip(MODALITIES, tasks)}
-    _TASKS[:] = tasks
+        return dict(zip(MODALITIES, trainer.train_group(tasks)))
+    size, extra = divmod(len(tasks), workers)
+    bounds = [g * size + min(g, extra) for g in range(workers + 1)]
+    _GROUPS[:] = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_pin_blas_to_one_thread) as pool:
-            results = list(pool.map(_train_task, range(len(tasks))))
+            results = [r for group in pool.map(_train_group, range(workers)) for r in group]
     finally:
-        _TASKS.clear()
+        _GROUPS.clear()
     return dict(zip(MODALITIES, results))
 
 

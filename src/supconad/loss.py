@@ -13,7 +13,9 @@ S = sum_m exp(v_i . v_am / tau):
 
 and the minibatch loss is the mean of L_ij over all K*(K-1) ordered pairs.
 Every -log term is evaluated through a softplus of shifted logits, so
-temperatures as sharp as 0.1 with cosines near +-1 cannot overflow.
+temperatures as sharp as 0.1 with cosines near +-1 cannot overflow.  A batch
+may carry a leading model axis, (n, K, d) and (n, M, d): each model's loss and
+gradient are then those of its own slice.
 """
 
 from __future__ import annotations
@@ -46,23 +48,25 @@ class LossConfig:
 
 
 class LossBatch:
-    """K unit-norm anchor embeddings (normal) and M negatives (anomalous)."""
+    """K unit-norm anchor embeddings (normal) and M negatives (anomalous), per model."""
 
     def __init__(self, normal: np.ndarray, anomalous: np.ndarray):
         vn = np.asarray(normal, dtype=np.float64)
         va = np.asarray(anomalous, dtype=np.float64)
         for name, m in (("normal", vn), ("anomalous", va)):
-            if m.ndim != 2 or m.size == 0:
+            if m.ndim < 2 or m.size == 0:
                 raise ValueError(f"{name} embeddings must be 2-D and non-empty, "
                                  f"got shape {m.shape}")
-        if vn.shape[0] < 2:
+        if vn.shape[-2] < 2:
             raise ValueError("need at least K=2 normal embeddings")
-        if vn.shape[1] != va.shape[1]:
+        if vn.shape[-1] != va.shape[-1]:
             raise ValueError("embedding dimensions differ")
+        if vn.shape[:-2] != va.shape[:-2]:
+            raise ValueError("normal and anomalous embeddings differ in their model axes")
         for name, m in (("normal", vn), ("anomalous", va)):
             # one pass: a non-finite entry makes its row norm inf or nan, which
             # fails the comparison below just as an off-unit norm does
-            norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+            norms = np.sqrt(np.einsum("...j,...j->...", m, m))
             if not np.abs(norms - 1.0).max() <= UNIT_NORM_TOL:
                 raise ValueError(
                     f"{name} embeddings must be finite and unit-norm within {UNIT_NORM_TOL}")
@@ -71,11 +75,11 @@ class LossBatch:
 
     @property
     def k(self) -> int:
-        return self.normal.shape[0]
+        return self.normal.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.anomalous.shape[0]
+        return self.anomalous.shape[-2]
 
 
 def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, ...]:
@@ -83,16 +87,16 @@ def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, ...]:
 
     Returns exp(anchor-negative logits - row max), (K, M); its row sums,
     (K, 1); and the softplus arguments log(c) + log_s[i] - v_i . v_j / tau,
-    (K, K), where log_s[i] = log sum_m exp(v_i . v_am / tau).
+    (K, K), where log_s[i] = log sum_m exp(v_i . v_am / tau); each per model.
     """
     vn, va = batch.normal, batch.anomalous
-    z = vn @ vn.T / cfg.tau                       # anchor-pair logits
-    neg_logits = vn @ va.T / cfg.tau              # anchor-negative logits
-    mx = neg_logits.max(axis=1, keepdims=True)
+    z = vn @ vn.swapaxes(-1, -2) / cfg.tau            # anchor-pair logits
+    neg_logits = vn @ va.swapaxes(-1, -2) / cfg.tau   # anchor-negative logits
+    mx = neg_logits.max(axis=-1, keepdims=True)
     exp_neg = np.exp(neg_logits - mx)
-    row_sum = np.add.reduce(exp_neg, axis=1, keepdims=True)
-    log_s = (mx + np.log(row_sum))[:, 0]
-    arg = np.log(cfg.scale(batch.m)) + log_s[:, None] - z
+    row_sum = np.add.reduce(exp_neg, axis=-1, keepdims=True)
+    log_s = mx + np.log(row_sum)
+    arg = np.log(cfg.scale(batch.m)) + log_s - z
     return exp_neg, row_sum, arg
 
 
@@ -101,12 +105,15 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def batch_loss(batch: LossBatch, cfg: LossConfig) -> float:
-    """Mean of the pair losses L_ij over all K*(K-1) ordered anchor pairs."""
+def batch_loss(batch: LossBatch, cfg: LossConfig) -> float | np.ndarray:
+    """Mean of the pair losses L_ij over all K*(K-1) ordered anchor pairs: a
+    float, or one loss per model for a stacked batch."""
     k = batch.k
     terms = _softplus(_terms(batch, cfg)[2])
-    terms.flat[::k + 1] = 0.0                 # the diagonal: i == j is no pair
-    return float(np.add.reduce(terms, axis=None) / (k * (k - 1)))
+    diag = np.arange(k)
+    terms[..., diag, diag] = 0.0              # i == j is no pair
+    loss = np.add.reduce(terms, axis=(-2, -1)) / (k * (k - 1))
+    return float(loss) if terms.ndim == 2 else loss
 
 
 def batch_loss_grad(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -122,11 +129,12 @@ def batch_loss_grad(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, np.n
 
     # sigma[i, j] = share of the (i, j) denominator carried by the negatives
     sigma = 1.0 / (1.0 + np.exp(-arg))
-    sigma.flat[::k + 1] = 0.0
+    diag = np.arange(k)
+    sigma[..., diag, diag] = 0.0
 
     norm = 1.0 / (k * (k - 1) * tau)
-    s_row = np.add.reduce(sigma, axis=1)      # total negative share per anchor i
+    s_row = np.add.reduce(sigma, axis=-1, keepdims=True)   # total negative share per anchor i
 
-    grad_vn = norm * (s_row[:, None] * (w @ va) - sigma @ vn - sigma.T @ vn)
-    grad_va = norm * ((w * s_row[:, None]).T @ vn)
+    grad_vn = norm * (s_row * (w @ va) - sigma @ vn - sigma.swapaxes(-1, -2) @ vn)
+    grad_va = norm * ((w * s_row).swapaxes(-1, -2) @ vn)
     return grad_vn, grad_va

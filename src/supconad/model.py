@@ -5,12 +5,16 @@ maps h to the contrastive embedding, which is L2-normalized before entering
 the loss.  Every weight and bias is a view into one float64 vector,
 ``ModelParams.flat``; the backward pass returns one gradient vector with the
 same layout, so an SGD step and a checkpoint copy are each one vector
-operation.  Forward passes take a (batch, input_dim) matrix (one window is a
-batch of one) and record what the exact reverse pass needs: each layer's
-activation (a ReLU's mask is read back from it) and the norm of the raw
-projection output v_raw, for the normalization Jacobian (I - v v^T) / ||v_raw||.
-The reverse pass gives the gradients w.r.t. the weights and biases only;
-nothing needs the gradient w.r.t. the input, so it is not computed.
+operation.  ``ModelParams.stack`` puts n models of one shape on a leading
+model axis: ``flat`` is then (n, P), each weight (n, out, in) and each bias
+(n, out), and every function below runs all n models in one call, slice i
+giving exactly what model i alone gives.  Forward passes take a
+(batch, input_dim) matrix per model (one window is a batch of one) and record
+what the exact reverse pass needs: each layer's activation (a ReLU's mask is
+read back from it) and the norm of the raw projection output v_raw, for the
+normalization Jacobian (I - v v^T) / ||v_raw||.  The reverse pass gives the
+gradients w.r.t. the weights and biases only; nothing needs the gradient
+w.r.t. the input, so it is not computed.
 """
 
 from __future__ import annotations
@@ -26,16 +30,16 @@ ACTIVATIONS = ("relu", "identity")
 
 @dataclass
 class LayerParams:
-    weight: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray    # (out_dim,)
+    weight: np.ndarray  # (out_dim, in_dim), or (n, out_dim, in_dim) in a stack
+    bias: np.ndarray    # (out_dim,), or (n, out_dim)
     activation: str
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2:
-            raise ValueError("weight must be 2-D")
-        if self.bias.shape != (self.weight.shape[0],):
+        if self.weight.ndim not in (2, 3):
+            raise ValueError("weight must be 2-D, or 3-D in a stack")
+        if self.bias.shape != self.weight.shape[:-1]:
             raise ValueError("bias dimension must equal weight rows")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
@@ -45,22 +49,53 @@ class LayerParams:
 class ModelParams:
     encoder: list[LayerParams]
     projection: list[LayerParams]
-    # a copy of each layer's weight (row-major) then bias, in layer order; the
-    # layers are rebound to views of it
+    # a copy of each layer's weight (row-major) then bias, in layer order, along
+    # the last axis; the layers are rebound to views of it
     flat: np.ndarray = field(init=False, repr=False)
+    # per layer, the slice of flat's last axis holding its weight, the weight's
+    # full shape, and the slice holding its bias
+    _layout: list = field(init=False, repr=False)
 
     def __post_init__(self):
         chain = self.encoder + self.projection
         if not self.encoder or not self.projection:
             raise ValueError("encoder and projection must each have >= 1 layer")
+        lead = chain[0].weight.shape[:-2]
         for prev, nxt in zip(chain, chain[1:]):
-            if nxt.weight.shape[1] != prev.weight.shape[0]:
+            if nxt.weight.shape[:-2] != lead:
+                raise ValueError("layers differ in their leading model axes")
+            if nxt.weight.shape[-1] != prev.weight.shape[-2]:
                 raise ValueError("consecutive layer dimensions are incompatible")
-        if self.projection[-1].weight.shape[0] < 2:
+        if self.projection[-1].weight.shape[-2] < 2:
             raise ValueError("projection output dimension must be >= 2")
-        self.flat = np.concatenate([a.ravel() for l in chain for a in (l.weight, l.bias)])
+        self.flat = np.concatenate([a.reshape(*lead, -1) for l in chain
+                                    for a in (l.weight, l.bias)], axis=-1)
+        self._layout, pos = [], 0
+        for layer in chain:
+            n_out, n_in = layer.weight.shape[-2:]
+            end = pos + n_out * n_in
+            self._layout.append((slice(pos, end), layer.weight.shape, slice(end, end + n_out)))
+            pos = end + n_out
         views = [LayerParams(w, b, l.activation) for l, (w, b) in zip(chain, self.split(self.flat))]
         self.encoder, self.projection = views[:len(self.encoder)], views[len(self.encoder):]
+
+    @classmethod
+    def stack(cls, members: list["ModelParams"]) -> "ModelParams":
+        """Params of models of one shape, on a leading model axis, as a copy."""
+        if len({tuple((l.weight.shape, l.activation) for l in m.layers) for m in members}) != 1:
+            raise ValueError("stacked models must share their layer shapes and activations")
+        layers = [LayerParams(np.stack([m.layers[li].weight for m in members]),
+                              np.stack([m.layers[li].bias for m in members]), layer.activation)
+                  for li, layer in enumerate(members[0].layers)]
+        n_encoder = len(members[0].encoder)
+        return cls(layers[:n_encoder], layers[n_encoder:])
+
+    def member(self, i: int) -> "ModelParams":
+        """Model i of stacked params, as an unstacked copy."""
+        if self.flat.ndim != 2:
+            raise ValueError("member: params are not stacked")
+        return ModelParams(*[[LayerParams(l.weight[i], l.bias[i], l.activation) for l in part]
+                             for part in (self.encoder, self.projection)])
 
     def __reduce__(self):
         # unpickled views would be separate arrays; rebuilding rebinds them
@@ -72,17 +107,12 @@ class ModelParams:
 
     @property
     def input_dim(self) -> int:
-        return self.encoder[0].weight.shape[1]
+        return self.encoder[0].weight.shape[-1]
 
     def split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(weight, bias) views into vec, one pair per layer, in flat's layout."""
-        out, pos = [], 0
-        for layer in self.layers:
-            n_out, n_in = layer.weight.shape
-            end = pos + n_out * n_in
-            out.append((vec[pos:end].reshape(n_out, n_in), vec[end:end + n_out]))
-            pos = end + n_out
-        return out
+        """(weight, bias) views into vec, one pair per layer; vec is shaped and laid
+        out like flat."""
+        return [(vec[..., w].reshape(shape), vec[..., b]) for w, shape, b in self._layout]
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.encoder, self.projection)
@@ -130,20 +160,22 @@ def init_params(encoder_dims: list[int], projection_dims: list[int], rng: Rng) -
 
 
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Run the full encoder + projection chain over a (batch, input_dim) matrix,
-    recording intermediates."""
+    """Run the full encoder + projection chain over a (batch, input_dim) matrix
+    per model, recording intermediates.  For stacked params x is
+    (n, batch, input_dim)."""
     a = x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError(f"input dim: expected a (batch, {params.input_dim}) matrix, "
-                         f"got shape {x.shape}")
+    lead = params.flat.shape[:-1]
+    if x.shape[:-2] != lead or x.ndim != len(lead) + 2 or x.shape[-1] != params.input_dim:
+        shape = ", ".join([*map(str, lead), "batch", str(params.input_dim)])
+        raise ValueError(f"input dim: expected a ({shape}) matrix, got shape {x.shape}")
     act = []
     for layer in params.layers:
-        z = a @ layer.weight.T + layer.bias
+        z = a @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
         a = np.maximum(z, 0.0) if layer.activation == "relu" else z
         act.append(a)
     v_raw = act[-1]
-    # what np.linalg.norm(v_raw, axis=1, keepdims=True) computes for real input
-    norms = np.sqrt(np.add.reduce(v_raw * v_raw, axis=1, keepdims=True))
+    # what np.linalg.norm(v_raw, axis=-1, keepdims=True) computes for real input
+    norms = np.sqrt(np.add.reduce(v_raw * v_raw, axis=-1, keepdims=True))
     # a NaN norm fails both comparisons
     if not (norms.min() >= NORM_EPS and norms.max() < np.inf):
         raise DegenerateVectorError("projection output norm is degenerate or non-finite")
@@ -155,22 +187,23 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> np
     """Exact gradient of (grad_v . v), summed over the batch, w.r.t. every weight
     and bias: one vector laid out like params.flat.
 
-    grad_v is (batch, embed_dim).  The gradient w.r.t. the input is not formed.
+    grad_v is shaped like trace.v: (batch, embed_dim) per model.  The gradient
+    w.r.t. the input is not formed.
     """
     grad_v = np.asarray(grad_v, dtype=np.float64)
     v = trace.v
     if grad_v.shape != v.shape:
         raise ValueError(f"grad_v shape {grad_v.shape} != embedding shape {v.shape}")
 
-    g = (grad_v - v * np.add.reduce(grad_v * v, axis=1, keepdims=True)) / trace.norms
+    g = (grad_v - v * np.add.reduce(grad_v * v, axis=-1, keepdims=True)) / trace.norms
 
     grads = np.empty_like(params.flat)
     layers = params.layers
     for li, (dw, db) in reversed(list(enumerate(params.split(grads)))):
         if layers[li].activation == "relu":
             g = g * (trace.act[li] > 0)   # max(z, 0) > 0 exactly where z > 0
-        np.matmul(g.T, trace.act[li - 1] if li > 0 else trace.x, out=dw)
-        np.add.reduce(g, axis=0, out=db)
+        np.matmul(g.swapaxes(-1, -2), trace.act[li - 1] if li > 0 else trace.x, out=dw)
+        np.add.reduce(g, axis=-2, out=db)
         if li > 0:
             g = g @ layers[li].weight
     return grads
@@ -194,6 +227,9 @@ def sgd_step(params: ModelParams, grads: np.ndarray, lr: float) -> None:
 # repr round-trips float64 exactly, so save/load is bit-exact.
 
 def save_params(params: ModelParams, path: str) -> None:
+    if params.flat.ndim != 1:
+        raise ValueError("save_params: stacked params hold several models; save each member")
+
     def fmt(arr):
         return " ".join(repr(float(x)) for x in arr)
 

@@ -10,7 +10,7 @@ checkpoint selection matches whichever pathway is used at test time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,32 +105,69 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
     are resampled freely.  The best checkpoint per embedding pathway is the
     earliest epoch achieving the maximum validation AUC.
     """
-    rng = Rng(cfg.seed)
-    train_w, val_w = split_train_val(windows, cfg.val_fraction, rng)
+    return train_group([(windows, encoder_dims, projection_dims, cfg)])[0]
 
-    normal = [w.features for w in train_w if w.label == NORMAL]
-    anomalous = [w.features for w in train_w if w.label == ANOMALOUS]
-    n_normal, k, m = len(normal), cfg.batch_normal, cfg.batch_anomalous
-    if n_normal < k or len(anomalous) < m:
-        raise ValueError(f"training split smaller than one minibatch: need {k} normal / "
-                         f"{m} anomalous windows, have {n_normal} / {len(anomalous)}")
-    # normal rows first, then anomalous: one gather per step builds the batch
-    pool = np.stack(normal + anomalous)
-    normal_pool = pool[:n_normal]
-    val_feats = np.stack([w.features for w in val_w])
-    val_is_normal = np.array([w.label == NORMAL for w in val_w])
 
-    params = model_mod.init_params(encoder_dims, projection_dims, rng)
+def train_group(tasks: list[tuple]) -> list[TrainResult]:
+    """Run ``train(*task)`` for each task, all in lockstep, with results
+    bit-identical to training them one at a time.
+
+    Each step is one forward, loss, backward and update over the members'
+    params stacked on a leading model axis; each member keeps its own Rng,
+    split, batches, validation and checkpoints.  The members must agree on
+    every config field except the seed, on their dims and on their split
+    sizes.  When a member of a larger group fails, the members are trained
+    again one at a time, in order, so the first failing member's own error
+    is the one raised.
+    """
+    try:
+        return _train_lockstep(tasks)
+    except (TrainingDivergedError, DegenerateVectorError):
+        if len(tasks) == 1:
+            raise
+    return [_train_lockstep([task])[0] for task in tasks]
+
+
+def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
+    _, encoder_dims, projection_dims, cfg = tasks[0]
+    for _, enc, proj, other in tasks[1:]:
+        if replace(other, seed=cfg.seed) != cfg:
+            raise ValueError("train_group: members differ in a config field other than seed")
+        if (list(enc), list(proj)) != (list(encoder_dims), list(projection_dims)):
+            raise ValueError("train_group: members differ in their dims")
+    k, m = cfg.batch_normal, cfg.batch_anomalous
+    rngs, pools, vals, members, sizes = [], [], [], [], set()
+    for windows, _, _, member_cfg in tasks:
+        rng = Rng(member_cfg.seed)
+        train_w, val_w = split_train_val(windows, cfg.val_fraction, rng)
+        normal = [w.features for w in train_w if w.label == NORMAL]
+        anomalous = [w.features for w in train_w if w.label == ANOMALOUS]
+        if len(normal) < k or len(anomalous) < m:
+            raise ValueError(f"training split smaller than one minibatch: need {k} normal / "
+                             f"{m} anomalous windows, have {len(normal)} / {len(anomalous)}")
+        sizes.add((len(normal), len(anomalous)))
+        # normal rows first, then anomalous: one gather per step builds the batch
+        pools.append(np.stack(normal + anomalous))
+        vals.append((np.stack([w.features for w in val_w]),
+                     np.array([w.label == NORMAL for w in val_w])))
+        members.append(model_mod.init_params(encoder_dims, projection_dims, rng))
+        rngs.append(rng)
+    if len(sizes) > 1:
+        raise ValueError("train_group: members' training splits differ in size")
+    ((n_normal, _),) = sizes
+
+    params = model_mod.ModelParams.stack(members)
     loss_cfg = LossConfig(tau=cfg.tau, negative_mode=cfg.negative_mode)
-    best: dict[str, Checkpoint] = {}
-    log: list[LogRow] = []
+    best: list[dict[str, Checkpoint]] = [{} for _ in tasks]
+    logs: list[list[LogRow]] = [[] for _ in tasks]
     n_batches = math.ceil(n_normal / k)
 
     for epoch in range(1, cfg.epochs + 1):
         lr = lr_at(epoch, cfg)
-        epoch_loss = 0.0
+        epoch_loss = [0.0] * len(tasks)
         for step in range(n_batches):
-            x = _sample_batch(pool, n_normal, k, m, rng)
+            x = np.stack([_sample_batch(pool, n_normal, k, m, rng)
+                          for pool, rng in zip(pools, rngs)])
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     trace = model_mod.forward(params, x)
@@ -138,31 +175,35 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
                     raise TrainingDivergedError(
                         f"degenerate embedding at epoch {epoch}, step {step + 1}: {exc}"
                     ) from exc
-                batch = LossBatch(trace.v[:k], trace.v[k:])
-                loss = batch_loss(batch, loss_cfg)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss {loss!r} at epoch {epoch}, step {step + 1}"
-                )
+                batch = LossBatch(trace.v[:, :k], trace.v[:, k:])
+                losses = batch_loss(batch, loss_cfg).tolist()
+            for loss in losses:
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss {loss!r} at epoch {epoch}, step {step + 1}"
+                    )
             grad_n, grad_a = batch_loss_grad(batch, loss_cfg)
-            grads = model_mod.backward(params, trace, np.concatenate([grad_n, grad_a]))
+            grads = model_mod.backward(params, trace, np.concatenate([grad_n, grad_a], axis=1))
             model_mod.sgd_step(params, grads, lr)
-            epoch_loss += loss
+            epoch_loss = [total + loss for total, loss in zip(epoch_loss, losses)]
 
         last_epoch = epoch == cfg.epochs
         due = epoch % cfg.validate_every == 0
-        if due or (last_epoch and not best):
-            aucs = {}
-            for pathway in scoring.PATHWAYS:
-                auc = _validation_auc(params, normal_pool, val_feats, val_is_normal,
-                                      pathway == "projection")
-                aucs[pathway] = auc
-                if pathway not in best or auc > best[pathway].val_auc:
-                    best[pathway] = Checkpoint(params.copy(), auc, epoch)
-            log.append(LogRow(epoch, epoch_loss / n_batches,
-                              aucs["projection"], aucs["encoder"]))
+        if due or (last_epoch and not best[0]):
+            for i, (val_feats, val_is_normal) in enumerate(vals):
+                member = params.member(i)
+                aucs = {}
+                for pathway in scoring.PATHWAYS:
+                    auc = _validation_auc(member, pools[i][:n_normal], val_feats, val_is_normal,
+                                          pathway == "projection")
+                    aucs[pathway] = auc
+                    if pathway not in best[i] or auc > best[i][pathway].val_auc:
+                        best[i][pathway] = Checkpoint(member.copy(), auc, epoch)
+                logs[i].append(LogRow(epoch, epoch_loss[i] / n_batches,
+                                      aucs["projection"], aucs["encoder"]))
 
-    return TrainResult(best=best, final_params=params, log=log)
+    return [TrainResult(best=best[i], final_params=params.member(i), log=logs[i])
+            for i in range(len(tasks))]
 
 
 def save_training_log(path: str, log: list[LogRow]) -> None:

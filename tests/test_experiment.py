@@ -193,19 +193,104 @@ def test_pooled_training_is_bit_identical_to_in_process(monkeypatch):
             _assert_same_params(pooled.best[pathway].params, ckpt.params)
 
 
+# -- lockstep training groups ------------------------------------------------------
+
+def _tiny_tasks(loss_mode="average"):
+    """The four (windows, encoder_dims, projection_dims, cfg) tasks of a TINY group."""
+    train_by_mod = _tiny_train_by_mod()
+    return [(train_by_mod[mod], list(TINY.encoder_dims), list(TINY.projection_dims),
+             replace(TINY.train, negative_mode=loss_mode,
+                     seed=derive_cell_seed(5, "manual", loss_mode, mod)))
+            for mod in MODALITIES]
+
+
+def _assert_same_result(got, want):
+    assert repr(got.log) == repr(want.log)
+    _assert_same_params(got.final_params, want.final_params)
+    assert list(got.best) == list(want.best)
+    for pathway, ckpt in want.best.items():
+        assert (got.best[pathway].val_auc, got.best[pathway].epoch) == (ckpt.val_auc, ckpt.epoch)
+        _assert_same_params(got.best[pathway].params, ckpt.params)
+
+
+@pytest.mark.parametrize("loss_mode", ["sum", "average"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_train_group_equals_training_each_task_alone(n, loss_mode):
+    tasks = _tiny_tasks(loss_mode)[:n]
+    results = trainer.train_group(tasks)
+    assert len(results) == n
+    for got, task in zip(results, tasks):
+        _assert_same_result(got, trainer.train(*task))
+
+
+def _scaled(windows, indices, factor=1e200):
+    """windows, those at ``indices`` with their features scaled so far that a forward
+    pass over them overflows."""
+    return [replace(w, features=w.features * factor) if i in indices else w
+            for i, w in enumerate(windows)]
+
+
+def _solo_error(task):
+    with pytest.raises(trainer.TrainingDivergedError) as exc:
+        trainer.train(*task)
+    return str(exc.value)
+
+
+def test_group_failure_is_the_failing_members_own_error():
+    tasks = _tiny_tasks()
+    windows = tasks[2][0]
+    tasks[2] = (_scaled(windows, range(len(windows))), *tasks[2][1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _solo_error(tasks[2])
+        with pytest.raises(trainer.TrainingDivergedError) as exc:
+            trainer.train_group(tasks)
+    assert str(exc.value) == want
+
+
+def test_earlier_members_failure_wins_in_a_group():
+    tasks = _tiny_tasks()
+    # the second member fails later, at the step that first draws window 20;
+    # the fourth fails at its first step
+    tasks[1] = (_scaled(tasks[1][0], {20}), *tasks[1][1:])
+    tasks[3] = (_scaled(tasks[3][0], range(len(tasks[3][0]))), *tasks[3][1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        second, fourth = _solo_error(tasks[1]), _solo_error(tasks[3])
+        with pytest.raises(trainer.TrainingDivergedError) as exc:
+            trainer.train_group(tasks)
+    assert second != fourth and fourth.startswith("degenerate embedding at epoch 1, step 1: ")
+    assert str(exc.value) == second
+
+
+def test_train_group_rejects_members_that_differ():
+    tasks = _tiny_tasks()[:2]
+    windows, enc, proj, cfg = tasks[1]
+    for other, message in [
+        ((windows, enc, proj, replace(cfg, lr0=0.5)), "config field other than seed"),
+        ((windows, enc, [16, 4], cfg), "differ in their dims"),
+        ((windows[:-3], enc, proj, cfg), "training splits differ in size"),
+    ]:
+        with pytest.raises(ValueError, match=f"^train_group: members.*{message}"):
+            trainer.train_group([tasks[0], other])
+
+
 def _diverge_in_sum_groups(monkeypatch):
     """In sum-loss groups the second modality diverges for real and the fourth fails at once."""
-    real_train = trainer.train
+    real_train_group = trainer.train_group
 
-    def train(windows, encoder_dims, projection_dims, cfg):
-        mod = windows[0].modality
-        if cfg.negative_mode == "sum" and mod is MODALITIES[3]:
-            raise trainer.TrainingDivergedError(f"immediate failure of {mod.key}")
-        if cfg.negative_mode == "sum" and mod is MODALITIES[1]:
-            cfg = replace(cfg, lr0=1e60)
-        return real_train(windows, encoder_dims, projection_dims, cfg)
+    def train_group(tasks):
+        if tasks[0][3].negative_mode != "sum":
+            return real_train_group(tasks)
+        results = []
+        for windows, encoder_dims, projection_dims, cfg in tasks:   # member by member
+            mod = windows[0].modality
+            if mod is MODALITIES[3]:
+                raise trainer.TrainingDivergedError(f"immediate failure of {mod.key}")
+            if mod is MODALITIES[1]:
+                cfg = replace(cfg, lr0=1e60)
+            results += real_train_group([(windows, encoder_dims, projection_dims, cfg)])
+        return results
 
-    monkeypatch.setattr(trainer, "train", train)
+    monkeypatch.setattr(trainer, "train_group", train_group)
 
 
 def test_worker_divergence_reraises_the_in_process_error(monkeypatch):
@@ -240,13 +325,13 @@ def test_grid_failures_are_the_same_pooled_and_in_process(monkeypatch, tmp_path)
 def test_degenerate_vector_fails_only_its_group(monkeypatch, tmp_path, workers):
     _use_workers(monkeypatch, workers)
     # raised inside training (a worker when pooled) of the (original, sum) group
-    real_train = trainer.train
+    real_train_group = trainer.train_group
     bad_seed = derive_cell_seed(5, "original", "sum", MODALITIES[2])
 
-    def train(windows, encoder_dims, projection_dims, cfg):
-        if cfg.seed == bad_seed:
+    def train_group(tasks):
+        if any(cfg.seed == bad_seed for *_, cfg in tasks):
             raise DegenerateVectorError("cannot normalize row with degenerate norm")
-        return real_train(windows, encoder_dims, projection_dims, cfg)
+        return real_train_group(tasks)
 
     # raised while scoring the projection head of the second group that gets
     # to scoring, (manual, sum), after its encoder head scored cleanly
@@ -260,7 +345,7 @@ def test_degenerate_vector_fails_only_its_group(monkeypatch, tmp_path, workers):
                 raise DegenerateVectorError("template norm is degenerate")
         return real_template(params, normal_features, use_projection, modality)
 
-    monkeypatch.setattr(trainer, "train", train)
+    monkeypatch.setattr(trainer, "train_group", train_group)
     monkeypatch.setattr(scoring, "build_template", build_template)
     cfg = replace(TINY, outdir=str(tmp_path))
     result = run_grid(cfg)
@@ -280,7 +365,7 @@ def test_degenerate_vector_fails_only_its_group(monkeypatch, tmp_path, workers):
 
 def _training_pids(monkeypatch):
     """Run _train_models_for with a stub trainer that reports the process it ran in."""
-    monkeypatch.setattr(trainer, "train", lambda *task: os.getpid())
+    monkeypatch.setattr(trainer, "train_group", lambda tasks: [os.getpid()] * len(tasks))
     return set(_train_models_for(_tiny_train_by_mod(), TINY, 5, "manual", "sum").values())
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import unit_rows
-from supconad.loss import LossBatch, LossConfig, batch_loss, batch_loss_grad
+from supconad.loss import NEGATIVE_MODES, LossBatch, LossConfig, batch_loss, batch_loss_grad
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -234,3 +234,26 @@ def test_invalid_config_rejected():
         LossConfig(tau=0.0)
     with pytest.raises(ValueError):
         LossConfig(negative_mode="mean")
+
+
+@pytest.mark.parametrize("mode", NEGATIVE_MODES)
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_stacked_batch_equals_each_model_alone(np_rng, n, mode):
+    # the trainer's layout: each model's 6 anchors, then its 24 negatives
+    v = np.stack([unit_rows(np_rng, 30, 16) for _ in range(n)])
+    cfg = LossConfig(0.1, mode)
+    stacked = LossBatch(v[:, :6], v[:, 6:])
+    losses = batch_loss(stacked, cfg)
+    grad_n, grad_a = batch_loss_grad(stacked, cfg)
+    assert losses.shape == (n,)
+    for i in range(n):
+        one = LossBatch(v[i, :6], v[i, 6:])
+        loss = batch_loss(one, cfg)
+        assert isinstance(loss, float) and losses[i] == loss
+        want_n, want_a = batch_loss_grad(one, cfg)
+        assert np.array_equal(grad_n[i], want_n) and np.array_equal(grad_a[i], want_a)
+
+
+def test_stacked_batch_with_mismatched_model_axes_rejected(np_rng):
+    with pytest.raises(ValueError, match="model axes"):
+        LossBatch(np.stack([unit_rows(np_rng, 3, 4)] * 2), np.stack([unit_rows(np_rng, 5, 4)] * 3))

@@ -334,6 +334,70 @@ def test_sgd_step_on_the_source_leaves_its_copy_unchanged():
         assert np.array_equal(arr, old)
 
 
+# -- stacked params ----------------------------------------------------------------------
+
+STACK_SHAPES = [([12, 9, 6], [6, 5, 3], 7), ([192, 64, 32], [32, 16], 30)]
+
+
+def stacked_case(n, dims_enc, dims_proj, batch):
+    """n random models with random biases, their stack, and per-model inputs and
+    output gradients."""
+    rng = Rng(30 + n)
+    members = [random_net(rng, dims_enc, dims_proj) for _ in range(n)]
+    for p in members:
+        for layer in p.layers:
+            layer.bias[:] = rng.gaussian_array(layer.bias.shape, 0.0, 0.1)
+    return (members, M.ModelParams.stack(members), rng.gaussian_array((n, batch, dims_enc[0])),
+            rng.gaussian_array((n, batch, dims_proj[-1])))
+
+
+@pytest.mark.parametrize("dims_enc, dims_proj, batch", STACK_SHAPES, ids=["small", "default"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_stacked_forward_and_backward_equal_each_model_alone(n, dims_enc, dims_proj, batch):
+    members, stacked, x, grad_v = stacked_case(n, dims_enc, dims_proj, batch)
+    trace = M.forward(stacked, x)
+    grads = M.backward(stacked, trace, grad_v)
+    assert grads.shape == stacked.flat.shape == (n, members[0].flat.size)
+    for i, p in enumerate(members):
+        one = M.forward(p, x[i])
+        for got, want in zip((trace.v, trace.h, trace.norms, *trace.act),
+                             (one.v, one.h, one.norms, *one.act)):
+            assert np.array_equal(got[i], want)
+        assert np.array_equal(grads[i], M.backward(p, one, grad_v[i]))
+
+
+def test_stack_and_member_copy_the_models():
+    members, stacked, _, _ = stacked_case(3, [5, 6, 4], [4, 3], 1)
+    assert stacked.flat.shape == (3, members[0].flat.size)
+    assert stacked.encoder[0].weight.shape == (3, 6, 5) and stacked.encoder[0].bias.shape == (3, 6)
+    for arr in param_arrays(stacked):
+        assert np.shares_memory(arr, stacked.flat)
+    for i, p in enumerate(members):
+        assert not np.shares_memory(stacked.flat, p.flat)
+        assert np.array_equal(stacked.flat[i], p.flat)
+        one = stacked.member(i)
+        assert_owns_flat(one, stacked, p)
+        assert np.array_equal(one.flat, p.flat)
+    stacked.flat[:] = 0.0
+    assert np.any(members[0].encoder[0].weight)
+    with pytest.raises(ValueError, match="must share their layer shapes"):
+        M.ModelParams.stack([identity_net(2), identity_net(3)])
+
+
+def test_stacked_forward_rejects_input_of_another_stack_shape():
+    _, stacked, x, _ = stacked_case(2, [5, 6, 4], [4, 3], 3)
+    for bad in (x[0], x[:1], x[..., :4]):
+        with pytest.raises(ValueError, match=r"input dim: expected a \(2, batch, 5\) matrix"):
+            M.forward(stacked, bad)
+
+
+def test_save_params_rejects_stacked_params(tmp_path):
+    path = tmp_path / "params.txt"
+    with pytest.raises(ValueError, match="^save_params: stacked params"):
+        M.save_params(M.ModelParams.stack([identity_net(2), identity_net(2)]), str(path))
+    assert not path.exists()
+
+
 # -- invariance and persistence --------------------------------------------------------
 
 @pytest.mark.parametrize("c", [0.1, 10.0])
