@@ -23,10 +23,22 @@ from supconad.synthgen import (MODALITIES, NORMAL, GenConfig, by_modality,
                                dataset_windows, generate_dataset)
 from supconad.trainer import TrainConfig, train
 
+import bit_identity
 from test_loss import naive_batch_loss, random_batch
 from test_metrics import pairwise_roc_oracle
 
 BENCHMARK_SEEDS = tuple(range(1, 11))
+# criterion 8: full grid structure (all axes, nine combinations) at reduced scale
+CRITERION_8 = dict(
+    gen=GenConfig(frame_dim=6, frames_per_clip=96, train_normal_clips=22,
+                  train_anomalous_clips=4, test_normal_clips=4,
+                  test_anomalous_clips=3, seen_archetypes=2, unseen_archetypes=3),
+    train=TrainConfig(epochs=4, validate_every=2, lr_decay_every=2,
+                      batch_normal=2, batch_anomalous=4),
+    encoder_dims=(96, 32, 16),
+    projection_dims=(16, 8),
+    seeds=(11,),
+)
 
 
 def _report(criterion: int, passed: bool, detail: str):
@@ -191,8 +203,10 @@ def test_criterion_6_end_to_end_benchmark():
     auc_hits = 0
     fusion_hits = 0
     rows = []
+    reprs = {}
     for seed in BENCHMARK_SEEDS:
         r = run_benchmark_seed(cfg, seed)
+        reprs[str(seed)] = repr(r)
         auc_hits += r.fused_roc_auc >= 0.90
         fusion_hits += r.fused_roc_auc >= r.best_single
         rows.append(f"seed {seed}: fused {r.fused_roc_auc:.4f}, "
@@ -203,6 +217,7 @@ def test_criterion_6_end_to_end_benchmark():
     ok = auc_hits >= 8 and fusion_hits >= 8 and elapsed < 300.0
     _report(6, ok, f"fused >= 0.90 in {auc_hits}/10 seeds, fusion >= best single in "
                    f"{fusion_hits}/10 seeds, {elapsed:.0f}s (< 300s)")
+    bit_identity.check("criterion_6", reprs)
 
 
 def test_criterion_7_score_scale_invariance():
@@ -238,19 +253,8 @@ def test_criterion_7_score_scale_invariance():
 
 
 def test_criterion_8_grid_determinism(tmp_path):
-    # full grid structure (all axes, nine combinations) at reduced scale
-    cfg_kwargs = dict(
-        gen=GenConfig(frame_dim=6, frames_per_clip=96, train_normal_clips=22,
-                      train_anomalous_clips=4, test_normal_clips=4,
-                      test_anomalous_clips=3, seen_archetypes=2, unseen_archetypes=3),
-        train=TrainConfig(epochs=4, validate_every=2, lr_decay_every=2,
-                          batch_normal=2, batch_anomalous=4),
-        encoder_dims=(96, 32, 16),
-        projection_dims=(16, 8),
-        seeds=(11,),
-    )
-    out_a = run_grid(ExperimentConfig(outdir=str(tmp_path / "a"), **cfg_kwargs))
-    out_b = run_grid(ExperimentConfig(outdir=str(tmp_path / "b"), **cfg_kwargs))
+    out_a = run_grid(ExperimentConfig(outdir=str(tmp_path / "a"), **CRITERION_8))
+    out_b = run_grid(ExperimentConfig(outdir=str(tmp_path / "b"), **CRITERION_8))
 
     names_a = sorted(n for n in os.listdir(tmp_path / "a") if n.endswith(".csv"))
     names_b = sorted(n for n in os.listdir(tmp_path / "b") if n.endswith(".csv"))
@@ -262,3 +266,4 @@ def test_criterion_8_grid_determinism(tmp_path):
 
     ok = identical and out_a.ok and out_b.ok and out_a.cells == out_b.cells
     _report(8, ok, f"{len(names_a)} CSV files byte-identical across two full grid runs")
+    bit_identity.check("criterion_8", bit_identity.grid_digests(str(tmp_path / "a")))
