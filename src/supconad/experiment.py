@@ -7,8 +7,11 @@ varies, with checkpoint selection matching the pathway).  Results land as
 method-by-combination AUC matrices directly consumable by the statistics
 pipeline, plus per-cell score exports and a deterministic run manifest.
 
-``run_group`` trains and scores one (labelling, loss) group.  The fused
-benchmark is the grid's (manual, average, projection) group, run through it.
+A grid trains all the (loss, modality) models of one labelling in one pool
+of workers and scores each (labelling, loss) group of them on its own, so a
+failure costs only its own group's cells.  ``run_group`` trains and scores
+one (labelling, loss) group; the fused benchmark is the grid's (manual,
+average, projection) group, run through it.
 """
 
 from __future__ import annotations
@@ -160,39 +163,44 @@ def _pin_blas_to_one_thread() -> None:
                 return
 
 
-def _train_group(i: int) -> list[trainer.TrainResult]:
+def _train_group(i: int) -> list[trainer.TrainResult | Exception]:
     return trainer.train_group(_GROUPS[i])
 
 
-def _train_models_for(windows_by_mod, cfg: ExperimentConfig, run_seed: int,
-                      labelling: str, loss_mode: str):
-    """Train one model per modality, in parallel when more than one CPU is usable.
+def _train_models_for(windows_by_mod, cfg: ExperimentConfig, run_seed: int, labelling: str,
+                      loss_modes: tuple[str, ...]) -> dict[str, dict]:
+    """Train one model per (loss mode, modality) of a labelling, in parallel when
+    more than one CPU is usable: loss mode -> modality -> TrainResult, or the
+    error that training that model alone raises.
 
-    The modalities are split into train_workers contiguous groups, in
-    MODALITIES order, whose sizes differ by at most one; each group trains in
-    lockstep (trainer.train_group), one group per worker.  Results are
-    bit-identical to training each model alone, in-process, and come back in
-    MODALITIES order; the first error in that order is re-raised.
+    The models, loss-major and in MODALITIES order within a loss mode, are
+    split into train_workers contiguous groups whose sizes differ by at most
+    one; each group trains in lockstep (trainer.train_group), one group per
+    worker, and may mix loss modes.  Every outcome is bit-identical to
+    training that model alone, in-process.
     """
     tasks = [
         (windows_by_mod[mod], list(cfg.encoder_dims), list(cfg.projection_dims),
-         replace(cfg.train, negative_mode=loss_mode,
-                 seed=derive_cell_seed(run_seed, labelling, loss_mode, mod)))
-        for mod in MODALITIES
+         replace(cfg.train, negative_mode=loss,
+                 seed=derive_cell_seed(run_seed, labelling, loss, mod)))
+        for loss in loss_modes for mod in MODALITIES
     ]
     workers = train_workers(len(tasks))
     if workers <= 1:
-        return dict(zip(MODALITIES, trainer.train_group(tasks)))
-    size, extra = divmod(len(tasks), workers)
-    bounds = [g * size + min(g, extra) for g in range(workers + 1)]
-    _GROUPS[:] = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_pin_blas_to_one_thread) as pool:
-            results = [r for group in pool.map(_train_group, range(workers)) for r in group]
-    finally:
-        _GROUPS.clear()
-    return dict(zip(MODALITIES, results))
+        outcomes = trainer.train_group(tasks)
+    else:
+        size, extra = divmod(len(tasks), workers)
+        bounds = [g * size + min(g, extra) for g in range(workers + 1)]
+        _GROUPS[:] = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_pin_blas_to_one_thread) as pool:
+                outcomes = [r for group in pool.map(_train_group, range(workers)) for r in group]
+        finally:
+            _GROUPS.clear()
+    n = len(MODALITIES)
+    return {loss: dict(zip(MODALITIES, outcomes[i * n:(i + 1) * n]))
+            for i, loss in enumerate(loss_modes)}
 
 
 def score_test_set(models: dict[Modality, ModelParams], train_by_mod, test_by_mod,
@@ -227,14 +235,25 @@ def score_test_set(models: dict[Modality, ModelParams], train_by_mod, test_by_mo
     )
 
 
+def _score_group(outcomes: dict, train_by_mod, test_by_mod, heads) -> dict[str, CellScores]:
+    """Score the test windows once per head, each with that pathway's best
+    checkpoints of one (labelling, loss) group's models (modality -> training
+    outcome, as _train_models_for gives them); the first training error in
+    MODALITIES order is raised instead."""
+    for mod in MODALITIES:
+        if isinstance(outcomes[mod], Exception):
+            raise outcomes[mod]
+    return {head: score_test_set({m: outcomes[m].best[head].params for m in MODALITIES},
+                                 train_by_mod, test_by_mod, head)
+            for head in heads}
+
+
 def run_group(cfg: ExperimentConfig, run_seed: int, labelling: str, loss_mode: str,
               train_by_mod, test_by_mod, heads) -> dict[str, CellScores]:
     """Train the four modality models of one (labelling, loss) group and score
     the test windows once per head, each with that pathway's best checkpoints."""
-    results = _train_models_for(train_by_mod, cfg, run_seed, labelling, loss_mode)
-    return {head: score_test_set({m: results[m].best[head].params for m in MODALITIES},
-                                 train_by_mod, test_by_mod, head)
-            for head in heads}
+    trained = _train_models_for(train_by_mod, cfg, run_seed, labelling, (loss_mode,))
+    return _score_group(trained[loss_mode], train_by_mod, test_by_mod, heads)
 
 
 def run_grid(cfg: ExperimentConfig) -> GridResult:
@@ -249,11 +268,12 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
         for labelling in cfg.labelling_modes:
             train_windows = dataset_windows(ds, labelling, split="train")
             train_by_mod = by_modality(train_windows)
+            trained = _train_models_for(train_by_mod, cfg, run_seed, labelling, cfg.loss_modes)
             for loss_mode in cfg.loss_modes:
                 # a group that fails in training, validation or scoring loses all its cells
                 try:
-                    scored = run_group(cfg, run_seed, labelling, loss_mode,
-                                       train_by_mod, test_by_mod, cfg.head_modes)
+                    scored = _score_group(trained[loss_mode], train_by_mod, test_by_mod,
+                                          cfg.head_modes)
                 except (trainer.TrainingDivergedError, DegenerateVectorError) as exc:
                     for head in cfg.head_modes:
                         failures.append({

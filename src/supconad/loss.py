@@ -15,11 +15,12 @@ and the minibatch loss is the mean of L_ij over all K*(K-1) ordered pairs.
 Every -log term is evaluated through a softplus of shifted logits, so
 temperatures as sharp as 0.1 with cosines near +-1 cannot overflow.  A batch
 may carry a leading model axis, (n, K, d) and (n, M, d): each model's loss and
-gradient are then those of its own slice.
+gradient are then those of its own slice, and the mode may vary per model.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,21 +31,36 @@ NEGATIVE_MODES = ("sum", "average")
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Temperature and negative-pair aggregation mode."""
+    """Temperature and negative-pair aggregation mode: one mode, or a tuple of
+    one mode per model of a stacked batch."""
 
     tau: float = 0.1
-    negative_mode: str = "average"
+    negative_mode: str | tuple[str, ...] = "average"
 
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError(f"tau: must be > 0, got {self.tau!r}")
-        if self.negative_mode not in NEGATIVE_MODES:
-            raise ValueError(f"negative_mode: unknown {self.negative_mode!r} "
-                             f"(known: {', '.join(NEGATIVE_MODES)})")
+        modes = self.negative_mode if isinstance(self.negative_mode, tuple) else (
+            self.negative_mode,)
+        for mode in modes:
+            if mode not in NEGATIVE_MODES:
+                raise ValueError(f"negative_mode: unknown {mode!r} "
+                                 f"(known: {', '.join(NEGATIVE_MODES)})")
 
-    def scale(self, n_negatives: int) -> float:
-        """The factor c on the summed negative exponentials: 1 (sum) or 1/M (average)."""
-        return 1.0 if self.negative_mode == "sum" else 1.0 / n_negatives
+    def log_scale(self, n_negatives: int) -> float | np.ndarray:
+        """log c, where c scales the summed negative exponentials: 1 (sum) or 1/M
+        (average).  A float for one mode, or one per model, shaped (n, 1, 1)."""
+        if isinstance(self.negative_mode, tuple):
+            return _log_scales(self.negative_mode, n_negatives)
+        return np.log(1.0 if self.negative_mode == "sum" else 1.0 / n_negatives)
+
+
+@functools.cache
+def _log_scales(modes: tuple[str, ...], n_negatives: int) -> np.ndarray:
+    # once per (modes, M), each entry computed exactly as for that mode alone
+    out = np.array([LossConfig(negative_mode=mode).log_scale(n_negatives) for mode in modes])
+    out.flags.writeable = False
+    return out.reshape(-1, 1, 1)
 
 
 class LossBatch:
@@ -87,16 +103,21 @@ def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, ...]:
 
     Returns exp(anchor-negative logits - row max), (K, M); its row sums,
     (K, 1); and the softplus arguments log(c) + log_s[i] - v_i . v_j / tau,
-    (K, K), where log_s[i] = log sum_m exp(v_i . v_am / tau); each per model.
+    (K, K), where log_s[i] = log sum_m exp(v_i . v_am / tau); each per model,
+    with each model's own c.
     """
     vn, va = batch.normal, batch.anomalous
+    log_c = cfg.log_scale(batch.m)
+    if np.ndim(log_c) and log_c.shape[:-2] != vn.shape[:-2]:
+        raise ValueError(f"negative_mode: needs one mode per model, got {len(log_c)} "
+                         f"for model axes {vn.shape[:-2]}")
     z = vn @ vn.swapaxes(-1, -2) / cfg.tau            # anchor-pair logits
     neg_logits = vn @ va.swapaxes(-1, -2) / cfg.tau   # anchor-negative logits
     mx = neg_logits.max(axis=-1, keepdims=True)
     exp_neg = np.exp(neg_logits - mx)
     row_sum = np.add.reduce(exp_neg, axis=-1, keepdims=True)
     log_s = mx + np.log(row_sum)
-    arg = np.log(cfg.scale(batch.m)) + log_s - z
+    arg = log_c + log_s - z
     return exp_neg, row_sum, arg
 
 

@@ -26,6 +26,10 @@ class TrainingDivergedError(RuntimeError):
     """Raised when the training loss stops being finite."""
 
 
+# the failures that cost only the model that meets them
+_FAILURES = (TrainingDivergedError, DegenerateVectorError)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
@@ -47,7 +51,8 @@ class TrainConfig:
                 raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
         if not self.lr_decay_factor > 0:
             raise ValueError(f"lr_decay_factor: must be > 0, got {self.lr_decay_factor!r}")
-        LossConfig(self.tau, self.negative_mode)   # checks tau and negative_mode
+        # checks tau and negative_mode; as one model's mode, so that a tuple is rejected
+        LossConfig(self.tau, (self.negative_mode,))
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction: must be in (0, 1), got {self.val_fraction!r}")
 
@@ -105,34 +110,46 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
     are resampled freely.  The best checkpoint per embedding pathway is the
     earliest epoch achieving the maximum validation AUC.
     """
-    return train_group([(windows, encoder_dims, projection_dims, cfg)])[0]
+    (outcome,) = train_group([(windows, encoder_dims, projection_dims, cfg)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def train_group(tasks: list[tuple]) -> list[TrainResult]:
-    """Run ``train(*task)`` for each task, all in lockstep, with results
+def train_group(tasks: list[tuple]) -> list[TrainResult | Exception]:
+    """Run ``train(*task)`` for each task, all in lockstep, with outcomes
     bit-identical to training them one at a time.
 
     Each step is one forward, loss, backward and update over the members'
     params stacked on a leading model axis; each member keeps its own Rng,
-    split, batches, validation and checkpoints.  The members must agree on
-    every config field except the seed, on their dims and on their split
-    sizes.  When a member of a larger group fails, the members are trained
-    again one at a time, in order, so the first failing member's own error
-    is the one raised.
+    split, loss mode, batches, validation and checkpoints.  The members must
+    agree on every config field except the seed and negative_mode, on their
+    dims and on their split sizes.  A member's outcome is its TrainResult,
+    or the TrainingDivergedError or DegenerateVectorError that training it
+    alone raises: when a member of a larger group fails, every member is
+    trained again alone, in order.
     """
+    if len(tasks) > 1:
+        try:
+            return _train_lockstep(tasks)
+        except _FAILURES:
+            pass
+    return [_train_alone(task) for task in tasks]
+
+
+def _train_alone(task: tuple) -> TrainResult | Exception:
     try:
-        return _train_lockstep(tasks)
-    except (TrainingDivergedError, DegenerateVectorError):
-        if len(tasks) == 1:
-            raise
-    return [_train_lockstep([task])[0] for task in tasks]
+        return _train_lockstep([task])[0]
+    except _FAILURES as exc:
+        return exc
 
 
 def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
     _, encoder_dims, projection_dims, cfg = tasks[0]
     for _, enc, proj, other in tasks[1:]:
-        if replace(other, seed=cfg.seed) != cfg:
-            raise ValueError("train_group: members differ in a config field other than seed")
+        if replace(other, seed=cfg.seed, negative_mode=cfg.negative_mode) != cfg:
+            raise ValueError("train_group: members differ in a config field other than "
+                             "seed and negative_mode")
         if (list(enc), list(proj)) != (list(encoder_dims), list(projection_dims)):
             raise ValueError("train_group: members differ in their dims")
     k, m = cfg.batch_normal, cfg.batch_anomalous
@@ -157,7 +174,7 @@ def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
     ((n_normal, _),) = sizes
 
     params = model_mod.ModelParams.stack(members)
-    loss_cfg = LossConfig(tau=cfg.tau, negative_mode=cfg.negative_mode)
+    loss_cfg = LossConfig(cfg.tau, tuple(member_cfg.negative_mode for *_, member_cfg in tasks))
     best: list[dict[str, Checkpoint]] = [{} for _ in tasks]
     logs: list[list[LogRow]] = [[] for _ in tasks]
     n_batches = math.ceil(n_normal / k)

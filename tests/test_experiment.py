@@ -9,12 +9,16 @@ from dataclasses import replace
 from supconad import experiment, scoring, trainer
 from supconad.experiment import (CellScores, ExperimentConfig, _train_models_for,
                                  derive_cell_seed, run_benchmark_seed, run_grid, run_group)
+from supconad.loss import NEGATIVE_MODES
 from supconad.metrics import LabeledScores, roc_auc
 from supconad.numerics import DegenerateVectorError
 from supconad.stats import analyze, load_matrix_csv
 from supconad.synthgen import (MODALITIES, GenConfig, Modality, by_modality,
                                dataset_windows, generate_dataset)
 from supconad.trainer import TrainConfig
+
+import bit_identity
+from test_acceptance import CRITERION_8
 
 TINY = ExperimentConfig(
     gen=GenConfig(frame_dim=6, frames_per_clip=96, train_normal_clips=22,
@@ -164,9 +168,9 @@ def _use_workers(monkeypatch, n):
     monkeypatch.setattr(experiment, "train_workers", lambda n_tasks: min(n_tasks, n))
 
 
-def _tiny_train_by_mod(labelling="manual"):
+def _tiny_train_by_mod(labelling="manual", split="train"):
     ds = generate_dataset(replace(TINY.gen, seed=5))
-    return by_modality(dataset_windows(ds, labelling, split="train"))
+    return by_modality(dataset_windows(ds, labelling, split=split))
 
 
 def _assert_same_params(a, b):
@@ -176,21 +180,26 @@ def _assert_same_params(a, b):
 
 
 def test_pooled_training_is_bit_identical_to_in_process(monkeypatch):
+    # the eight models of a labelling: two workers train two groups of four,
+    # three train groups of 3, 3 and 2, and the middle one mixes loss modes
     train_by_mod = _tiny_train_by_mod()
     runs = {}
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         _use_workers(monkeypatch, workers)
-        runs[workers] = _train_models_for(train_by_mod, TINY, 5, "manual", "average")
-    assert list(runs[2]) == list(MODALITIES)
-    for mod in MODALITIES:
-        serial, pooled = runs[1][mod], runs[2][mod]
-        assert pooled.log == serial.log
-        _assert_same_params(pooled.final_params, serial.final_params)
-        assert list(pooled.best) == list(serial.best)
-        for pathway, ckpt in serial.best.items():
-            assert (pooled.best[pathway].val_auc, pooled.best[pathway].epoch) == \
-                (ckpt.val_auc, ckpt.epoch)
-            _assert_same_params(pooled.best[pathway].params, ckpt.params)
+        runs[workers] = _train_models_for(train_by_mod, TINY, 5, "manual", NEGATIVE_MODES)
+    for workers in (2, 3):
+        assert list(runs[workers]) == list(NEGATIVE_MODES)
+        for loss in NEGATIVE_MODES:
+            assert list(runs[workers][loss]) == list(MODALITIES)
+            for mod in MODALITIES:
+                serial, pooled = runs[1][loss][mod], runs[workers][loss][mod]
+                assert pooled.log == serial.log
+                _assert_same_params(pooled.final_params, serial.final_params)
+                assert list(pooled.best) == list(serial.best)
+                for pathway, ckpt in serial.best.items():
+                    assert (pooled.best[pathway].val_auc, pooled.best[pathway].epoch) == \
+                        (ckpt.val_auc, ckpt.epoch)
+                    _assert_same_params(pooled.best[pathway].params, ckpt.params)
 
 
 # -- lockstep training groups ------------------------------------------------------
@@ -223,6 +232,16 @@ def test_train_group_equals_training_each_task_alone(n, loss_mode):
         _assert_same_result(got, trainer.train(*task))
 
 
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_mixed_mode_group_equals_training_each_task_alone(n):
+    # a slice of the grid's loss-major order, sum then average, across the boundary
+    start = len(MODALITIES) - n // 2
+    tasks = (_tiny_tasks("sum") + _tiny_tasks("average"))[start:start + n]
+    assert {cfg.negative_mode for *_, cfg in tasks} == set(NEGATIVE_MODES)
+    for got, task in zip(trainer.train_group(tasks), tasks, strict=True):
+        _assert_same_result(got, trainer.train(*task))
+
+
 def _scaled(windows, indices, factor=1e200):
     """windows, those at ``indices`` with their features scaled so far that a forward
     pass over them overflows."""
@@ -242,9 +261,11 @@ def test_group_failure_is_the_failing_members_own_error():
     tasks[2] = (_scaled(windows, range(len(windows))), *tasks[2][1:])
     with np.errstate(over="ignore", invalid="ignore"):
         want = _solo_error(tasks[2])
-        with pytest.raises(trainer.TrainingDivergedError) as exc:
-            trainer.train_group(tasks)
-    assert str(exc.value) == want
+        outcomes = trainer.train_group(tasks)
+    assert isinstance(outcomes[2], trainer.TrainingDivergedError)
+    assert str(outcomes[2]) == want
+    for i in (0, 1, 3):
+        _assert_same_result(outcomes[i], trainer.train(*tasks[i]))
 
 
 def test_earlier_members_failure_wins_in_a_group():
@@ -255,8 +276,15 @@ def test_earlier_members_failure_wins_in_a_group():
     tasks[3] = (_scaled(tasks[3][0], range(len(tasks[3][0]))), *tasks[3][1:])
     with np.errstate(over="ignore", invalid="ignore"):
         second, fourth = _solo_error(tasks[1]), _solo_error(tasks[3])
-        with pytest.raises(trainer.TrainingDivergedError) as exc:
-            trainer.train_group(tasks)
+        outcomes = trainer.train_group(tasks)
+    # each member keeps its own outcome; the group's cells fail with the
+    # first error in modality order
+    assert [str(o) for o in outcomes[1::2]] == [second, fourth]
+    for i in (0, 2):
+        _assert_same_result(outcomes[i], trainer.train(*tasks[i]))
+    with pytest.raises(trainer.TrainingDivergedError) as exc:
+        experiment._score_group(dict(zip(MODALITIES, outcomes)), _tiny_train_by_mod(),
+                                _tiny_train_by_mod(split="test"), ("encoder",))
     assert second != fourth and fourth.startswith("degenerate embedding at epoch 1, step 1: ")
     assert str(exc.value) == second
 
@@ -265,7 +293,8 @@ def test_train_group_rejects_members_that_differ():
     tasks = _tiny_tasks()[:2]
     windows, enc, proj, cfg = tasks[1]
     for other, message in [
-        ((windows, enc, proj, replace(cfg, lr0=0.5)), "config field other than seed"),
+        ((windows, enc, proj, replace(cfg, lr0=0.5)),
+         "config field other than seed and negative_mode"),
         ((windows, enc, [16, 4], cfg), "differ in their dims"),
         ((windows[:-3], enc, proj, cfg), "training splits differ in size"),
     ]:
@@ -274,34 +303,34 @@ def test_train_group_rejects_members_that_differ():
 
 
 def _diverge_in_sum_groups(monkeypatch):
-    """In sum-loss groups the second modality diverges for real and the fourth fails at once."""
+    """Of the sum-loss models, the second modality's diverges for real and the fourth's
+    fails at once; every model keeps its own outcome."""
     real_train_group = trainer.train_group
 
     def train_group(tasks):
-        if tasks[0][3].negative_mode != "sum":
-            return real_train_group(tasks)
-        results = []
+        outcomes = []
         for windows, encoder_dims, projection_dims, cfg in tasks:   # member by member
             mod = windows[0].modality
-            if mod is MODALITIES[3]:
-                raise trainer.TrainingDivergedError(f"immediate failure of {mod.key}")
-            if mod is MODALITIES[1]:
+            if cfg.negative_mode == "sum" and mod is MODALITIES[3]:
+                outcomes.append(trainer.TrainingDivergedError(f"immediate failure of {mod.key}"))
+                continue
+            if cfg.negative_mode == "sum" and mod is MODALITIES[1]:
                 cfg = replace(cfg, lr0=1e60)
-            results += real_train_group([(windows, encoder_dims, projection_dims, cfg)])
-        return results
+            outcomes += real_train_group([(windows, encoder_dims, projection_dims, cfg)])
+        return outcomes
 
     monkeypatch.setattr(trainer, "train_group", train_group)
 
 
 def test_worker_divergence_reraises_the_in_process_error(monkeypatch):
     _diverge_in_sum_groups(monkeypatch)
-    train_by_mod = _tiny_train_by_mod()
+    train_by_mod, test_by_mod = _tiny_train_by_mod(), _tiny_train_by_mod(split="test")
     messages = {}
     # with four workers the fourth modality fails first; modality order still wins
     for workers in (1, 4):
         _use_workers(monkeypatch, workers)
         with pytest.raises(trainer.TrainingDivergedError) as exc:
-            _train_models_for(train_by_mod, TINY, 5, "manual", "sum")
+            run_group(TINY, 5, "manual", "sum", train_by_mod, test_by_mod, ("encoder",))
         messages[workers] = str(exc.value)
     assert messages[4] == messages[1]
     assert messages[1].startswith("degenerate embedding at epoch 1, step ")
@@ -310,7 +339,7 @@ def test_worker_divergence_reraises_the_in_process_error(monkeypatch):
 def test_grid_failures_are_the_same_pooled_and_in_process(monkeypatch, tmp_path):
     _diverge_in_sum_groups(monkeypatch)
     results = {}
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         _use_workers(monkeypatch, workers)
         results[workers] = run_grid(replace(TINY, outdir=str(tmp_path / str(workers))))
     serial, pooled = results[1], results[2]
@@ -319,19 +348,21 @@ def test_grid_failures_are_the_same_pooled_and_in_process(monkeypatch, tmp_path)
         (lab, "sum", head) for lab in ("original", "manual") for head in ("encoder", "projection")]
     assert pooled.cells == serial.cells
     assert len(serial.cells) == 4 * 9
+    assert (results[3].failures, results[3].cells) == (serial.failures, serial.cells)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_degenerate_vector_fails_only_its_group(monkeypatch, tmp_path, workers):
     _use_workers(monkeypatch, workers)
-    # raised inside training (a worker when pooled) of the (original, sum) group
+    # the outcome of one model of the (original, sum) group, trained in a
+    # worker when pooled
     real_train_group = trainer.train_group
     bad_seed = derive_cell_seed(5, "original", "sum", MODALITIES[2])
 
     def train_group(tasks):
-        if any(cfg.seed == bad_seed for *_, cfg in tasks):
-            raise DegenerateVectorError("cannot normalize row with degenerate norm")
-        return real_train_group(tasks)
+        return [DegenerateVectorError("cannot normalize row with degenerate norm")
+                if cfg.seed == bad_seed else outcome
+                for (*_, cfg), outcome in zip(tasks, real_train_group(tasks))]
 
     # raised while scoring the projection head of the second group that gets
     # to scoring, (manual, sum), after its encoder head scored cleanly
@@ -364,9 +395,11 @@ def test_degenerate_vector_fails_only_its_group(monkeypatch, tmp_path, workers):
 
 
 def _training_pids(monkeypatch):
-    """Run _train_models_for with a stub trainer that reports the process it ran in."""
+    """Run _train_models_for with a stub trainer whose outcome for each model is the
+    process it ran in."""
     monkeypatch.setattr(trainer, "train_group", lambda tasks: [os.getpid()] * len(tasks))
-    return set(_train_models_for(_tiny_train_by_mod(), TINY, 5, "manual", "sum").values())
+    trained = _train_models_for(_tiny_train_by_mod(), TINY, 5, "manual", NEGATIVE_MODES)
+    return {pid for by_mod in trained.values() for pid in by_mod.values()}
 
 
 def test_two_usable_cpus_train_in_two_forked_workers(monkeypatch):
@@ -389,3 +422,67 @@ def test_without_fork_training_runs_in_process(monkeypatch):
     monkeypatch.setattr(experiment.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert experiment.train_workers(len(MODALITIES)) == 1
     assert _training_pids(monkeypatch) == {os.getpid()}
+
+
+# -- one pool per labelling: groups across loss modes ------------------------------
+
+def _output_files(outdir):
+    """name -> bytes of every file in outdir, with manifest.json's outdir taken out."""
+    return {name: (bit_identity.grid_digests(outdir).get(name)
+                   if name == "manifest.json" else (outdir / name).read_bytes())
+            for name in sorted(os.listdir(outdir))}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_grid_matches_the_recorded_digests_at_any_worker_count(monkeypatch, tmp_path, workers):
+    # at three workers the eight models of a labelling train as groups of 3, 3
+    # and 2, and the middle group mixes loss modes
+    _use_workers(monkeypatch, workers)
+    run_grid(ExperimentConfig(outdir=str(tmp_path), **CRITERION_8))
+    bit_identity.check("criterion_8", bit_identity.grid_digests(str(tmp_path)))
+
+
+def test_tiny_grid_files_are_the_same_at_1_2_and_3_workers(monkeypatch, tmp_path):
+    files = {}
+    for workers in (1, 2, 3):
+        _use_workers(monkeypatch, workers)
+        outdir = tmp_path / str(workers)
+        assert run_grid(replace(TINY, outdir=str(outdir))).ok
+        files[workers] = _output_files(outdir)
+    assert len(files[1]) == 8 + 4 + 1
+    assert files[2] == files[1] and files[3] == files[1]
+
+
+def test_a_diverging_sum_model_costs_only_its_own_cells(monkeypatch, tmp_path):
+    """No stubbed outcome: one (manual, sum) model trains, in a group with two
+    average models, on its windows scaled until its forward overflows."""
+    mod = MODALITIES[3]
+    bad_seed = derive_cell_seed(5, "manual", "sum", mod)
+    real_train_group = trainer.train_group
+
+    def train_group(tasks):
+        if any(cfg.seed == bad_seed for *_, cfg in tasks):
+            assert [cfg.negative_mode for *_, cfg in tasks] == ["sum", "average", "average"]
+        return real_train_group([(_scaled(w, range(len(w))), *rest) if rest[-1].seed == bad_seed
+                                 else (w, *rest) for w, *rest in tasks])
+
+    _use_workers(monkeypatch, 3)
+    clean = run_grid(replace(TINY, outdir=str(tmp_path / "clean")))
+    windows, *rest = _tiny_tasks("sum")[3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _solo_error((_scaled(windows, range(len(windows))), *rest))
+        monkeypatch.setattr(trainer, "train_group", train_group)
+        result = run_grid(replace(TINY, outdir=str(tmp_path / "failed")))
+    assert want.startswith("degenerate embedding at epoch 1, step 1: ")
+    assert [(f["labelling"], f["loss"], f["head"], f["error"]) for f in result.failures] == [
+        ("manual", "sum", head, want) for head in ("encoder", "projection")]
+    assert result.cells == {key: cell for key, cell in clean.cells.items()
+                            if "-manual" not in key[1] or key[1].startswith("average-")}
+    clean_files, failed_files = (_output_files(tmp_path / name) for name in ("clean", "failed"))
+    kept = [name for name in clean_files
+            if name.startswith("scores_") and "sum-encoder-manual" not in name
+            and "sum-projection-manual" not in name]
+    assert len(kept) == 6 and set(failed_files) == set(kept) | {
+        name for name in clean_files if not name.startswith("scores_")}
+    for name in kept:
+        assert failed_files[name] == clean_files[name]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,3 +258,32 @@ def test_stacked_batch_equals_each_model_alone(np_rng, n, mode):
 def test_stacked_batch_with_mismatched_model_axes_rejected(np_rng):
     with pytest.raises(ValueError, match="model axes"):
         LossBatch(np.stack([unit_rows(np_rng, 3, 4)] * 2), np.stack([unit_rows(np_rng, 5, 4)] * 3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_stacked_batch_with_a_mode_per_model_equals_each_model_alone(np_rng, n):
+    # both modes always present; the trainer's layout: 6 anchors, then 24 negatives
+    modes = tuple(NEGATIVE_MODES[i % 2] for i in np_rng.permutation(n))
+    v = np.stack([unit_rows(np_rng, 30, 16) for _ in range(n)])
+    stacked = LossBatch(v[:, :6], v[:, 6:])
+    cfg = LossConfig(0.1, modes)
+    losses = batch_loss(stacked, cfg)
+    grad_n, grad_a = batch_loss_grad(stacked, cfg)
+    for i, mode in enumerate(modes):
+        one = LossBatch(v[i, :6], v[i, 6:])
+        assert losses[i] == batch_loss(one, LossConfig(0.1, mode))
+        want_n, want_a = batch_loss_grad(one, LossConfig(0.1, mode))
+        assert np.array_equal(grad_n[i], want_n) and np.array_equal(grad_a[i], want_a)
+
+
+def test_mode_per_model_must_match_the_model_axes(np_rng):
+    flat = LossBatch(unit_rows(np_rng, 3, 4), unit_rows(np_rng, 5, 4))
+    stacked = LossBatch(np.stack([flat.normal] * 2), np.stack([flat.anomalous] * 2))
+    for batch, modes in ((flat, ("sum",)), (stacked, ("sum",)), (stacked, ("sum",) * 3)):
+        for fn in (batch_loss, batch_loss_grad):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"negative_mode: needs one mode per model, got {len(modes)} "
+                    f"for model axes {batch.normal.shape[:-2]}")):
+                fn(batch, LossConfig(0.1, modes))
+    with pytest.raises(ValueError, match="^negative_mode: unknown 'avg'"):
+        LossConfig(0.1, ("sum", "avg"))
