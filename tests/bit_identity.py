@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -36,7 +37,7 @@ def numeric_stack() -> dict[str, str]:
                        "openblas_get_config"):
             fn = getattr(lib, symbol, None)
             if fn is not None:
-                fn.restype = ctypes.c_char_p
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
                 found = fn().decode()
                 break
     return {"numpy": np.__version__, "blas": " ".join(found.split())}
@@ -78,8 +79,6 @@ def check(kind: str, found: dict[str, str]) -> None:
 
 
 def _record() -> None:
-    import tempfile
-
     from supconad.experiment import ExperimentConfig, run_benchmark_seed, run_grid
     from test_acceptance import BENCHMARK_SEEDS, CRITERION_8
 
