@@ -1,15 +1,18 @@
 """Recorded result digests: the acceptance tests compare every run against them.
 
 ``bit_identity.json`` holds, from one known-good run, each fused benchmark
-seed's ``BenchmarkSeedResult`` repr (criterion 6) and the sha256 of every
+seed's ``BenchmarkSeedResult`` repr (criterion 6), the sha256 of every
 file the criterion-8 grid writes, with ``outdir`` taken out of
-``manifest.json``.  A mismatch names the first differing seed or file and
-the recorded and found numpy and OpenBLAS versions: another BLAS build or
-CPU kernel may round differently and so give other bits.
+``manifest.json``, and the sha256 of every file ``supconad train`` writes
+for each ``--head`` on ``test_cli``'s small data (``cli_train``).  A
+mismatch names the first differing seed or file and the recorded and found
+numpy and OpenBLAS versions: another BLAS build or CPU kernel may round
+differently and so give other bits.
 
-A change that is meant to change results re-records the file, and says why:
+A change that is meant to change results re-records the file, and says why;
+naming entries re-records only those and keeps the others:
 
-    PYTHONPATH=src:tests python3 tests/bit_identity.py
+    PYTHONPATH=src:tests python3 tests/bit_identity.py [criterion_6 criterion_8 cli_train]
 """
 
 from __future__ import annotations
@@ -78,20 +81,35 @@ def check(kind: str, found: dict[str, str]) -> None:
                 f"found numpy {stack['numpy']}, {stack['blas']}")
 
 
-def _record() -> None:
+def _record(kinds: list[str]) -> None:
+    import pathlib
+
     from supconad.experiment import ExperimentConfig, run_benchmark_seed, run_grid
     from test_acceptance import BENCHMARK_SEEDS, CRITERION_8
+    from test_cli import train_digests
 
-    with tempfile.TemporaryDirectory() as tmp:
-        run_grid(ExperimentConfig(outdir=tmp, **CRITERION_8))
-        grid = grid_digests(tmp)
-    benchmark = {str(seed): repr(run_benchmark_seed(ExperimentConfig(), seed))
-                 for seed in BENCHMARK_SEEDS}
+    def criterion_8() -> dict[str, str]:
+        with tempfile.TemporaryDirectory() as tmp:
+            run_grid(ExperimentConfig(outdir=tmp, **CRITERION_8))
+            return grid_digests(tmp)
+
+    def cli_train() -> dict[str, str]:
+        with tempfile.TemporaryDirectory() as tmp:
+            return train_digests(pathlib.Path(tmp))
+
+    record = {
+        "criterion_6": lambda: {str(seed): repr(run_benchmark_seed(ExperimentConfig(), seed))
+                                for seed in BENCHMARK_SEEDS},
+        "criterion_8": criterion_8,
+        "cli_train": cli_train,
+    }
+    recorded = _recorded() if kinds else {}
+    recorded.update({kind: record[kind]() for kind in kinds or record})
+    recorded["stack"] = numeric_stack()
     with open(PATH, "w") as f:
-        json.dump({"stack": numeric_stack(), "criterion_6": benchmark, "criterion_8": grid},
-                  f, indent=2, sort_keys=True)
+        json.dump(recorded, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 if __name__ == "__main__":
-    sys.exit(_record())
+    sys.exit(_record(sys.argv[1:]))

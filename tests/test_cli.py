@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from supconad import fixtures
+from supconad import fixtures, scoring
 from supconad.cli import main
 from supconad.model import load_params
 from supconad.stats import load_matrix_csv
 from supconad.synthgen import load_windows
+
+import bit_identity
 
 # tiny-but-feasible generation settings: 22/4 = 5.5, within 10% of 5.45
 GEN_FLAGS = [
@@ -78,6 +81,31 @@ def test_train_writes_checkpoint_log_scores_curves(tmp_path, capsys):
     assert log_lines[0].startswith("epoch,") and len(log_lines) == 3  # epochs 2, 4
     assert open(scores).read().startswith("clip_id,window_index,top_depth,fused,label")
     assert os.path.exists(curves + ".roc.csv") and os.path.exists(curves + ".pr.csv")
+
+
+def train_digests(tmp_path: Path) -> dict[str, str]:
+    """sha256 of every file `supconad train` writes, per --head, keyed "<head>/<file>",
+    on the GEN_FLAGS data (seed 7, manual labels) and TRAIN_FLAGS."""
+    data = str(tmp_path / "data.txt")
+    run(["generate", *GEN_FLAGS, "--seed", "7", "--labelling", "manual", "--out", data])
+    digests = {}
+    for head in scoring.PATHWAYS:
+        out = tmp_path / head
+        out.mkdir()
+        assert run(["train", "--data", data, "--modality", "top_depth", *TRAIN_FLAGS,
+                    "--seed", "1", "--head", head,
+                    "--checkpoint-out", str(out / "checkpoint.txt"),
+                    "--log-out", str(out / "log.csv"), "--scores-out", str(out / "scores.csv"),
+                    "--curves-out", str(out / "curves")]) == 0
+        for name in sorted(os.listdir(out)):
+            digests[f"{head}/{name}"] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    return digests
+
+
+def test_train_outputs_match_the_recorded_digests(tmp_path):
+    digests = train_digests(tmp_path)
+    assert len(digests) == 2 * 5     # checkpoint, log, scores and two curve files per head
+    bit_identity.check("cli_train", digests)
 
 
 def test_fixtures_roundtrip_and_stats_reproduce_known_pairs(tmp_path, capsys):
