@@ -210,7 +210,8 @@ def score_test_set(models: dict[Modality, ModelParams], train_by_mod, test_by_mo
 
     A modality's template is the mean embedding of its normal training
     windows.  The test windows must be aligned: entry i of each scored
-    modality is the same (clip_id, window_index).
+    modality is the same (clip_id, window_index).  A DegenerateVectorError
+    raised while scoring a modality carries it as ``modality``.
     """
     if pathway not in scoring.PATHWAYS:
         raise ValueError(f"unknown pathway {pathway!r} (known: {', '.join(scoring.PATHWAYS)})")
@@ -224,9 +225,13 @@ def score_test_set(models: dict[Modality, ModelParams], train_by_mod, test_by_mo
     scores = {}
     for mod in mods:
         normal_feats = np.stack([w.features for w in train_by_mod[mod] if w.label == NORMAL])
-        template = scoring.build_template(models[mod], normal_feats, use_projection, mod)
         test_feats = np.stack([w.features for w in test_by_mod[mod]])
-        scores[mod] = scoring.score_windows(template, models[mod], test_feats, use_projection)
+        try:
+            template = scoring.build_template(models[mod], normal_feats, use_projection, mod)
+            scores[mod] = scoring.score_windows(template, models[mod], test_feats, use_projection)
+        except DegenerateVectorError as exc:
+            exc.modality = mod
+            raise
     return CellScores(
         scores=scores,
         labels=np.array([w.label == NORMAL for w in ref]),
@@ -239,9 +244,11 @@ def _score_group(outcomes: dict, train_by_mod, test_by_mod, heads) -> dict[str, 
     """Score the test windows once per head, each with that pathway's best
     checkpoints of one (labelling, loss) group's models (modality -> training
     outcome, as _train_models_for gives them); the first training error in
-    MODALITIES order is raised instead."""
+    MODALITIES order is raised instead.  An error raised here, in training or
+    in scoring, carries the modality whose model met it as ``modality``."""
     for mod in MODALITIES:
         if isinstance(outcomes[mod], Exception):
+            outcomes[mod].modality = mod
             raise outcomes[mod]
     return {head: score_test_set({m: outcomes[m].best[head].params for m in MODALITIES},
                                  train_by_mod, test_by_mod, head)
@@ -277,8 +284,8 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
                 except (trainer.TrainingDivergedError, DegenerateVectorError) as exc:
                     for head in cfg.head_modes:
                         failures.append({
-                            "seed": run_seed, "labelling": labelling,
-                            "loss": loss_mode, "head": head, "error": str(exc),
+                            "seed": run_seed, "labelling": labelling, "loss": loss_mode,
+                            "head": head, "modality": exc.modality.key, "error": str(exc),
                         })
                     continue
                 for head, cell in scored.items():

@@ -88,6 +88,7 @@ class LossBatch:
                     f"{name} embeddings must be finite and unit-norm within {UNIT_NORM_TOL}")
         self.normal = vn
         self.anomalous = va
+        self._terms_by_cfg: dict[LossConfig, tuple[np.ndarray, ...]] = {}
 
     @property
     def k(self) -> int:
@@ -99,13 +100,17 @@ class LossBatch:
 
 
 def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, ...]:
-    """Terms that both the loss and its gradient need.
+    """Terms that both the loss and its gradient need, computed once per batch
+    and config and kept on the batch, read-only.
 
     Returns exp(anchor-negative logits - row max), (K, M); its row sums,
     (K, 1); and the softplus arguments log(c) + log_s[i] - v_i . v_j / tau,
     (K, K), where log_s[i] = log sum_m exp(v_i . v_am / tau); each per model,
     with each model's own c.
     """
+    terms = batch._terms_by_cfg.get(cfg)
+    if terms is not None:
+        return terms
     vn, va = batch.normal, batch.anomalous
     log_c = cfg.log_scale(batch.m)
     if np.ndim(log_c) and log_c.shape[:-2] != vn.shape[:-2]:
@@ -118,7 +123,11 @@ def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, ...]:
     row_sum = np.add.reduce(exp_neg, axis=-1, keepdims=True)
     log_s = mx + np.log(row_sum)
     arg = log_c + log_s - z
-    return exp_neg, row_sum, arg
+    terms = exp_neg, row_sum, arg
+    for a in terms:
+        a.flags.writeable = False
+    batch._terms_by_cfg[cfg] = terms
+    return terms
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:

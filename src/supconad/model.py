@@ -170,8 +170,10 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
         raise ValueError(f"input dim: expected a ({shape}) matrix, got shape {x.shape}")
     act = []
     for layer in params.layers:
-        z = a @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        a = a @ layer.weight.swapaxes(-1, -2)
+        a += layer.bias[..., None, :]
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
         act.append(a)
     v_raw = act[-1]
     # what np.linalg.norm(v_raw, axis=-1, keepdims=True) computes for real input
@@ -195,13 +197,15 @@ def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> np
     if grad_v.shape != v.shape:
         raise ValueError(f"grad_v shape {grad_v.shape} != embedding shape {v.shape}")
 
-    g = (grad_v - v * np.add.reduce(grad_v * v, axis=-1, keepdims=True)) / trace.norms
+    g = v * np.add.reduce(grad_v * v, axis=-1, keepdims=True)
+    np.subtract(grad_v, g, out=g)
+    g /= trace.norms
 
     grads = np.empty_like(params.flat)
     layers = params.layers
     for li, (dw, db) in reversed(list(enumerate(params.split(grads)))):
         if layers[li].activation == "relu":
-            g = g * (trace.act[li] > 0)   # max(z, 0) > 0 exactly where z > 0
+            g *= trace.act[li] > 0        # max(z, 0) > 0 exactly where z > 0
         np.matmul(g.swapaxes(-1, -2), trace.act[li - 1] if li > 0 else trace.x, out=dw)
         np.add.reduce(g, axis=-2, out=db)
         if li > 0:

@@ -143,18 +143,22 @@ class Rng:
     def choice_without_replacement(self, pool_size: int, k: int) -> np.ndarray:
         """k distinct indices from range(pool_size), partial Fisher-Yates order.
 
-        Swap i uses uniform draw i: j = i + floor(u_i * (pool_size - i)).
-        Only the swapped slots are stored, so the cost is O(k), not O(pool_size).
+        Swap i uses uniform draw i: j = i + floor(u_i * (pool_size - i)),
+        clamped to pool_size - 1.  Only the swapped slots are stored, so the
+        cost is O(k), not O(pool_size).
         """
         if k > pool_size:
             raise ValueError(f"cannot draw {k} from pool of {pool_size}")
         swapped: dict[int, int] = {}
+        get = swapped.get
+        last = pool_size - 1
         out = []
         for i, u in enumerate(self.uniform(k).tolist()):
-            span = pool_size - i
-            j = i + min(int(u * span), span - 1)
-            out.append(swapped.get(j, j))
-            swapped[j] = swapped.get(i, i)
+            j = i + int(u * (pool_size - i))
+            if j > last:
+                j = last
+            out.append(get(j, j))
+            swapped[j] = get(i, i)
         return np.array(out, dtype=np.intp)
 
     def shuffled(self, n: int) -> np.ndarray:

@@ -86,19 +86,37 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * cfg.lr_decay_factor ** ((epoch - 1) // cfg.lr_decay_every)
 
 
-def _sample_batch(pool: np.ndarray, n_normal: int, k: int, m: int, rng: Rng) -> np.ndarray:
-    """k normal then m anomalous rows of pool, each group drawn without replacement.
+def _batch_sampler(pool: np.ndarray, n_normal: int, k: int, m: int, rngs: list[Rng]):
+    """A function that draws one stacked minibatch per call: for member i, k
+    normal then m anomalous rows of pool[i], each group drawn without
+    replacement with rngs[i], as one (n, k + m, dim) array made by one take.
 
-    pool holds its n_normal normal rows first, then the anomalous ones.
+    pool is (n, rows, dim) and holds each member's n_normal normal rows first.
     """
-    idx_n = rng.choice_without_replacement(n_normal, k)
-    idx_a = rng.choice_without_replacement(len(pool) - n_normal, m)
-    return pool[np.concatenate([idx_n, idx_a + n_normal])]
+    n, rows, dim = pool.shape
+    flat = pool.reshape(n * rows, dim)
+    # each drawn index's offset in flat: its member's first row, plus n_normal for a negative
+    start = (np.arange(n)[:, None] * rows + np.repeat([0, n_normal], [k, m])).ravel()
+    sizes = ((n_normal, k), (rows - n_normal, m))
+
+    def draw() -> np.ndarray:
+        idx = np.concatenate([rng.choice_without_replacement(size, count)
+                              for rng in rngs for size, count in sizes])
+        idx += start
+        return flat.take(idx, axis=0).reshape(n, k + m, dim)
+
+    return draw
 
 
-def _validation_auc(params, train_normal_feats, val_feats, val_is_normal, use_projection):
-    template = scoring.build_template(params, train_normal_feats, use_projection)
-    scores = scoring.score_windows(template, params, val_feats, use_projection)
+def _validation_auc(params, train_normal_feats, val_feats, val_is_normal, pathway, epoch):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            use_projection = pathway == "projection"
+            template = scoring.build_template(params, train_normal_feats, use_projection)
+            scores = scoring.score_windows(template, params, val_feats, use_projection)
+    except DegenerateVectorError as exc:
+        raise DegenerateVectorError(
+            f"validation at epoch {epoch}, {pathway} pathway: {exc}") from exc
     return roc_auc(LabeledScores(scores, val_is_normal))
 
 
@@ -153,7 +171,7 @@ def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
         if (list(enc), list(proj)) != (list(encoder_dims), list(projection_dims)):
             raise ValueError("train_group: members differ in their dims")
     k, m = cfg.batch_normal, cfg.batch_anomalous
-    rngs, pools, vals, members, sizes = [], [], [], [], set()
+    rngs, splits, vals, members = [], [], [], []
     for windows, _, _, member_cfg in tasks:
         rng = Rng(member_cfg.seed)
         train_w, val_w = split_train_val(windows, cfg.val_fraction, rng)
@@ -162,16 +180,20 @@ def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
         if len(normal) < k or len(anomalous) < m:
             raise ValueError(f"training split smaller than one minibatch: need {k} normal / "
                              f"{m} anomalous windows, have {len(normal)} / {len(anomalous)}")
-        sizes.add((len(normal), len(anomalous)))
-        # normal rows first, then anomalous: one gather per step builds the batch
-        pools.append(np.stack(normal + anomalous))
+        splits.append((normal, anomalous))
         vals.append((np.stack([w.features for w in val_w]),
                      np.array([w.label == NORMAL for w in val_w])))
         members.append(model_mod.init_params(encoder_dims, projection_dims, rng))
         rngs.append(rng)
+    sizes = {(len(normal), len(anomalous)) for normal, anomalous in splits}
     if len(sizes) > 1:
         raise ValueError("train_group: members' training splits differ in size")
-    ((n_normal, _),) = sizes
+    ((n_normal, n_anomalous),) = sizes
+    # every member's rows, normal first, in one array that each step gathers from
+    pool = np.empty((len(tasks), n_normal + n_anomalous, len(splits[0][0][0])))
+    for member_pool, (normal, anomalous) in zip(pool, splits):
+        np.stack(normal + anomalous, out=member_pool)
+    draw = _batch_sampler(pool, n_normal, k, m, rngs)
 
     params = model_mod.ModelParams.stack(members)
     loss_cfg = LossConfig(cfg.tau, tuple(member_cfg.negative_mode for *_, member_cfg in tasks))
@@ -183,8 +205,7 @@ def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
         lr = lr_at(epoch, cfg)
         epoch_loss = [0.0] * len(tasks)
         for step in range(n_batches):
-            x = np.stack([_sample_batch(pool, n_normal, k, m, rng)
-                          for pool, rng in zip(pools, rngs)])
+            x = draw()
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     trace = model_mod.forward(params, x)
@@ -211,8 +232,8 @@ def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
                 member = params.member(i)
                 aucs = {}
                 for pathway in scoring.PATHWAYS:
-                    auc = _validation_auc(member, pools[i][:n_normal], val_feats, val_is_normal,
-                                          pathway == "projection")
+                    auc = _validation_auc(member, pool[i, :n_normal], val_feats, val_is_normal,
+                                          pathway, epoch)
                     aucs[pathway] = auc
                     if pathway not in best[i] or auc > best[i][pathway].val_auc:
                         best[i][pathway] = Checkpoint(member.copy(), auc, epoch)

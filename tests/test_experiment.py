@@ -1,5 +1,6 @@
 import itertools
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,45 @@ def test_earlier_members_failure_wins_in_a_group():
     assert str(exc.value) == second
 
 
+def _validation_failure(tasks, i):
+    """tasks, member i's window 0, which lands in its validation split, scaled until a
+    forward pass over it overflows."""
+    windows, *rest = tasks[i]
+    return [*tasks[:i], (_scaled(windows, {0}), *rest), *tasks[i + 1:]]
+
+
+def test_a_validation_failure_names_its_epoch_and_pathway():
+    tasks = _validation_failure(_tiny_tasks(), 1)
+    want = "validation at epoch 2, encoder pathway: projection output norm is degenerate"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")       # validation runs under the step's errstate
+        with pytest.raises(DegenerateVectorError, match=f"^{want}") as exc:
+            trainer.train(*tasks[1])
+        outcomes = trainer.train_group(tasks)
+    assert type(outcomes[1]) is DegenerateVectorError and str(outcomes[1]) == str(exc.value)
+    for i in (0, 2, 3):
+        _assert_same_result(outcomes[i], trainer.train(*tasks[i]))
+
+
+def test_a_grid_failure_record_names_its_modality(monkeypatch, tmp_path):
+    bad_seed = derive_cell_seed(5, "manual", "average", MODALITIES[1])
+    real_train_group = trainer.train_group
+
+    def train_group(tasks):
+        bad = [i for i, (*_, cfg) in enumerate(tasks) if cfg.seed == bad_seed]
+        return real_train_group(_validation_failure(tasks, *bad) if bad else tasks)
+
+    monkeypatch.setattr(trainer, "train_group", train_group)
+    _use_workers(monkeypatch, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_grid(replace(TINY, outdir=str(tmp_path)))
+    assert [(f["labelling"], f["loss"], f["head"], f["modality"]) for f in result.failures] == [
+        ("manual", "average", head, MODALITIES[1].key) for head in ("encoder", "projection")]
+    assert all(f["error"].startswith("validation at epoch 2, encoder pathway: ")
+               for f in result.failures)
+
+
 def test_train_group_rejects_members_that_differ():
     tasks = _tiny_tasks()[:2]
     windows, enc, proj, cfg = tasks[1]
@@ -386,6 +426,9 @@ def test_degenerate_vector_fails_only_its_group(monkeypatch, tmp_path, workers):
         ("manual", "sum", "encoder", "template norm is degenerate"),
         ("manual", "sum", "projection", "template norm is degenerate"),
     ]
+    # the training failure's modality, then the scoring failure's
+    assert [f["modality"] for f in result.failures] == [MODALITIES[2].key] * 2 + [
+        MODALITIES[0].key] * 2
     assert {method for _, method, _ in result.cells} == {
         f"average-{head}-{lab}" for head in ("encoder", "projection")
         for lab in ("original", "manual")}

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import unit_rows
-from supconad.loss import NEGATIVE_MODES, LossBatch, LossConfig, batch_loss, batch_loss_grad
+from supconad.loss import (NEGATIVE_MODES, LossBatch, LossConfig, _terms, batch_loss,
+                           batch_loss_grad)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -287,3 +288,54 @@ def test_mode_per_model_must_match_the_model_axes(np_rng):
                 fn(batch, LossConfig(0.1, modes))
     with pytest.raises(ValueError, match="^negative_mode: unknown 'avg'"):
         LossConfig(0.1, ("sum", "avg"))
+
+
+# -- terms computed once per batch and config ----------------------------------------
+
+def _trainer_layout(np_rng, n=None):
+    """v in the trainer's layout, 6 anchors then 24 negatives: for one model, or
+    stacked for n models."""
+    if n is None:
+        return unit_rows(np_rng, 30, 16)
+    return np.stack([unit_rows(np_rng, 30, 16) for _ in range(n)])
+
+
+@pytest.mark.parametrize("cfg, n", [
+    (LossConfig(0.1, "average"), None), (LossConfig(0.5, "sum"), None),
+    (LossConfig(0.1, ("sum", "average", "average")), 3)])
+def test_loss_and_grad_on_one_batch_equal_each_on_a_fresh_batch(np_rng, cfg, n):
+    v = _trainer_layout(np_rng, n)
+
+    def fresh():
+        return LossBatch(v[..., :6, :], v[..., 6:, :])
+
+    want_loss = batch_loss(fresh(), cfg)
+    want_grad = batch_loss_grad(fresh(), cfg)
+    for grad_first in (False, True):
+        batch = fresh()
+        if grad_first:
+            grad = batch_loss_grad(batch, cfg)
+        loss = batch_loss(batch, cfg)
+        if not grad_first:
+            grad = batch_loss_grad(batch, cfg)
+        again = batch_loss(batch, cfg), batch_loss_grad(batch, cfg)
+        for got_loss, got_grad in ((loss, grad), again):
+            assert np.array_equal(got_loss, want_loss)
+            for got, want in zip(got_grad, want_grad, strict=True):
+                assert np.array_equal(got, want)
+    # the kept terms cannot be written through
+    assert not any(a.flags.writeable for a in _terms(batch, cfg))
+
+
+def test_another_config_on_the_same_batch_gets_its_own_terms(np_rng):
+    v = _trainer_layout(np_rng)
+    batch = LossBatch(v[:6], v[6:])
+    first = LossConfig(0.1, "average")
+    batch_loss(batch, first)
+    batch_loss_grad(batch, first)
+    for other in (LossConfig(0.5, "average"), LossConfig(0.1, "sum"), LossConfig(0.1, "average")):
+        fresh = LossBatch(v[:6], v[6:])
+        assert batch_loss(batch, other) == batch_loss(fresh, other)
+        for got, want in zip(batch_loss_grad(batch, other), batch_loss_grad(fresh, other)):
+            assert np.array_equal(got, want)
+    assert batch_loss(batch, LossConfig(0.5, "average")) != batch_loss(batch, first)

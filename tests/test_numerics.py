@@ -161,6 +161,56 @@ def test_sparse_sampler_matches_dense_fisher_yates(seed, pool_size, data):
                           _dense_fisher_yates(Rng(seed), pool_size, pool_size))
 
 
+def _earlier_sparse_loop(rng, pool_size, k):
+    """choice_without_replacement's earlier loop, kept as the oracle of its current one."""
+    swapped = {}
+    out = []
+    for i, u in enumerate(rng.uniform(k).tolist()):
+        span = pool_size - i
+        j = i + min(int(u * span), span - 1)
+        out.append(swapped.get(j, j))
+        swapped[j] = swapped.get(i, i)
+    return np.array(out, dtype=np.intp)
+
+
+class _FixedUniforms(Rng):
+    """An Rng whose uniforms are the given values, in order."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self._values = list(values)
+
+    def uniform(self, n=None):
+        out, self._values[:n] = self._values[:n], []
+        return np.array(out)
+
+
+@pytest.mark.parametrize("pool_size, k", [(1, 1), (1, 0), (2, 1), (7, 1), (7, 7), (180, 6),
+                                          (400, 24), (1000, 1000)])
+def test_choice_matches_its_earlier_loop(pool_size, k):
+    for seed in range(10):
+        got_rng, want_rng = Rng(seed), Rng(seed)
+        for _ in range(3):
+            got = got_rng.choice_without_replacement(pool_size, k)
+            want = _earlier_sparse_loop(want_rng, pool_size, k)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            # the counter sits where the earlier loop left it
+            assert got_rng._counter == want_rng._counter
+        assert got_rng.next_u64(1) == want_rng.next_u64(1)
+
+
+@pytest.mark.parametrize("pool_size", [1, 2, 3, 7, 2000, 2 ** 40 + 3])
+def test_choice_clamps_an_offset_that_reaches_the_span(pool_size):
+    # the stream's uniforms stay below 1, so u * span rounds below span; a
+    # uniform of 1.0 reaches it and must still land on the last slot
+    k = min(pool_size, 5)
+    for values in ([1.0] * k, [1.0 - 2.0 ** -53] * k, [0.0] * k, [0.5, 1.0, 0.0, 1.0, 0.25][:k]):
+        got = _FixedUniforms(values).choice_without_replacement(pool_size, k)
+        want = _earlier_sparse_loop(_FixedUniforms(values), pool_size, k)
+        assert np.array_equal(got, want)
+        assert got.max() < pool_size and len(set(got.tolist())) == k
+
+
 def _u64_at(seed, i):
     """Output i (1-based counter position) of the stream: mix64(seed + i*GAMMA)."""
     mask = (1 << 64) - 1

@@ -10,7 +10,7 @@ from supconad import trainer
 from supconad.loss import LossBatch, LossConfig, batch_loss, batch_loss_grad
 from supconad.numerics import Rng
 from supconad.synthgen import ANOMALOUS, MODALITIES, NORMAL, Window
-from supconad.trainer import (TrainConfig, TrainingDivergedError, _sample_batch,
+from supconad.trainer import (TrainConfig, TrainingDivergedError, _batch_sampler,
                               lr_at, save_training_log, train)
 
 
@@ -51,28 +51,51 @@ def test_lr_rejects_nonpositive_epoch():
 
 # -- batch sampling ------------------------------------------------------------------
 
-def toy_pool(n_normal, n_anomalous):
-    """The trainer's stacked pool: normal rows first; row r is filled with r."""
-    return np.repeat(np.arange(n_normal + n_anomalous, dtype=float)[:, None], 4, axis=1)
+def toy_pool(n_normal, n_anomalous, members=1):
+    """The trainer's stacked pool: each member's normal rows first; row r of member
+    i is filled with 1000 * i + r."""
+    rows = np.arange(n_normal + n_anomalous, dtype=float)
+    return np.stack([np.repeat((rows + 1000 * i)[:, None], 4, axis=1) for i in range(members)])
+
+
+def _sample_batch(pool, n_normal, k, m, rng):
+    """The per-member sampler the stacked gather replaced, kept as its oracle: k
+    normal then m anomalous rows of one member's pool."""
+    idx_n = rng.choice_without_replacement(n_normal, k)
+    idx_a = rng.choice_without_replacement(len(pool) - n_normal, m)
+    return pool[np.concatenate([idx_n, idx_a + n_normal])]
 
 
 def test_sample_batch_sizes_match_reference_protocol():
-    x = _sample_batch(toy_pool(220, 400), 220, 10, 150, Rng(0))
+    (x,) = _batch_sampler(toy_pool(220, 400), 220, 10, 150, [Rng(0)])()
     assert x.shape == (160, 4)
     assert np.all(x[:10] < 220)      # anchors come from the normal rows
     assert np.all(x[10:] >= 220)     # negatives from the anomalous rows
 
 
 def test_sample_batch_returns_rows_unmodified():
-    pool = toy_pool(20, 10)
-    x = _sample_batch(pool, 20, 4, 3, Rng(1))
-    for row in x:
-        assert np.array_equal(pool[int(row[0])], row)
+    pool = toy_pool(20, 10, members=2)
+    x = _batch_sampler(pool, 20, 4, 3, [Rng(1), Rng(2)])()
+    for member, rows in enumerate(x):
+        for row in rows:
+            assert np.array_equal(pool[member, int(row[0]) % 1000], row)
 
 
 def test_sample_batch_without_replacement():
-    x = _sample_batch(toy_pool(12, 6), 12, 12, 6, Rng(2))
+    (x,) = _batch_sampler(toy_pool(12, 6), 12, 12, 6, [Rng(2)])()
     assert sorted(x[:, 0]) == list(range(18))
+
+
+@pytest.mark.parametrize("members", [1, 2, 4])
+def test_stacked_gather_equals_the_per_member_samples(members):
+    pool = toy_pool(13, 9, members) + np.arange(4)     # columns differ too
+    draw = _batch_sampler(pool, 13, 5, 7, [Rng(seed) for seed in range(members)])
+    oracle_rngs = [Rng(seed) for seed in range(members)]
+    for _ in range(100):     # 1,200 draws per stream: its cached block is refilled
+        want = np.stack([_sample_batch(pool[i], 13, 5, 7, rng)
+                         for i, rng in enumerate(oracle_rngs)])
+        got = draw()
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_sample_batch_insufficient_windows_rejected():
