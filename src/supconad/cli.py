@@ -66,7 +66,6 @@ def _from_flags(cls, args: argparse.Namespace, **given):
 
 def _add_config(parser: argparse.ArgumentParser):
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.set_defaults(config_parser=parser)
 
 
 def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> dict[str, int]:
@@ -103,8 +102,7 @@ def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> dict[str,
 def _locate(message: str, parser: argparse.ArgumentParser, argv, args, lines) -> str:
     """message with its leading "<field>: " traced to the flag or --config line that set it."""
     field, _, rest = message.partition(": ")
-    sub = getattr(args, "config_parser", None)   # generate, train and grid have one
-    action = sub and {a.dest: a for a in sub._actions}.get(field)
+    action = {a.dest: a for a in args.subparser._actions}.get(field)
     if not action:
         return message
     action.default = unset = object()   # parsed again, a field no flag sets keeps this
@@ -245,6 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default=".")
     p.set_defaults(func=_cmd_fixtures)
 
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     lines: dict[str, int] = {}
     try:
         if getattr(args, "config", None) is not None:
-            lines = _config_as_defaults(args.config_parser, args.config)
+            lines = _config_as_defaults(args.subparser, args.config)
             args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, trainer.TrainingDivergedError) as exc:

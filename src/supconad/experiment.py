@@ -281,7 +281,7 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
                 try:
                     scored = _score_group(trained[loss_mode], train_by_mod, test_by_mod,
                                           cfg.head_modes)
-                except (trainer.TrainingDivergedError, DegenerateVectorError) as exc:
+                except trainer.MODEL_FAILURES as exc:
                     for head in cfg.head_modes:
                         failures.append({
                             "seed": run_seed, "labelling": labelling, "loss": loss_mode,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import NORM_EPS, DegenerateVectorError, Rng
+from .numerics import Rng, unit_rows
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -175,14 +175,8 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
         if layer.activation == "relu":
             np.maximum(a, 0.0, out=a)
         act.append(a)
-    v_raw = act[-1]
-    # what np.linalg.norm(v_raw, axis=-1, keepdims=True) computes for real input
-    norms = np.sqrt(np.add.reduce(v_raw * v_raw, axis=-1, keepdims=True))
-    # a NaN norm fails both comparisons
-    if not (norms.min() >= NORM_EPS and norms.max() < np.inf):
-        raise DegenerateVectorError("projection output norm is degenerate or non-finite")
-    return ForwardTrace(x=x, act=act, h=act[len(params.encoder) - 1],
-                        v=v_raw / norms, norms=norms)
+    v, norms = unit_rows(act[-1], "projection output")
+    return ForwardTrace(x=x, act=act, h=act[len(params.encoder) - 1], v=v, norms=norms)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> np.ndarray:
@@ -250,7 +244,8 @@ def save_params(params: ModelParams, path: str) -> None:
 
 
 def load_params(path: str) -> ModelParams:
-    """Read a version-1 checkpoint; a malformed line raises ValueError("path:line: ...")."""
+    """Read a version-1 checkpoint; a malformed line raises ValueError("path:line: ..."),
+    and layers that do not make a model raise ValueError("path: ...")."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != "supconad-params v1":
@@ -281,7 +276,10 @@ def load_params(path: str) -> ModelParams:
             stacks[name] = layers
     except ValueError as exc:
         raise ValueError(f"{path}:{pos + 1}: {exc}") from None
-    return ModelParams(stacks["encoder"], stacks["projection"])
+    try:   # the layers do not chain, a section is empty or the projection too narrow
+        return ModelParams(stacks["encoder"], stacks["projection"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _fields(lines: list[str], pos: int, n: int) -> list[str]:

@@ -1,4 +1,4 @@
-"""Row normalization and the deterministic random generator.
+"""The unit-norm rule and the deterministic random generator.
 
 All randomness in the package flows through :class:`Rng`, a counter-based
 splitmix64 generator that is fully specified below so that runs are
@@ -18,16 +18,16 @@ class DegenerateVectorError(ValueError):
     """Raised when a vector with (near-)zero norm reaches a normalization."""
 
 
-def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise unit normalization of a non-empty 2-D array.  A non-finite
-    entry makes its row norm non-finite, so the norm check rejects it."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"matrix must be 2-D and non-empty, got shape {m.shape}")
-    n = np.linalg.norm(m, axis=1, keepdims=True)
-    if np.any(n < NORM_EPS) or not np.all(np.isfinite(n)):
-        raise DegenerateVectorError("cannot normalize row with degenerate norm")
-    return m / n
+def unit_rows(m: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of m (along its last axis) scaled to unit norm, and their norms,
+    shaped (..., 1).  A norm below NORM_EPS or not finite (a non-finite entry
+    makes it so) raises DegenerateVectorError naming ``what``."""
+    # what np.linalg.norm(m, axis=-1, keepdims=True) computes for real input
+    norms = np.sqrt(np.add.reduce(m * m, axis=-1, keepdims=True))
+    # a NaN norm fails both comparisons
+    if not (norms.min() >= NORM_EPS and norms.max() < np.inf):
+        raise DegenerateVectorError(f"{what} norm is degenerate or non-finite")
+    return m / norms, norms
 
 
 # splitmix64 constants (Steele, Lea & Flood 2014).  The generator is used in

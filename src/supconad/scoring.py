@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .numerics import l2_normalize_rows
+from .numerics import unit_rows
 from .synthgen import MODALITIES, Modality
 
 PATHWAYS = ("encoder", "projection")
@@ -61,7 +61,7 @@ def _pathway_flag(use_projection: bool) -> str:
 def embed(params: model_mod.ModelParams, features: np.ndarray, use_projection: bool) -> np.ndarray:
     """Unit-norm embeddings of the rows of a (batch, input_dim) feature matrix."""
     trace = model_mod.forward(params, features)
-    return trace.v if use_projection else l2_normalize_rows(trace.h)
+    return trace.v if use_projection else unit_rows(trace.h, "encoder output")[0]
 
 
 def build_template(params: model_mod.ModelParams, normal_features: np.ndarray,

@@ -198,7 +198,7 @@ def analyze(m: ResultsMatrix, alpha: float = 0.05) -> AnalysisReport:
     and Shaffer's static correction above that.
     """
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+        raise ValueError(f"alpha: must be in (0, 1), got {alpha!r}")
     k, n = len(m.methods), len(m.datasets)
     _, mean_ranks = friedman_ranks(m)
     chi_sq, friedman_p = friedman_statistic(mean_ranks, k, n)
@@ -227,26 +227,33 @@ def analyze(m: ResultsMatrix, alpha: float = 0.05) -> AnalysisReport:
 def load_matrix_csv(path: str) -> ResultsMatrix:
     """Matrix CSV: header row of dataset labels, one row per method."""
     with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+        lines = [(ln_no, ln.rstrip("\n")) for ln_no, ln in enumerate(f, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}:1: empty matrix file")
-    header = lines[0].split(",")
-    datasets = header[1:]
+    header_no, header = lines[0]
+    datasets = header.split(",")[1:]
     if not datasets:
-        raise ValueError(f"{path}:1: header row has no dataset columns")
+        raise ValueError(f"{path}:{header_no}: header row has no dataset columns")
     methods, rows = [], []
-    for ln_no, line in enumerate(lines[1:], start=2):
+    for ln_no, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(datasets) + 1:
             raise ValueError(
                 f"{path}:{ln_no}: expected {len(datasets) + 1} fields, got {len(parts)}"
             )
+        if parts[0] in methods:
+            raise ValueError(f"{path}:{ln_no}: duplicate method label {parts[0]!r}")
         methods.append(parts[0])
         try:
             rows.append([float(x) for x in parts[1:]])
         except ValueError as exc:
             raise ValueError(f"{path}:{ln_no}: non-numeric value ({exc})") from None
-    return ResultsMatrix(tuple(methods), tuple(datasets), np.array(rows))
+        if not np.all(np.isfinite(rows[-1])):
+            raise ValueError(f"{path}:{ln_no}: non-finite value")
+    try:   # too few methods or datasets
+        return ResultsMatrix(tuple(methods), tuple(datasets), np.array(rows))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_matrix_csv(path: str, m: ResultsMatrix) -> None:

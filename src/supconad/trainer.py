@@ -27,7 +27,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 # the failures that cost only the model that meets them
-_FAILURES = (TrainingDivergedError, DegenerateVectorError)
+MODEL_FAILURES = (TrainingDivergedError, DegenerateVectorError)
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,7 @@ def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[
     are resampled freely.  The best checkpoint per embedding pathway is the
     earliest epoch achieving the maximum validation AUC.
     """
-    (outcome,) = train_group([(windows, encoder_dims, projection_dims, cfg)])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _train_lockstep([(windows, encoder_dims, projection_dims, cfg)])[0]
 
 
 def train_group(tasks: list[tuple]) -> list[TrainResult | Exception]:
@@ -143,23 +140,21 @@ def train_group(tasks: list[tuple]) -> list[TrainResult | Exception]:
     split, loss mode, batches, validation and checkpoints.  The members must
     agree on every config field except the seed and negative_mode, on their
     dims and on their split sizes.  A member's outcome is its TrainResult,
-    or the TrainingDivergedError or DegenerateVectorError that training it
-    alone raises: when a member of a larger group fails, every member is
-    trained again alone, in order.
+    or the MODEL_FAILURES error that ``train(*task)`` raises: when a member
+    of a larger group fails, every member is trained again alone, in order.
     """
     if len(tasks) > 1:
         try:
             return _train_lockstep(tasks)
-        except _FAILURES:
+        except MODEL_FAILURES:
             pass
-    return [_train_alone(task) for task in tasks]
-
-
-def _train_alone(task: tuple) -> TrainResult | Exception:
-    try:
-        return _train_lockstep([task])[0]
-    except _FAILURES as exc:
-        return exc
+    outcomes = []
+    for task in tasks:
+        try:
+            outcomes.append(train(*task))
+        except MODEL_FAILURES as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:

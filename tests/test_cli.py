@@ -425,6 +425,26 @@ def test_malformed_matrix_csv_is_a_one_line_error(tmp_path, capsys):
     assert_one_line_error(capsys, ["stats", "--matrix", str(matrix)], f"{matrix}:3: ")
 
 
+@pytest.mark.parametrize("body, where, message", [
+    ("m0,0.5,0.6\nm1,nan,0.6\n", ":3", "non-finite value"),
+    ("m0,0.5,0.6\nm1,0.5,0.6\nm0,0.7,0.6\n", ":4", "duplicate method label 'm0'"),
+    ("m0,0.5,0.6\n", "", "need at least 2 methods and 2 datasets"),
+    ("\nm0,0.5,0.6\n\nm1,0.5\n", ":5", "expected 3 fields, got 2"),
+], ids=["nan-cell", "duplicate-label", "one-method", "after-blank-lines"])
+def test_matrix_error_names_the_file(tmp_path, capsys, body, where, message):
+    matrix = tmp_path / "bad.csv"
+    matrix.write_text("method,d0,d1\n" + body)
+    assert_one_line_error(capsys, ["stats", "--matrix", str(matrix)],
+                          f"supconad: error: {matrix}{where}: {message}\n")
+
+
+def test_stats_alpha_range_error_names_the_flag(tmp_path, capsys):
+    run(["fixtures", "--outdir", str(tmp_path)])
+    assert_one_line_error(capsys, ["stats", "--matrix", str(tmp_path / "fixture_roc.csv"),
+                                   "--alpha", "2"],
+                          "supconad: error: --alpha: must be in (0, 1), got 2.0\n")
+
+
 # -- determinism across processes ----------------------------------------------------
 
 def test_grid_is_byte_identical_across_processes_and_blas_threads(tmp_path):

@@ -466,6 +466,24 @@ def test_checkpoint_cut_mid_line_names_path_and_line(tmp_path):
         M.load_params(path)
 
 
+@pytest.mark.parametrize("encoder, projection, message", [
+    ([(3, 2)], [(2, 4)], "consecutive layer dimensions are incompatible"),
+    ([], [(2, 2)], "encoder and projection must each have >= 1 layer"),
+    ([(3, 2)], [(1, 3)], "projection output dimension must be >= 2"),
+], ids=["not-chaining", "empty-section", "narrow-projection"])
+def test_checkpoint_that_makes_no_model_names_its_path(tmp_path, encoder, projection, message):
+    lines = ["supconad-params v1"]
+    for name, dims in (("encoder", encoder), ("projection", projection)):
+        lines.append(f"section {name} {len(dims)}")
+        for out_d, in_d in dims:   # header, bias row, weight rows
+            lines += [f"layer {out_d} {in_d} identity", " ".join(["0.0"] * out_d),
+                      *[" ".join(["1.0"] * in_d)] * out_d]
+    path = tmp_path / "hand.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {re.escape(message)}$"):
+        M.load_params(str(path))
+
+
 @pytest.mark.parametrize("line, bad", [(1, "section encoder two"), (2, "layer 9 7 tanh"),
                                        (3, None), (5, None)])
 def test_checkpoint_malformed_line_names_path_and_line(tmp_path, line, bad):

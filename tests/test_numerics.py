@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supconad.numerics import (_BLOCK, _BLOCK_MAX_REQUEST, DegenerateVectorError, Rng,
-                               l2_normalize_rows)
+                               unit_rows)
+from supconad.scoring import embed
+from test_model import identity_net
 
 bounded = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -15,38 +17,42 @@ def vec_strategy(dim=8):
     return st.lists(bounded, min_size=dim, max_size=dim).map(np.array)
 
 
-# -- l2_normalize_rows (one-row cases) ------------------------------------------
+# -- unit_rows: L2 row normalization -------------------------------------------
 
 def test_l2_normalize_345_triangle():
-    out = l2_normalize_rows([[3.0, 4.0]])
-    assert np.allclose(out, [[0.6, 0.8]], atol=1e-12)
+    unit, norms = unit_rows(np.array([[3.0, 4.0]]), "rows")
+    assert np.allclose(unit, [[0.6, 0.8]], atol=1e-12)
+    assert norms.tolist() == [[5.0]]
 
 
 def test_l2_normalize_unit_vector_is_identity():
     v = np.array([[0.0, 1.0, 0.0]])
-    assert np.array_equal(l2_normalize_rows(v), v)
+    assert np.array_equal(unit_rows(v, "rows")[0], v)
+
+
+def test_l2_normalize_rows_of_a_stack_per_member():
+    m = Rng(3).gaussian_array((2, 4, 3))
+    unit, norms = unit_rows(m, "rows")
+    assert norms.shape == (2, 4, 1)
+    for i in range(2):
+        assert np.array_equal(unit[i], unit_rows(m[i], "rows")[0])
 
 
 def test_l2_normalize_zero_vector_errors():
-    with pytest.raises(DegenerateVectorError):
-        l2_normalize_rows([[0.0, 0.0]])
+    with pytest.raises(DegenerateVectorError,
+                       match="^encoder output norm is degenerate or non-finite$"):
+        unit_rows(np.array([[0.0, 0.0]]), "encoder output")
 
 
 def test_l2_normalize_rows_degenerate_row_errors():
     with pytest.raises(DegenerateVectorError):
-        l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]), "rows")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_l2_normalize_rows_non_finite_row_errors(bad):
     with pytest.raises(DegenerateVectorError):
-        l2_normalize_rows(np.array([[1.0, 0.0], [bad, 1.0]]))
-
-
-@pytest.mark.parametrize("m", [[1.0, 2.0], np.empty((0, 3)), np.ones((2, 0))])
-def test_l2_normalize_rows_rejects_non_matrix(m):
-    with pytest.raises(ValueError, match="must be 2-D and non-empty"):
-        l2_normalize_rows(m)
+        unit_rows(np.array([[1.0, 0.0], [bad, 1.0]]), "rows")
 
 
 @settings(deadline=None, max_examples=80)
@@ -54,10 +60,25 @@ def test_l2_normalize_rows_rejects_non_matrix(m):
 def test_l2_normalize_unit_norm_and_scale_invariance(a):
     if np.linalg.norm(a) < 1e-6:
         return
-    out = l2_normalize_rows(a[None, :])
+    out = unit_rows(a[None, :], "rows")[0]
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
     for c in (0.5, 3.0, 1e4):
-        assert np.max(np.abs(l2_normalize_rows(c * a[None, :]) - out)) < 1e-12
+        assert np.max(np.abs(unit_rows(c * a[None, :], "rows")[0] - out)) < 1e-12
+
+
+def test_each_pathway_names_the_output_that_degenerates():
+    # the encoder output of x is zero; the projection bias keeps its output at [1, 0]
+    p = identity_net(2)
+    p.projection[0].bias[:] = [1.0, 0.0]
+    x = np.array([[0.6, 0.8], [0.0, 0.0]])
+    v = np.array([[1.6, 0.8], [1.0, 0.0]])
+    assert np.allclose(embed(p, x, use_projection=True), v / np.linalg.norm(v, axis=1)[:, None],
+                       atol=1e-12)
+    with pytest.raises(DegenerateVectorError, match="^encoder output norm is degenerate"):
+        embed(p, x, use_projection=False)
+    p.projection[0].bias[:] = 0.0
+    with pytest.raises(DegenerateVectorError, match="^projection output norm is degenerate"):
+        embed(p, x, use_projection=True)
 
 
 # -- Rng ------------------------------------------------------------------------
