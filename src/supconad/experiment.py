@@ -33,7 +33,7 @@ from .model import ModelParams, check_dims
 from .numerics import DegenerateVectorError, Rng
 from .synthgen import (ANOMALOUS, LABELLING_MODES, MODALITIES, NORMAL, WINDOW_LEN,
                        GenConfig, Modality, by_modality, dataset_windows,
-                       generate_dataset)
+                       generate_dataset, labelled_windows)
 
 DEFAULT_ENCODER_DIMS = (192, 64, 32)
 DEFAULT_PROJECTION_DIMS = (32, 16)
@@ -65,6 +65,8 @@ class ExperimentConfig:
             for value in values:
                 if value not in known:
                     raise ValueError(f"{name}: unknown {value!r} (known: {', '.join(known)})")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name}: repeats a value, got {values}")
         check_dims(self.encoder_dims, self.projection_dims)
         n_in = WINDOW_LEN * self.gen.frame_dim
         if self.encoder_dims[0] != n_in:
@@ -263,6 +265,34 @@ def run_group(cfg: ExperimentConfig, run_seed: int, labelling: str, loss_mode: s
     return _score_group(trained[loss_mode], train_by_mod, test_by_mod, heads)
 
 
+def _grid_labelling(cfg: ExperimentConfig, run_seed: int, labelling: str, train_by_mod,
+                    test_by_mod, cells: dict, failures: list) -> None:
+    """Train, score and export the cells of one labelling of a grid seed into cells
+    and failures; its models and scores are freed when this returns."""
+    trained = _train_models_for(train_by_mod, cfg, run_seed, labelling, cfg.loss_modes)
+    for loss_mode in cfg.loss_modes:
+        # a group that fails in training, validation or scoring loses all its cells
+        try:
+            scored = _score_group(trained[loss_mode], train_by_mod, test_by_mod, cfg.head_modes)
+        except trainer.MODEL_FAILURES as exc:
+            for head in cfg.head_modes:
+                failures.append({
+                    "seed": run_seed, "labelling": labelling, "loss": loss_mode,
+                    "head": head, "modality": exc.modality.key, "error": str(exc),
+                })
+            continue
+        for head, cell in scored.items():
+            method = f"{loss_mode}-{head}-{labelling}"
+            for combo_name in cfg.combos:
+                fused = cell.fused(scoring.MODALITY_COMBOS[combo_name])
+                ls = LabeledScores(fused, cell.labels)
+                cells[(run_seed, method, combo_name)] = (roc_auc(ls), pr_auc(ls))
+            scoring.save_scores(
+                os.path.join(cfg.outdir, f"scores_seed{run_seed}_{method}.csv"),
+                cell.records(),
+            )
+
+
 def run_grid(cfg: ExperimentConfig) -> GridResult:
     """Run the full grid, writing per-cell scores, per-seed and mean AUC matrices + manifest."""
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -272,34 +302,12 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     for run_seed in cfg.seeds:
         ds = generate_dataset(replace(cfg.gen, seed=run_seed))
         test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
+        train_windows = labelled_windows(ds, cfg.labelling_modes, split="train")
+        del ds   # the windows hold copies of their features
         for labelling in cfg.labelling_modes:
-            train_windows = dataset_windows(ds, labelling, split="train")
-            train_by_mod = by_modality(train_windows)
-            trained = _train_models_for(train_by_mod, cfg, run_seed, labelling, cfg.loss_modes)
-            for loss_mode in cfg.loss_modes:
-                # a group that fails in training, validation or scoring loses all its cells
-                try:
-                    scored = _score_group(trained[loss_mode], train_by_mod, test_by_mod,
-                                          cfg.head_modes)
-                except trainer.MODEL_FAILURES as exc:
-                    for head in cfg.head_modes:
-                        failures.append({
-                            "seed": run_seed, "labelling": labelling, "loss": loss_mode,
-                            "head": head, "modality": exc.modality.key, "error": str(exc),
-                        })
-                    continue
-                for head, cell in scored.items():
-                    method = f"{loss_mode}-{head}-{labelling}"
-                    for combo_name in cfg.combos:
-                        combo = scoring.MODALITY_COMBOS[combo_name]
-                        fused = cell.fused(combo)
-                        ls = LabeledScores(fused, cell.labels)
-                        cells[(run_seed, method, combo_name)] = (roc_auc(ls), pr_auc(ls))
-                    scoring.save_scores(
-                        os.path.join(cfg.outdir, f"scores_seed{run_seed}_{method}.csv"),
-                        cell.records(),
-                    )
-
+            # popped, so the windows only this labelling keeps die with its call
+            _grid_labelling(cfg, run_seed, labelling, by_modality(train_windows.pop(labelling)),
+                            test_by_mod, cells, failures)
         _write_grid_csvs(cfg, cells, (run_seed,), f"seed{run_seed}")
     _write_grid_csvs(cfg, cells, cfg.seeds, "mean")
 
@@ -348,6 +356,8 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
     ds = generate_dataset(replace(cfg.gen, seed=run_seed))
     train_by_mod = by_modality(dataset_windows(ds, "manual", split="train"))
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
+    archetypes = ds.archetypes
+    del ds   # the windows hold copies of their features
     cell = run_group(cfg, run_seed, "manual", "average", train_by_mod, test_by_mod,
                      ("projection",))["projection"]
 
@@ -359,7 +369,7 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
 
     normal_mask = cell.labels
     unseen_mask = np.array([   # only anomalous windows have an archetype, found by its id
-        w.archetype_id is not None and not ds.archetypes[w.archetype_id].seen_in_training
+        w.archetype_id is not None and not archetypes[w.archetype_id].seen_in_training
         for w in test_by_mod[MODALITIES[0]]
     ])
     seen_mask = ~normal_mask & ~unseen_mask

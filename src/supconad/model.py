@@ -68,16 +68,23 @@ class ModelParams:
                 raise ValueError("consecutive layer dimensions are incompatible")
         if self.projection[-1].weight.shape[-2] < 2:
             raise ValueError("projection output dimension must be >= 2")
-        self.flat = np.concatenate([a.reshape(*lead, -1) for l in chain
-                                    for a in (l.weight, l.bias)], axis=-1)
+        self._bind(np.concatenate([a.reshape(*lead, -1) for l in chain
+                                   for a in (l.weight, l.bias)], axis=-1),
+                   [(l.weight.shape, l.activation) for l in chain], len(self.encoder))
+
+    def _bind(self, flat: np.ndarray, layers: list[tuple], n_encoder: int) -> None:
+        """Take flat as the params' vector and make the layers, given in order as
+        (weight shape, activation) pairs, views of it; the first n_encoder are
+        the encoder's."""
+        self.flat = flat
         self._layout, pos = [], 0
-        for layer in chain:
-            n_out, n_in = layer.weight.shape[-2:]
+        for shape, _ in layers:
+            n_out, n_in = shape[-2:]
             end = pos + n_out * n_in
-            self._layout.append((slice(pos, end), layer.weight.shape, slice(end, end + n_out)))
+            self._layout.append((slice(pos, end), shape, slice(end, end + n_out)))
             pos = end + n_out
-        views = [LayerParams(w, b, l.activation) for l, (w, b) in zip(chain, self.split(self.flat))]
-        self.encoder, self.projection = views[:len(self.encoder)], views[len(self.encoder):]
+        views = [LayerParams(w, b, act) for (_, act), (w, b) in zip(layers, self.split(flat))]
+        self.encoder, self.projection = views[:n_encoder], views[n_encoder:]
 
     @classmethod
     def stack(cls, members: list["ModelParams"]) -> "ModelParams":
@@ -98,8 +105,9 @@ class ModelParams:
                              for part in (self.encoder, self.projection)])
 
     def __reduce__(self):
-        # unpickled views would be separate arrays; rebuilding rebinds them
-        return ModelParams, (self.encoder, self.projection)
+        # flat is sent once; unpickling rebinds the layers to views of the copy received
+        return _unpickle_params, (self.flat, [(l.weight.shape, l.activation) for l in self.layers],
+                                  len(self.encoder))
 
     @property
     def layers(self) -> list[LayerParams]:
@@ -116,6 +124,12 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.encoder, self.projection)
+
+
+def _unpickle_params(flat: np.ndarray, layers: list[tuple], n_encoder: int) -> ModelParams:
+    params = ModelParams.__new__(ModelParams)
+    params._bind(flat, layers, n_encoder)
+    return params
 
 
 @dataclass

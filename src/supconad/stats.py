@@ -50,6 +50,8 @@ class ResultsMatrix:
             raise ValueError("matrix contains missing or non-finite entries")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate method labels")
+        if len(set(self.datasets)) != len(self.datasets):
+            raise ValueError("duplicate dataset labels")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "datasets", tuple(self.datasets))
@@ -234,6 +236,9 @@ def load_matrix_csv(path: str) -> ResultsMatrix:
     datasets = header.split(",")[1:]
     if not datasets:
         raise ValueError(f"{path}:{header_no}: header row has no dataset columns")
+    repeated = [d for i, d in enumerate(datasets) if d in datasets[:i]]
+    if repeated:
+        raise ValueError(f"{path}:{header_no}: duplicate dataset label {repeated[0]!r}")
     methods, rows = [], []
     for ln_no, line in lines[1:]:
         parts = line.split(",")

@@ -248,29 +248,39 @@ def make_windows(clip: ClipRecord, labelling: str) -> list[Window]:
     drop: under ``manual`` labelling, a window of an anomalous clip with fewer
     than MANUAL_MAJORITY anomalous frames among its 16 retained frames.
     """
-    if labelling not in LABELLING_MODES:
-        raise ValueError(f"unknown labelling mode {labelling!r}")
+    return _cut_clip(clip, (labelling,))[0]
+
+
+def _cut_clip(clip: ClipRecord, modes: tuple[str, ...]) -> list[list[Window]]:
+    """make_windows of one clip under each labelling mode in modes, cut once: a
+    window that several modes keep is one object in each of their lists."""
+    for mode in modes:
+        if mode not in LABELLING_MODES:
+            raise ValueError(f"unknown labelling mode {mode!r}")
     t = len(clip.frame_labels)
     if t == 0:
         raise ValueError("clip has no frames")
 
-    windows = []
+    kept: list[list[Window]] = [[] for _ in modes]
     for w, start in enumerate(range(0, t, WINDOW_RAW_LEN)):
         idx = np.minimum(np.arange(start, start + WINDOW_RAW_LEN, 2), t - 1)
-        if (clip.clip_label == ANOMALOUS and labelling == "manual"
-                and int(clip.frame_labels[idx].sum()) < MANUAL_MAJORITY):
+        majority = (clip.clip_label != ANOMALOUS
+                    or int(clip.frame_labels[idx].sum()) >= MANUAL_MAJORITY)
+        keepers = [out for mode, out in zip(modes, kept) if majority or mode != "manual"]
+        if not keepers:
             continue
-        for mod in MODALITIES:
-            windows.append(Window(
-                features=clip.features[mod][idx].reshape(-1).copy(),
-                label=clip.clip_label,
-                clip_id=clip.clip_id,
-                window_index=w,
-                modality=mod,
-                split=clip.split,
-                archetype_id=clip.archetype_id,
-            ))
-    return windows
+        windows = [Window(
+            features=clip.features[mod][idx].reshape(-1).copy(),
+            label=clip.clip_label,
+            clip_id=clip.clip_id,
+            window_index=w,
+            modality=mod,
+            split=clip.split,
+            archetype_id=clip.archetype_id,
+        ) for mod in MODALITIES]
+        for out in keepers:
+            out.extend(windows)
+    return kept
 
 
 def dataset_windows(ds: Dataset, labelling: str, split: str | None = None) -> list[Window]:
@@ -280,12 +290,25 @@ def dataset_windows(ds: Dataset, labelling: str, split: str | None = None) -> li
     uses ``manual`` labelling (frame-level majority truth), so every method
     variant is evaluated against one fixed, comparable test set.
     """
-    out = []
+    return labelled_windows(ds, (labelling,), split)[labelling]
+
+
+def labelled_windows(ds: Dataset, labellings: tuple[str, ...],
+                     split: str | None = None) -> dict[str, list[Window]]:
+    """labelling -> dataset_windows(ds, labelling, split), for each of labellings,
+    with each clip cut once.
+
+    A window that several labellings keep (``manual`` keeps a subset of the
+    windows ``original`` keeps, and every test window) is one shared object
+    in each of their lists, so its features are held once.
+    """
+    out: dict[str, list[Window]] = {lab: [] for lab in labellings}
     for clip in ds.clips:
         if split is not None and clip.split != split:
             continue
-        mode = labelling if clip.split == "train" else "manual"
-        out.extend(make_windows(clip, mode))
+        modes = tuple(out) if clip.split == "train" else ("manual",) * len(out)
+        for kept, windows in zip(out.values(), _cut_clip(clip, modes)):
+            kept.extend(windows)
     return out
 
 

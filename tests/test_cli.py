@@ -438,6 +438,13 @@ def test_matrix_error_names_the_file(tmp_path, capsys, body, where, message):
                           f"supconad: error: {matrix}{where}: {message}\n")
 
 
+def test_repeated_dataset_label_names_the_header_line(tmp_path, capsys):
+    matrix = tmp_path / "bad.csv"
+    matrix.write_text("method,d0,d0,d1\nm0,0.9,0.8,0.7\nm1,0.6,0.5,0.4\nm2,0.3,0.2,0.1\n")
+    assert_one_line_error(capsys, ["stats", "--matrix", str(matrix)],
+                          f"supconad: error: {matrix}:1: duplicate dataset label 'd0'\n")
+
+
 def test_stats_alpha_range_error_names_the_flag(tmp_path, capsys):
     run(["fixtures", "--outdir", str(tmp_path)])
     assert_one_line_error(capsys, ["stats", "--matrix", str(tmp_path / "fixture_roc.csv"),

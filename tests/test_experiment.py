@@ -1,6 +1,7 @@
 import itertools
 import os
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -40,6 +41,13 @@ TINY = ExperimentConfig(
 def test_unknown_axis_value_is_rejected(field, value):
     with pytest.raises(ValueError, match=f"^{field}: unknown '{value}' \\(known: "):
         replace(TINY, **{field: (*getattr(TINY, field), value)})
+
+
+@pytest.mark.parametrize("field", list(experiment.AXES))
+def test_repeated_axis_value_is_rejected(field):
+    values = (*getattr(TINY, field), getattr(TINY, field)[0])
+    with pytest.raises(ValueError, match=f"^{field}: repeats a value, got "):
+        replace(TINY, **{field: values})
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -109,6 +117,54 @@ def test_benchmark_seed_reports_consistent_fields(tmp_path):
     assert 0.0 <= r.fused_roc_auc <= 1.0
     assert 0.0 <= r.fused_unseen_roc_auc <= 1.0
     assert r.best_single == max(r.single_roc_auc.values())
+
+
+def _watch_release(monkeypatch):
+    """Patch generate_dataset and _train_models_for in experiment to record, as
+    each training call starts, whether the last Dataset made is alive, its
+    windows, and which windows and outcomes of each earlier call are alive."""
+    seen = {"dataset": None, "calls": []}
+    make, train = experiment.generate_dataset, experiment._train_models_for
+
+    def generate(gen):
+        ds = make(gen)
+        seen["dataset"] = weakref.ref(ds)
+        return ds
+
+    def train_models_for(windows_by_mod, *args):
+        call = {"dataset_alive": seen["dataset"]() is not None,
+                "windows": {id(w) for ws in windows_by_mod.values() for w in ws},
+                "earlier_alive": [{k: [r() for r in c[k]] for k in ("window_refs", "outcome_refs")}
+                                  for c in seen["calls"]]}
+        out = train(windows_by_mod, *args)
+        call["window_refs"] = [weakref.ref(w) for ws in windows_by_mod.values() for w in ws]
+        call["outcome_refs"] = [weakref.ref(x) for by_mod in out.values() for x in by_mod.values()]
+        seen["calls"].append(call)
+        return out
+
+    monkeypatch.setattr(experiment, "generate_dataset", generate)
+    monkeypatch.setattr(experiment, "_train_models_for", train_models_for)
+    return seen
+
+
+def test_grid_frees_the_dataset_and_each_labelling_before_the_next(monkeypatch, tmp_path):
+    seen = _watch_release(monkeypatch)
+    assert run_grid(replace(TINY, outdir=str(tmp_path))).ok
+    first, second = seen["calls"]
+    assert not first["dataset_alive"] and not second["dataset_alive"]
+    (alive,) = second["earlier_alive"]
+    assert alive["outcome_refs"] and all(x is None for x in alive["outcome_refs"])
+    # of the first labelling's windows, only those the second also keeps are alive
+    windows = alive["window_refs"]
+    assert all(w is None or id(w) in second["windows"] for w in windows)
+    assert any(w is None for w in windows)
+
+
+def test_benchmark_seed_frees_the_dataset_before_training(monkeypatch):
+    seen = _watch_release(monkeypatch)
+    run_benchmark_seed(TINY, 5)
+    (call,) = seen["calls"]
+    assert not call["dataset_alive"]
 
 
 # the single-modality combination of each modality, by modality key

@@ -320,6 +320,25 @@ def test_layers_are_views_of_their_own_flat(tmp_path):
     assert not np.any(src.encoder[0].weight) and np.any(dup.encoder[0].weight)
 
 
+def test_unpickling_rebinds_the_layers_to_the_flat_it_receives(monkeypatch):
+    single = random_net(Rng(9), [5, 6, 4], [4, 3])
+    stacked = M.ModelParams.stack([single, random_net(Rng(10), [5, 6, 4], [4, 3])])
+    blobs = [pickle.dumps(p) for p in (single, stacked)]
+
+    def no_concatenate(*args, **kwargs):
+        raise AssertionError("unpickling concatenated the layers into a new flat")
+
+    monkeypatch.setattr(np, "concatenate", no_concatenate)
+    for p, blob in zip((single, stacked), blobs):
+        back = pickle.loads(blob)
+        assert np.array_equal(back.flat, p.flat)
+        assert len(back.encoder) == len(p.encoder) and len(back.projection) == len(p.projection)
+        for got, want in zip(back.layers, p.layers):
+            assert got.activation == want.activation
+            for a, b in ((got.weight, want.weight), (got.bias, want.bias)):
+                assert np.array_equal(a, b) and np.shares_memory(a, back.flat)
+
+
 def test_sgd_step_on_the_source_leaves_its_copy_unchanged():
     rng = Rng(22)
     p = random_net(rng, [5, 6, 4], [4, 3])

@@ -274,6 +274,11 @@ def test_matrix_validation():
         matrix([[0.5, np.nan], [0.2, 0.3]])
 
 
+def test_repeated_dataset_label_is_rejected():
+    with pytest.raises(ValueError, match="^duplicate dataset labels$"):
+        ResultsMatrix(("a", "b", "c"), ("d0", "d0", "d1"), np.eye(3))
+
+
 # -- CSV interfaces -------------------------------------------------------------------------
 
 def test_matrix_csv_round_trip(tmp_path):

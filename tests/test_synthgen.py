@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from conftest import exact_floats
 from supconad import synthgen
 from supconad.numerics import Rng
-from supconad.synthgen import (ANOMALOUS, MODALITIES, NORMAL, WINDOW_LEN, WINDOW_RAW_LEN,
-                               ClipRecord, GenConfig, Window, by_modality,
-                               dataset_windows, generate_dataset, load_windows,
-                               make_windows, save_windows, split_train_val)
+from supconad.synthgen import (ANOMALOUS, LABELLING_MODES, MANUAL_MAJORITY, MODALITIES,
+                               NORMAL, WINDOW_LEN, WINDOW_RAW_LEN, ClipRecord, GenConfig,
+                               Window, by_modality, dataset_windows, generate_dataset,
+                               labelled_windows, load_windows, make_windows, save_windows,
+                               split_train_val)
+from test_experiment import TINY
 
 # small but feasible: 22/4 = 5.5, within 10% of 5.45
 SMALL = dict(frame_dim=5, frames_per_clip=96, train_normal_clips=22,
@@ -323,6 +325,58 @@ def test_make_windows_is_deterministic():
             assert np.array_equal(wa.features, wb.features)
             assert (wa.label, wa.window_index, wa.modality) == \
                 (wb.label, wb.window_index, wb.modality)
+
+
+def _one_labelling_cut(ds, labelling, split):
+    """dataset_windows as a per-labelling loop over the clips, each clip cut
+    afresh: the reference for labelled_windows."""
+    out = []
+    for clip in ds.clips:
+        if clip.split != split:
+            continue
+        mode = labelling if clip.split == "train" else "manual"
+        t = len(clip.frame_labels)
+        for w, start in enumerate(range(0, t, WINDOW_RAW_LEN)):
+            idx = np.minimum(np.arange(start, start + WINDOW_RAW_LEN, 2), t - 1)
+            if (clip.clip_label == ANOMALOUS and mode == "manual"
+                    and int(clip.frame_labels[idx].sum()) < MANUAL_MAJORITY):
+                continue
+            out.extend(Window(clip.features[mod][idx].reshape(-1).copy(), clip.clip_label,
+                              clip.clip_id, w, mod, clip.split, clip.archetype_id)
+                       for mod in MODALITIES)
+    return out
+
+
+@pytest.fixture(scope="module", params=["tiny", "default"])
+def cut_datasets(request):
+    return generate_dataset(TINY.gen if request.param == "tiny" else GenConfig(seed=3))
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_labelled_windows_equal_a_cut_per_labelling(cut_datasets, split):
+    got = labelled_windows(cut_datasets, LABELLING_MODES, split)
+    assert list(got) == list(LABELLING_MODES)
+    for labelling, windows in got.items():
+        want = _one_labelling_cut(cut_datasets, labelling, split)
+        assert len(windows) == len(want)
+        for a, b in zip(windows, want):
+            assert (a.label, a.clip_id, a.window_index, a.modality, a.split, a.archetype_id) \
+                == (b.label, b.clip_id, b.window_index, b.modality, b.split, b.archetype_id)
+            assert a.features.dtype == b.features.dtype and np.all(a.features == b.features)
+        assert [w.features.tobytes() for w in dataset_windows(cut_datasets, labelling, split)] \
+            == [w.features.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_a_window_both_labellings_keep_is_one_object(cut_datasets, split):
+    got = labelled_windows(cut_datasets, LABELLING_MODES, split)
+    original = {(w.clip_id, w.window_index, w.modality): w for w in got["original"]}
+    assert got["manual"] and all(original[(w.clip_id, w.window_index, w.modality)] is w
+                                 for w in got["manual"])
+    if split == "train":   # manual drops windows of anomalous clips; the test split is all manual
+        assert len(got["manual"]) < len(original)
+    else:
+        assert len(got["manual"]) == len(original)
 
 
 def test_manual_anomalous_count_never_exceeds_original():
