@@ -303,7 +303,6 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
         ds = generate_dataset(replace(cfg.gen, seed=run_seed))
         test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
         train_windows = labelled_windows(ds, cfg.labelling_modes, split="train")
-        del ds   # the windows hold copies of their features
         for labelling in cfg.labelling_modes:
             # popped, so the windows only this labelling keeps die with its call
             _grid_labelling(cfg, run_seed, labelling, by_modality(train_windows.pop(labelling)),
@@ -356,8 +355,6 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
     ds = generate_dataset(replace(cfg.gen, seed=run_seed))
     train_by_mod = by_modality(dataset_windows(ds, "manual", split="train"))
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
-    archetypes = ds.archetypes
-    del ds   # the windows hold copies of their features
     cell = run_group(cfg, run_seed, "manual", "average", train_by_mod, test_by_mod,
                      ("projection",))["projection"]
 
@@ -369,7 +366,7 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
 
     normal_mask = cell.labels
     unseen_mask = np.array([   # only anomalous windows have an archetype, found by its id
-        w.archetype_id is not None and not archetypes[w.archetype_id].seen_in_training
+        w.archetype_id is not None and not ds.archetypes[w.archetype_id].seen_in_training
         for w in test_by_mod[MODALITIES[0]]
     ])
     seen_mask = ~normal_mask & ~unseen_mask

@@ -105,7 +105,6 @@ class ClipRecord:
     clip_label: str                     # NORMAL | ANOMALOUS
     frame_labels: np.ndarray            # bool, True where the frame is anomalous
     archetype_id: int | None
-    features: dict[Modality, np.ndarray]  # (frames, frame_dim) per modality
 
 
 @dataclass
@@ -121,8 +120,10 @@ class Window:
 
 @dataclass
 class Dataset:
+    """The clip plan; labelled_windows draws the clips' frames, a block at a time."""
     config: GenConfig
     archetypes: list[AnomalyArchetype]
+    normal_means: dict[Modality, np.ndarray]   # per-modality frame-feature mean
     clips: list[ClipRecord]
 
 
@@ -160,8 +161,9 @@ def _frame_label_layout(cfg: GenConfig, rng: Rng) -> np.ndarray:
     return mask
 
 
-# Clips whose AR(1) frame noise shares one working buffer: 32 clips x 4
-# modalities x 160 frames x 12 dims of float64 is about 2 MB at the default shape.
+# Clips whose frames labelled_windows draws at once and holds while it cuts
+# them: 32 clips x 4 modalities x 160 frames x 12 dims of float64 is about 2 MB
+# at the default shape.
 _BLOCK_CLIPS = 32
 
 
@@ -183,13 +185,11 @@ def _ar1_in_place(dev: np.ndarray, blend: float) -> None:
 
 
 def generate_dataset(cfg: GenConfig) -> Dataset:
-    """Generate synchronized four-modality clips for both splits.
+    """The clip plan for both splits: each clip's split, label, frame-label mask
+    and archetype, with the archetypes and the per-modality normal means.
 
-    Modality streams of one clip share the frame-label sequence but are
-    generated from modality-specific means with independent noise, each
-    (clip, modality) stream from its own spawned Rng.  A frame's features are
-    its mean (the archetype's on anomalous frames) plus AR(1)-smoothed
-    Gaussian noise, scaled by the archetype's spread on anomalous frames.
+    The frames are not drawn here but by labelled_windows, a block of clips at
+    a time, through _draw_frames.
     """
     master = Rng(cfg.seed)
     rng_global = master.spawn(0)
@@ -203,44 +203,57 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
              ("train", ANOMALOUS, cfg.train_anomalous_clips, archetypes[:cfg.seen_archetypes]),
              ("test", NORMAL, cfg.test_normal_clips, ()),
              ("test", ANOMALOUS, cfg.test_anomalous_clips, archetypes))
-    t, d, n_mod = cfg.frames_per_clip, cfg.frame_dim, len(MODALITIES)
     clips = []
     for split, label, n_clips, pool in table:
         for j in range(n_clips):
-            mask = _frame_label_layout(cfg, rng_layout) if pool else np.zeros(t, dtype=bool)
+            mask = (_frame_label_layout(cfg, rng_layout) if pool
+                    else np.zeros(cfg.frames_per_clip, dtype=bool))
             clips.append(ClipRecord(
                 clip_id=len(clips),
                 split=split,
                 clip_label=label,
                 frame_labels=mask,
                 archetype_id=pool[j % len(pool)].id if pool else None,
-                features={},
             ))
+    return Dataset(cfg, archetypes, mu, clips)
 
-    buf = np.empty((_BLOCK_CLIPS, n_mod, t, d))
-    for lo in range(0, len(clips), _BLOCK_CLIPS):
-        block = clips[lo:lo + _BLOCK_CLIPS]
-        dev = buf[:len(block)]
-        for clip, clip_dev in zip(block, dev):
-            noise_std = np.full((t, 1), cfg.frame_noise_std)
+
+def _draw_frames(ds: Dataset, clips: list[ClipRecord]) -> np.ndarray:
+    """Frames of clips, any subset of ds.clips in any order, as one
+    (clip, modality, frame, frame_dim) array, modalities in MODALITIES order.
+
+    Modality streams of one clip share the frame-label sequence but are drawn
+    from modality-specific means with independent noise, each (clip, modality)
+    stream from its own spawned Rng and smoothed on its own, so a clip's frames
+    do not depend on which clips are drawn with it.  A frame's features are its
+    mean (the archetype's on anomalous frames) plus AR(1)-smoothed Gaussian
+    noise, scaled by the archetype's spread on anomalous frames.
+    """
+    cfg = ds.config
+    master = Rng(cfg.seed)
+    t, d, n_mod = cfg.frames_per_clip, cfg.frame_dim, len(MODALITIES)
+    frames = np.empty((len(clips), n_mod, t, d))
+    for clip, clip_dev in zip(clips, frames):
+        noise_std = np.full((t, 1), cfg.frame_noise_std)
+        if clip.archetype_id is not None:
+            noise_std[clip.frame_labels] *= ds.archetypes[clip.archetype_id].spread
+        for mi in range(n_mod):
+            rng_feat = master.spawn(1000 + clip.clip_id * n_mod + mi)
+            np.multiply(rng_feat.gaussian_array((t, d)), noise_std, out=clip_dev[mi])
+    _ar1_in_place(frames, cfg.ar_coeff)
+    for clip, clip_frames in zip(clips, frames):
+        anomalous = clip.frame_labels[:, None]
+        for mod, mod_frames in zip(MODALITIES, clip_frames):
+            mean = ds.normal_means[mod]
             if clip.archetype_id is not None:
-                noise_std[clip.frame_labels] *= archetypes[clip.archetype_id].spread
-            for mi in range(n_mod):
-                rng_feat = master.spawn(1000 + clip.clip_id * n_mod + mi)
-                np.multiply(rng_feat.gaussian_array((t, d)), noise_std, out=clip_dev[mi])
-        _ar1_in_place(dev, cfg.ar_coeff)
-        for clip, clip_dev in zip(block, dev):
-            for mod, mod_dev in zip(MODALITIES, clip_dev):
-                feats = np.tile(mu[mod], (t, 1))
-                if clip.archetype_id is not None:
-                    feats[clip.frame_labels] = archetypes[clip.archetype_id].means[mod]
-                feats += mod_dev
-                clip.features[mod] = feats
-    return Dataset(cfg, archetypes, clips)
+                mean = np.where(anomalous, ds.archetypes[clip.archetype_id].means[mod], mean)
+            mod_frames += mean
+    return frames
 
 
-def make_windows(clip: ClipRecord, labelling: str) -> list[Window]:
-    """Cut one clip into non-overlapping, downsampled windows for all modalities.
+def make_windows(clip: ClipRecord, frames: np.ndarray, labelling: str) -> list[Window]:
+    """Cut one clip's frames, a (modality, frame, frame_dim) array in MODALITIES
+    order, into non-overlapping, downsampled windows for all modalities.
 
     Segments of 32 frames are taken back to back; a short final segment is
     padded by repeating the last available frame, then every other frame is
@@ -248,10 +261,10 @@ def make_windows(clip: ClipRecord, labelling: str) -> list[Window]:
     drop: under ``manual`` labelling, a window of an anomalous clip with fewer
     than MANUAL_MAJORITY anomalous frames among its 16 retained frames.
     """
-    return _cut_clip(clip, (labelling,))[0]
+    return _cut_clip(clip, frames, (labelling,))[0]
 
 
-def _cut_clip(clip: ClipRecord, modes: tuple[str, ...]) -> list[list[Window]]:
+def _cut_clip(clip: ClipRecord, frames: np.ndarray, modes: tuple[str, ...]) -> list[list[Window]]:
     """make_windows of one clip under each labelling mode in modes, cut once: a
     window that several modes keep is one object in each of their lists."""
     for mode in modes:
@@ -270,14 +283,14 @@ def _cut_clip(clip: ClipRecord, modes: tuple[str, ...]) -> list[list[Window]]:
         if not keepers:
             continue
         windows = [Window(
-            features=clip.features[mod][idx].reshape(-1).copy(),
+            features=mod_frames[idx].reshape(-1),
             label=clip.clip_label,
             clip_id=clip.clip_id,
             window_index=w,
             modality=mod,
             split=clip.split,
             archetype_id=clip.archetype_id,
-        ) for mod in MODALITIES]
+        ) for mod, mod_frames in zip(MODALITIES, frames)]
         for out in keepers:
             out.extend(windows)
     return kept
@@ -296,20 +309,27 @@ def dataset_windows(ds: Dataset, labelling: str, split: str | None = None) -> li
 def labelled_windows(ds: Dataset, labellings: tuple[str, ...],
                      split: str | None = None) -> dict[str, list[Window]]:
     """labelling -> dataset_windows(ds, labelling, split), for each of labellings,
-    with each clip cut once.
+    with each clip drawn and cut once.
 
-    A window that several labellings keep (``manual`` keeps a subset of the
+    The clips are drawn _BLOCK_CLIPS at a time, and a block's frames are
+    dropped once its windows are cut, before the next block is drawn.  A
+    window that several labellings keep (``manual`` keeps a subset of the
     windows ``original`` keeps, and every test window) is one shared object
     in each of their lists, so its features are held once.
     """
     out: dict[str, list[Window]] = {lab: [] for lab in labellings}
-    for clip in ds.clips:
-        if split is not None and clip.split != split:
-            continue
-        modes = tuple(out) if clip.split == "train" else ("manual",) * len(out)
-        for kept, windows in zip(out.values(), _cut_clip(clip, modes)):
-            kept.extend(windows)
+    clips = [c for c in ds.clips if split is None or c.split == split]
+    for lo in range(0, len(clips), _BLOCK_CLIPS):
+        _cut_block(ds, clips[lo:lo + _BLOCK_CLIPS], out)
     return out
+
+
+def _cut_block(ds: Dataset, block: list[ClipRecord], out: dict[str, list[Window]]) -> None:
+    """Draw block's frames and add their windows to out; the frames die on return."""
+    for clip, frames in zip(block, _draw_frames(ds, block)):
+        modes = tuple(out) if clip.split == "train" else ("manual",) * len(out)
+        for kept, windows in zip(out.values(), _cut_clip(clip, frames, modes)):
+            kept.extend(windows)
 
 
 def by_modality(windows: list[Window]) -> dict[Modality, list[Window]]:

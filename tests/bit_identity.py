@@ -4,7 +4,8 @@
 seed's ``BenchmarkSeedResult`` repr (criterion 6), the sha256 of every
 file the criterion-8 grid writes, with ``outdir`` taken out of
 ``manifest.json``, and the sha256 of every file ``supconad train`` writes
-for each ``--head`` on ``test_cli``'s small data (``cli_train``).  A
+for each ``--head`` on ``test_cli``'s small data (``cli_train``), and the
+sha256 of the window file ``supconad generate`` writes there (``cli_generate``).  A
 mismatch names the first differing seed or file and the recorded and found
 numpy and OpenBLAS versions: another BLAS build or CPU kernel may round
 differently and so give other bits.
@@ -12,7 +13,7 @@ differently and so give other bits.
 A change that is meant to change results re-records the file, and says why;
 naming entries re-records only those and keeps the others:
 
-    PYTHONPATH=src:tests python3 tests/bit_identity.py [criterion_6 criterion_8 cli_train]
+    PYTHONPATH=src:tests python3 tests/bit_identity.py [criterion_6 criterion_8 cli_generate cli_train]
 """
 
 from __future__ import annotations
@@ -86,12 +87,16 @@ def _record(kinds: list[str]) -> None:
 
     from supconad.experiment import ExperimentConfig, run_benchmark_seed, run_grid
     from test_acceptance import BENCHMARK_SEEDS, CRITERION_8
-    from test_cli import train_digests
+    from test_cli import generate_digests, train_digests
 
     def criterion_8() -> dict[str, str]:
         with tempfile.TemporaryDirectory() as tmp:
             run_grid(ExperimentConfig(outdir=tmp, **CRITERION_8))
             return grid_digests(tmp)
+
+    def cli_generate() -> dict[str, str]:
+        with tempfile.TemporaryDirectory() as tmp:
+            return generate_digests(pathlib.Path(tmp))
 
     def cli_train() -> dict[str, str]:
         with tempfile.TemporaryDirectory() as tmp:
@@ -101,6 +106,7 @@ def _record(kinds: list[str]) -> None:
         "criterion_6": lambda: {str(seed): repr(run_benchmark_seed(ExperimentConfig(), seed))
                                 for seed in BENCHMARK_SEEDS},
         "criterion_8": criterion_8,
+        "cli_generate": cli_generate,
         "cli_train": cli_train,
     }
     recorded = _recorded() if kinds else {}

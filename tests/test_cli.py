@@ -83,6 +83,19 @@ def test_train_writes_checkpoint_log_scores_curves(tmp_path, capsys):
     assert os.path.exists(curves + ".roc.csv") and os.path.exists(curves + ".pr.csv")
 
 
+def generate_digests(tmp_path: Path) -> dict[str, str]:
+    """sha256 of the window file `supconad generate` writes for the GEN_FLAGS config
+    (seed 7, original labels): 33 clips, one more than a drawing block holds."""
+    data = tmp_path / "data.txt"
+    assert run(["generate", *GEN_FLAGS, "--seed", "7", "--labelling", "original",
+                "--out", str(data)]) == 0
+    return {"data.txt": hashlib.sha256(data.read_bytes()).hexdigest()}
+
+
+def test_generate_output_matches_the_recorded_digest(tmp_path):
+    bit_identity.check("cli_generate", generate_digests(tmp_path))
+
+
 def train_digests(tmp_path: Path) -> dict[str, str]:
     """sha256 of every file `supconad train` writes, per --head, keyed "<head>/<file>",
     on the GEN_FLAGS data (seed 7, manual labels) and TRAIN_FLAGS."""

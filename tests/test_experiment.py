@@ -8,7 +8,7 @@ import pytest
 
 from dataclasses import replace
 
-from supconad import experiment, scoring, trainer
+from supconad import experiment, scoring, synthgen, trainer
 from supconad.experiment import (CellScores, ExperimentConfig, _train_models_for,
                                  derive_cell_seed, run_benchmark_seed, run_grid, run_group)
 from supconad.loss import NEGATIVE_MODES
@@ -120,19 +120,22 @@ def test_benchmark_seed_reports_consistent_fields(tmp_path):
 
 
 def _watch_release(monkeypatch):
-    """Patch generate_dataset and _train_models_for in experiment to record, as
-    each training call starts, whether the last Dataset made is alive, its
-    windows, and which windows and outcomes of each earlier call are alive."""
-    seen = {"dataset": None, "calls": []}
-    make, train = experiment.generate_dataset, experiment._train_models_for
+    """Patch synthgen._draw_frames and experiment._train_models_for to record, at
+    each draw, whether an earlier draw's frames are alive, and, as each training
+    call starts, whether any frames are alive, its windows, and which windows and
+    outcomes of each earlier call are alive.  A drawing block is four clips, so
+    each cut of TINY's data draws several blocks."""
+    seen = {"frames": [], "held_at_draw": [], "calls": []}
+    draw, train = synthgen._draw_frames, experiment._train_models_for
 
-    def generate(gen):
-        ds = make(gen)
-        seen["dataset"] = weakref.ref(ds)
-        return ds
+    def draw_frames(ds, clips):
+        seen["held_at_draw"].append(sum(r() is not None for r in seen["frames"]))
+        frames = draw(ds, clips)
+        seen["frames"].append(weakref.ref(frames))
+        return frames
 
     def train_models_for(windows_by_mod, *args):
-        call = {"dataset_alive": seen["dataset"]() is not None,
+        call = {"frames_alive": sum(r() is not None for r in seen["frames"]),
                 "windows": {id(w) for ws in windows_by_mod.values() for w in ws},
                 "earlier_alive": [{k: [r() for r in c[k]] for k in ("window_refs", "outcome_refs")}
                                   for c in seen["calls"]]}
@@ -142,16 +145,25 @@ def _watch_release(monkeypatch):
         seen["calls"].append(call)
         return out
 
-    monkeypatch.setattr(experiment, "generate_dataset", generate)
+    monkeypatch.setattr(synthgen, "_BLOCK_CLIPS", 4)
+    monkeypatch.setattr(synthgen, "_draw_frames", draw_frames)
     monkeypatch.setattr(experiment, "_train_models_for", train_models_for)
     return seen
+
+
+def assert_one_block_at_a_time(seen):
+    """Each TINY clip (26 train, 7 test) drawn once, in blocks of four; no draw
+    starts while an earlier block's frames are alive."""
+    assert len(seen["frames"]) == 7 + 2
+    assert seen["held_at_draw"] == [0] * len(seen["frames"])
 
 
 def test_grid_frees_the_dataset_and_each_labelling_before_the_next(monkeypatch, tmp_path):
     seen = _watch_release(monkeypatch)
     assert run_grid(replace(TINY, outdir=str(tmp_path))).ok
+    assert_one_block_at_a_time(seen)
     first, second = seen["calls"]
-    assert not first["dataset_alive"] and not second["dataset_alive"]
+    assert first["frames_alive"] == second["frames_alive"] == 0
     (alive,) = second["earlier_alive"]
     assert alive["outcome_refs"] and all(x is None for x in alive["outcome_refs"])
     # of the first labelling's windows, only those the second also keeps are alive
@@ -163,8 +175,9 @@ def test_grid_frees_the_dataset_and_each_labelling_before_the_next(monkeypatch, 
 def test_benchmark_seed_frees_the_dataset_before_training(monkeypatch):
     seen = _watch_release(monkeypatch)
     run_benchmark_seed(TINY, 5)
+    assert_one_block_at_a_time(seen)
     (call,) = seen["calls"]
-    assert not call["dataset_alive"]
+    assert call["frames_alive"] == 0
 
 
 # the single-modality combination of each modality, by modality key

@@ -31,25 +31,29 @@ def split_clips(ds, split):
     return [c for c in ds.clips if c.split == split]
 
 
+def clip_frames(ds, clip):
+    """One clip's frames, (modality, frame, frame_dim), drawn on their own."""
+    return synthgen._draw_frames(ds, [clip])[0]
+
+
 def original_windows(ds, split):
     """Windows of one split under original labelling, the test split included."""
-    return [w for c in split_clips(ds, split) for w in make_windows(c, "original")]
+    return [w for c in split_clips(ds, split)
+            for w in make_windows(c, clip_frames(ds, c), "original")]
 
 
 def manual_clip(frame_labels, n_dims=3, clip_label=ANOMALOUS, split="test",
                 archetype_id=2):
-    """Clip with hand-set labels and per-frame-index feature content."""
+    """Clip with hand-set labels, and its frames: per-frame-index feature content."""
     t = len(frame_labels)
-    feats = {}
-    for k, mod in enumerate(MODALITIES):
-        base = np.arange(t, dtype=np.float64)[:, None] + 1000.0 * k
-        feats[mod] = np.repeat(base, n_dims, axis=1)
-    return ClipRecord(
+    offsets = 1000.0 * np.arange(len(MODALITIES))[:, None, None]
+    base = np.arange(t, dtype=np.float64)[None, :, None] + offsets
+    clip = ClipRecord(
         clip_id=0, split=split, clip_label=clip_label,
         frame_labels=np.asarray(frame_labels, dtype=bool),
         archetype_id=archetype_id if clip_label == ANOMALOUS else None,
-        features=feats,
     )
+    return clip, np.repeat(base, n_dims, axis=2)
 
 
 # -- config validation ---------------------------------------------------------
@@ -117,8 +121,7 @@ def test_clip_label_consistency():
 
 def test_modalities_share_labels_but_differ_in_features():
     ds = generate_dataset(small_cfg())
-    clip = split_clips(ds, "train")[0]
-    feats = [clip.features[m] for m in MODALITIES]
+    feats = list(clip_frames(ds, split_clips(ds, "train")[0]))
     assert all(f.shape == feats[0].shape for f in feats)
     for i in range(1, len(feats)):
         assert not np.allclose(feats[0], feats[i])
@@ -141,8 +144,7 @@ def test_generation_is_deterministic():
     b = generate_dataset(small_cfg())
     for ca, cb in zip(a.clips, b.clips):
         assert np.array_equal(ca.frame_labels, cb.frame_labels)
-        for m in MODALITIES:
-            assert np.array_equal(ca.features[m], cb.features[m])
+    assert np.array_equal(synthgen._draw_frames(a, a.clips), synthgen._draw_frames(b, b.clips))
 
 
 def oracle_clip_features(cfg, mu, arch_mean, spread, mask, rng):
@@ -195,23 +197,35 @@ def oracle_clips(cfg):
     return out
 
 
-def assert_matches_oracle(cfg):
+def assert_matches_oracle(cfg, blocks):
+    """The clip plan matches the oracle's, and _draw_frames, called once per
+    block (clip indices, any subset in any order), gives the oracle's frames."""
     ds = generate_dataset(cfg)
     expected = oracle_clips(cfg)
     assert len(ds.clips) == len(expected)
-    for clip, (split, label, mask, arch_id, feats) in zip(ds.clips, expected):
+    for clip, (split, label, mask, arch_id, _) in zip(ds.clips, expected):
         assert (clip.split, clip.clip_label, clip.archetype_id) == (split, label, arch_id)
         assert clip.frame_labels.tobytes() == mask.tobytes()
-        for mod in MODALITIES:
-            assert clip.features[mod].tobytes() == feats[mod].tobytes(), (clip.clip_id, mod)
+    for block in blocks:
+        frames = synthgen._draw_frames(ds, [ds.clips[i] for i in block])
+        assert frames.shape == (len(block), len(MODALITIES), cfg.frames_per_clip, cfg.frame_dim)
+        for i, clip_frames in zip(block, frames):
+            for mod, mod_frames in zip(MODALITIES, clip_frames):
+                assert mod_frames.tobytes() == expected[i][4][mod].tobytes(), (i, mod)
     return ds
+
+
+def _split_blocks(n_clips):
+    """Every clip once, in blocks of _BLOCK_CLIPS, as labelled_windows draws them."""
+    return [range(lo, min(lo + synthgen._BLOCK_CLIPS, n_clips))
+            for lo in range(0, n_clips, synthgen._BLOCK_CLIPS)]
 
 
 def test_generation_matches_per_stream_oracle_across_partial_block():
     cfg = small_cfg(test_anomalous_clips=9, seed=23)
     n_clips = len(oracle_clips(cfg))
     assert n_clips > synthgen._BLOCK_CLIPS and n_clips % synthgen._BLOCK_CLIPS != 0
-    ds = assert_matches_oracle(cfg)
+    ds = assert_matches_oracle(cfg, _split_blocks(n_clips))
     unseen = {a.id for a in ds.archetypes if not a.seen_in_training}
     assert {c.split for c in ds.clips} == {"train", "test"}
     assert any(c.archetype_id in unseen for c in ds.clips)
@@ -219,30 +233,44 @@ def test_generation_matches_per_stream_oracle_across_partial_block():
 
 
 def test_generation_matches_per_stream_oracle_at_default_config():
-    assert_matches_oracle(GenConfig(seed=7))
+    cfg = GenConfig(seed=7)
+    assert_matches_oracle(cfg, _split_blocks(len(oracle_clips(cfg))))
 
 
-def test_clip_features_are_separate_contiguous_arrays():
+@pytest.mark.parametrize("seed", [1, 3, 11])
+def test_frames_of_any_subset_and_order_of_clips_match_the_oracle(seed):
+    """A clip's frames do not depend on the clips drawn with it or before it."""
+    cfg = small_cfg(test_anomalous_clips=9, seed=seed)
+    n = len(oracle_clips(cfg))
+    order = Rng(seed).shuffled(n)
+    blocks = [range(n - 1, -1, -1),                       # every clip, reversed
+              [n - 1], [0],                               # one clip, last then first
+              list(order[:7]), list(order[7:]),           # a shuffled split in two
+              range(n - 1, 28, -1), range(0, n, 3),       # a reversed tail, every third
+              [5, 5, 2]]                                  # a clip twice
+    assert_matches_oracle(cfg, blocks)
+
+
+def test_window_features_are_separate_contiguous_arrays():
     cfg = small_cfg(test_anomalous_clips=9)
-    ds = generate_dataset(cfg)
+    windows = dataset_windows(generate_dataset(cfg), "original")
     extents = []
-    for clip in ds.clips:
-        for mod in MODALITIES:
-            f = clip.features[mod]
-            assert f.shape == (cfg.frames_per_clip, cfg.frame_dim)
-            assert f.dtype == np.float64 and f.flags.c_contiguous
-            start = f.__array_interface__["data"][0]
-            extents.append((start, start + f.nbytes))
+    for w in windows:
+        f = w.features
+        assert f.shape == (WINDOW_LEN * cfg.frame_dim,)
+        assert f.dtype == np.float64 and f.flags.c_contiguous
+        start = f.__array_interface__["data"][0]
+        extents.append((start, start + f.nbytes))
     extents.sort()
-    # no two feature arrays share memory with each other or a reused buffer
+    # no two windows share memory with each other or with a block's frames
     assert all(end <= nxt for (_, end), (nxt, _) in zip(extents, extents[1:]))
 
 
 # -- windowing -------------------------------------------------------------------
 
 def test_64_frame_clip_gives_two_windows():
-    clip = manual_clip([False] * 64, clip_label=NORMAL, archetype_id=None)
-    windows = make_windows(clip, "original")
+    clip, frames = manual_clip([False] * 64, clip_label=NORMAL, archetype_id=None)
+    windows = make_windows(clip, frames, "original")
     assert len(windows) == 2 * len(MODALITIES)
     per_mod = [w for w in windows if w.modality == MODALITIES[0]]
     assert [w.window_index for w in per_mod] == [0, 1]
@@ -255,8 +283,8 @@ def test_64_frame_clip_gives_two_windows():
 
 
 def test_short_final_window_pads_with_last_frame():
-    clip = manual_clip([False] * 40, clip_label=NORMAL, archetype_id=None)
-    per_mod = [w for w in make_windows(clip, "original") if w.modality == MODALITIES[0]]
+    clip, frames = manual_clip([False] * 40, clip_label=NORMAL, archetype_id=None)
+    per_mod = [w for w in make_windows(clip, frames, "original") if w.modality == MODALITIES[0]]
     assert len(per_mod) == 2
     # second raw segment is frames 32..39 plus 24 copies of frame 39,
     # downsampled to positions 32,34,36,38 then eight copies of 39
@@ -267,16 +295,16 @@ def test_short_final_window_pads_with_last_frame():
 
 def test_original_labelling_marks_every_window_of_anomalous_clip():
     labels = [False] * 48 + [True] * 16
-    clip = manual_clip(labels)
-    windows = [w for w in make_windows(clip, "original") if w.modality == MODALITIES[0]]
+    clip, frames = manual_clip(labels)
+    windows = [w for w in make_windows(clip, frames, "original") if w.modality == MODALITIES[0]]
     assert [w.label for w in windows] == [ANOMALOUS, ANOMALOUS]
 
 
 def test_manual_labelling_majority_rule_and_discard():
     # contamination concentrated in the first half of a 64-frame clip
     labels = [False] * 32 + [True] * 32
-    clip = manual_clip(labels)
-    windows = [w for w in make_windows(clip, "manual") if w.modality == MODALITIES[0]]
+    clip, frames = manual_clip(labels)
+    windows = [w for w in make_windows(clip, frames, "manual") if w.modality == MODALITIES[0]]
     # oracle: count anomalous frames at the retained (even) positions
     retained0 = clip.frame_labels[np.arange(0, 32, 2)].sum()
     retained1 = clip.frame_labels[np.arange(32, 64, 2)].sum()
@@ -288,38 +316,38 @@ def test_manual_labelling_majority_rule_and_discard():
 def test_manual_labelling_boundary_window_counts_retained_frames():
     # anomalous run covering 20 of the last 32 raw frames: 10 of 16 retained
     labels = [False] * 44 + [True] * 20
-    clip = manual_clip(labels)
+    clip, frames = manual_clip(labels)
     retained = clip.frame_labels[np.arange(32, 64, 2)].sum()
     assert retained == 10  # majority (>= 9) -> kept
-    windows = [w for w in make_windows(clip, "manual") if w.modality == MODALITIES[0]]
+    windows = [w for w in make_windows(clip, frames, "manual") if w.modality == MODALITIES[0]]
     assert [w.window_index for w in windows] == [1]
 
 
 def test_manual_labelling_never_touches_normal_clips():
-    clip = manual_clip([False] * 64, clip_label=NORMAL, archetype_id=None)
+    clip, frames = manual_clip([False] * 64, clip_label=NORMAL, archetype_id=None)
     for mode in ("original", "manual"):
-        windows = [w for w in make_windows(clip, mode) if w.modality == MODALITIES[0]]
+        windows = [w for w in make_windows(clip, frames, mode) if w.modality == MODALITIES[0]]
         assert len(windows) == 2
         assert all(w.label == NORMAL for w in windows)
 
 
 def test_empty_clip_rejected():
-    clip = manual_clip([], clip_label=NORMAL, archetype_id=None)
+    clip, frames = manual_clip([], clip_label=NORMAL, archetype_id=None)
     with pytest.raises(ValueError, match="no frames"):
-        make_windows(clip, "original")
+        make_windows(clip, frames, "original")
 
 
 def test_unknown_labelling_mode_rejected():
-    clip = manual_clip([True] * 32)
+    clip, frames = manual_clip([True] * 32)
     with pytest.raises(ValueError, match="labelling"):
-        make_windows(clip, "fancy")
+        make_windows(clip, frames, "fancy")
 
 
 def test_make_windows_is_deterministic():
-    clip = manual_clip([False] * 20 + [True] * 44)
+    clip, frames = manual_clip([False] * 20 + [True] * 44)
     for mode in ("original", "manual"):
-        a = make_windows(clip, mode)
-        b = make_windows(clip, mode)
+        a = make_windows(clip, frames, mode)
+        b = make_windows(clip, frames, mode)
         assert len(a) == len(b)
         for wa, wb in zip(a, b):
             assert np.array_equal(wa.features, wb.features)
@@ -328,12 +356,13 @@ def test_make_windows_is_deterministic():
 
 
 def _one_labelling_cut(ds, labelling, split):
-    """dataset_windows as a per-labelling loop over the clips, each clip cut
-    afresh: the reference for labelled_windows."""
+    """dataset_windows as a per-labelling loop over the clips, each clip drawn
+    on its own and cut afresh: the reference for labelled_windows."""
     out = []
     for clip in ds.clips:
         if clip.split != split:
             continue
+        frames = dict(zip(MODALITIES, clip_frames(ds, clip)))
         mode = labelling if clip.split == "train" else "manual"
         t = len(clip.frame_labels)
         for w, start in enumerate(range(0, t, WINDOW_RAW_LEN)):
@@ -341,7 +370,7 @@ def _one_labelling_cut(ds, labelling, split):
             if (clip.clip_label == ANOMALOUS and mode == "manual"
                     and int(clip.frame_labels[idx].sum()) < MANUAL_MAJORITY):
                 continue
-            out.extend(Window(clip.features[mod][idx].reshape(-1).copy(), clip.clip_label,
+            out.extend(Window(frames[mod][idx].reshape(-1).copy(), clip.clip_label,
                               clip.clip_id, w, mod, clip.split, clip.archetype_id)
                        for mod in MODALITIES)
     return out
