@@ -33,29 +33,36 @@ class LabeledScores:
         object.__setattr__(self, "labels", y)
 
 
+def _tie_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one sort: a stable descending order of values and the exclusive end
+    of each run of ties in it."""
+    order = np.argsort(-values, kind="stable")
+    s = values[order]
+    return order, np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1
+
+
 def _tie_groups(ls: LabeledScores):
-    """One stable descending sort: the order, the exclusive end of each tie
-    group in it, and the cumulative true positives at each end (the false
-    positives there are ends - tp)."""
-    order = np.argsort(-ls.scores, kind="stable")
-    s = ls.scores[order]
-    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1
-    return order, ends, np.cumsum(ls.labels[order])[ends - 1]
+    """Tie-run ends of the scores and the true positives up to each (false ones: ends - tp)."""
+    order, ends = _tie_runs(ls.scores)
+    return ends, np.cumsum(ls.labels[order])[ends - 1]
+
+
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ascending ranks of a float vector; each run of ties gets its mean
+    rank, an exact half-integer."""
+    order, ends = _tie_runs(values)
+    n, starts = values.size, np.append(0, ends[:-1])
+    # descending positions [a, b) hold ascending ranks n-b+1 .. n-a
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * ((n - ends) + 1 + (n - starts)), ends - starts)
+    return ranks
 
 
 def roc_auc(ls: LabeledScores) -> float:
-    """Area under the ROC curve via the Mann-Whitney statistic.
-
-    Equals P(score_pos > score_neg) + 0.5 * P(score_pos == score_neg),
-    computed with average ranks over tie groups.
-    """
-    order, ends, tp = _tie_groups(ls)
-    n, n_pos = ls.labels.size, int(tp[-1])
-    starts = np.append(0, ends[:-1])
-    # descending positions [a, b) hold ascending 1-based ranks n-b+1 .. n-a
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(0.5 * ((n - ends) + 1 + (n - starts)), ends - starts)
-    rank_sum_pos = float(ranks[ls.labels].sum())
+    """Area under the ROC curve via the Mann-Whitney rank sum of average ranks:
+    P(score_pos > score_neg) + 0.5 * P(score_pos == score_neg)."""
+    n, n_pos = ls.labels.size, int(np.count_nonzero(ls.labels))
+    rank_sum_pos = float(average_ranks(ls.scores)[ls.labels].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
 
 
@@ -66,7 +73,7 @@ def pr_auc(ls: LabeledScores) -> float:
     right); tie groups cross each threshold atomically.  Trapezoidal PR
     interpolation is deliberately avoided as it is optimistically biased.
     """
-    _, ends, tp = _tie_groups(ls)
+    ends, tp = _tie_groups(ls)
     recall = tp / tp[-1]
     precision = tp / ends
     return float(np.add.accumulate(np.diff(recall, prepend=0.0) * precision)[-1])
@@ -74,14 +81,14 @@ def pr_auc(ls: LabeledScores) -> float:
 
 def roc_curve_points(ls: LabeledScores) -> list[tuple[float, float]]:
     """(FPR, TPR) points at every tie-grouped threshold, plus the endpoints."""
-    _, ends, tp = _tie_groups(ls)
+    ends, tp = _tie_groups(ls)
     fp = ends - tp
     return [(0.0, 0.0)] + list(zip((fp / fp[-1]).tolist(), (tp / tp[-1]).tolist()))
 
 
 def pr_curve_points(ls: LabeledScores) -> list[tuple[float, float]]:
     """(recall, precision) points at every tie-grouped threshold."""
-    _, ends, tp = _tie_groups(ls)
+    ends, tp = _tie_groups(ls)
     return list(zip((tp / tp[-1]).tolist(), (tp / ends).tolist()))
 
 

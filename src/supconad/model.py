@@ -69,45 +69,40 @@ class ModelParams:
         if self.projection[-1].weight.shape[-2] < 2:
             raise ValueError("projection output dimension must be >= 2")
         self._bind(np.concatenate([a.reshape(*lead, -1) for l in chain
-                                   for a in (l.weight, l.bias)], axis=-1),
-                   [(l.weight.shape, l.activation) for l in chain], len(self.encoder))
+                                   for a in (l.weight, l.bias)], axis=-1), *self._spec())
+
+    def _spec(self) -> tuple[list[tuple], int]:
+        """The layers as ((out, in), activation) pairs in order, and how many are the encoder's."""
+        return [(l.weight.shape[-2:], l.activation) for l in self.layers], len(self.encoder)
 
     def _bind(self, flat: np.ndarray, layers: list[tuple], n_encoder: int) -> None:
-        """Take flat as the params' vector and make the layers, given in order as
-        (weight shape, activation) pairs, views of it; the first n_encoder are
-        the encoder's."""
-        self.flat = flat
-        self._layout, pos = [], 0
-        for shape, _ in layers:
-            n_out, n_in = shape[-2:]
+        """Take flat as the params' vector and make the layers, given as by _spec,
+        views of it on flat's leading axes."""
+        self.flat, self._layout, pos = flat, [], 0
+        for (n_out, n_in), _ in layers:
             end = pos + n_out * n_in
-            self._layout.append((slice(pos, end), shape, slice(end, end + n_out)))
+            self._layout.append((slice(pos, end), (*flat.shape[:-1], n_out, n_in),
+                                 slice(end, end + n_out)))
             pos = end + n_out
         views = [LayerParams(w, b, act) for (_, act), (w, b) in zip(layers, self.split(flat))]
         self.encoder, self.projection = views[:n_encoder], views[n_encoder:]
 
-    @classmethod
-    def stack(cls, members: list["ModelParams"]) -> "ModelParams":
+    @staticmethod
+    def stack(members: list["ModelParams"]) -> "ModelParams":
         """Params of models of one shape, on a leading model axis, as a copy."""
         if len({tuple((l.weight.shape, l.activation) for l in m.layers) for m in members}) != 1:
             raise ValueError("stacked models must share their layer shapes and activations")
-        layers = [LayerParams(np.stack([m.layers[li].weight for m in members]),
-                              np.stack([m.layers[li].bias for m in members]), layer.activation)
-                  for li, layer in enumerate(members[0].layers)]
-        n_encoder = len(members[0].encoder)
-        return cls(layers[:n_encoder], layers[n_encoder:])
+        return _bound(np.stack([m.flat for m in members]), *members[0]._spec())
 
     def member(self, i: int) -> "ModelParams":
         """Model i of stacked params, as an unstacked copy."""
         if self.flat.ndim != 2:
             raise ValueError("member: params are not stacked")
-        return ModelParams(*[[LayerParams(l.weight[i], l.bias[i], l.activation) for l in part]
-                             for part in (self.encoder, self.projection)])
+        return _bound(self.flat[i].copy(), *self._spec())
 
     def __reduce__(self):
         # flat is sent once; unpickling rebinds the layers to views of the copy received
-        return _unpickle_params, (self.flat, [(l.weight.shape, l.activation) for l in self.layers],
-                                  len(self.encoder))
+        return _bound, (self.flat, *self._spec())
 
     @property
     def layers(self) -> list[LayerParams]:
@@ -123,10 +118,11 @@ class ModelParams:
         return [(vec[..., w].reshape(shape), vec[..., b]) for w, shape, b in self._layout]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.encoder, self.projection)
+        return _bound(self.flat.copy(), *self._spec())
 
 
-def _unpickle_params(flat: np.ndarray, layers: list[tuple], n_encoder: int) -> ModelParams:
+def _bound(flat: np.ndarray, layers: list[tuple], n_encoder: int) -> ModelParams:
+    """Params whose layers, given as by ModelParams._spec, are views of flat."""
     params = ModelParams.__new__(ModelParams)
     params._bind(flat, layers, n_encoder)
     return params

@@ -1,9 +1,11 @@
 """Friedman rank test with all-pairwise post-hoc comparisons.
 
 Methods are compared across datasets by within-dataset ranks (1 = best,
-average ranks on ties).  The omnibus statistic is the classic Friedman
+average ranks on ties), from the tie-run sort that ROC AUC uses
+(``metrics.average_ranks``).  The omnibus statistic is the classic Friedman
 chi-squared; pairwise raw p-values come from the normal approximation of
-rank-mean differences, z = (R_i - R_j) / sqrt(k (k+1) / (6 n)).
+rank-mean differences, z = (R_i - R_j) / sqrt(k (k+1) / (6 n)).  Both
+p-values are ``scipy.special`` survival functions (``chdtrc``, ``ndtr``).
 
 Multiple testing over all pairs is controlled with the Bergmann-Hommel
 procedure: a set of pairwise hypotheses is *exhaustive* when exactly those
@@ -23,7 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import special
+
+from .metrics import average_ranks
 
 BERGMANN_HOMMEL_MAX_K = 9
 
@@ -75,15 +79,9 @@ class AnalysisReport:
     correction: str                            # "bergmann-hommel" | "shaffer"
 
 
-def _rank_descending(values: np.ndarray) -> np.ndarray:
-    """Rank 1 = largest value; ties receive the average of their ranks."""
-    return scipy_stats.rankdata(-values, method="average")
-
-
 def friedman_ranks(m: ResultsMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-dataset ranks (methods x datasets) and mean rank per method."""
-    ranks = np.column_stack([_rank_descending(m.values[:, d])
-                             for d in range(len(m.datasets))])
+    ranks = np.column_stack([average_ranks(-column) for column in m.values.T])
     return ranks, ranks.mean(axis=1)
 
 
@@ -94,18 +92,15 @@ def friedman_statistic(mean_ranks: np.ndarray, k: int, n: int) -> tuple[float, f
     mean_ranks = np.asarray(mean_ranks, dtype=np.float64)
     chi_sq = 12.0 * n / (k * (k + 1)) * (float(np.sum(mean_ranks ** 2)) - k * (k + 1) ** 2 / 4.0)
     chi_sq = max(chi_sq, 0.0)
-    return chi_sq, float(scipy_stats.chi2.sf(chi_sq, k - 1))
+    return chi_sq, float(special.chdtrc(k - 1, chi_sq))
 
 
 def pairwise_z_tests(mean_ranks: np.ndarray, k: int, n: int) -> np.ndarray:
     """Two-sided normal p-values for all rank-mean differences."""
     mean_ranks = np.asarray(mean_ranks, dtype=np.float64)
-    se = np.sqrt(k * (k + 1) / (6.0 * n))
-    raw = np.full((k, k), np.nan)
-    for i, j in itertools.combinations(range(k), 2):
-        z = (mean_ranks[i] - mean_ranks[j]) / se
-        p = 2.0 * float(scipy_stats.norm.sf(abs(z)))
-        raw[i, j] = raw[j, i] = min(p, 1.0)
+    z = np.abs(mean_ranks[:, None] - mean_ranks[None, :]) / np.sqrt(k * (k + 1) / (6.0 * n))
+    raw = np.minimum(2.0 * special.ndtr(-z), 1.0)
+    np.fill_diagonal(raw, np.nan)
     return raw
 
 

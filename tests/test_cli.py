@@ -465,6 +465,16 @@ def test_stats_alpha_range_error_names_the_flag(tmp_path, capsys):
                           "supconad: error: --alpha: must be in (0, 1), got 2.0\n")
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", "import sys, supconad.cli; "
+                          "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+                         env=env, check=True, capture_output=True, text=True)
+    assert out.stdout == "[]\n"
+
+
 # -- determinism across processes ----------------------------------------------------
 
 def test_grid_is_byte_identical_across_processes_and_blas_threads(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from supconad import fixtures
+from supconad.metrics import average_ranks
 from supconad.stats import (ResultsMatrix, UnsupportedSizeError,
                             analyze, bergmann_hommel_adjust, exhaustive_pair_sets,
                             friedman_ranks, friedman_statistic, load_matrix_csv,
@@ -58,7 +59,7 @@ def test_ranks_match_hand_computation_with_tie():
 
 def test_friedman_statistic_zero_when_ranks_equal():
     chi, p = friedman_statistic(np.full(4, 2.5), 4, 6)
-    assert chi == 0.0 and p == 1.0
+    assert chi == 0.0 and p == 1.0 == scipy_stats.chi2.sf(chi, 3)
 
 
 def test_friedman_statistic_hand_formula():
@@ -67,7 +68,7 @@ def test_friedman_statistic_hand_formula():
     expect = 12 * n / (k * (k + 1)) * (sum(r * r for r in mean_ranks) - k * (k + 1) ** 2 / 4)
     chi, p = friedman_statistic(mean_ranks, k, n)
     assert abs(chi - expect) < 1e-10
-    assert abs(p - scipy_stats.chi2.sf(expect, k - 1)) < 1e-12
+    assert p == scipy_stats.chi2.sf(expect, k - 1)
 
 
 def test_friedman_statistic_monotone_in_rank_gap():
@@ -95,6 +96,35 @@ def test_pairwise_p_decreases_with_rank_gap():
     ps = [pairwise_z_tests(np.array([2.0 - g, 2.0 + g]), 2, 9)[0, 1]
           for g in (0.2, 0.5, 1.0, 1.5)]
     assert all(a > b for a, b in zip(ps, ps[1:]))
+
+
+# -- scipy.stats as the oracle ------------------------------------------------------------
+
+@pytest.mark.parametrize("x", [
+    np.array([0.8, 0.9, 0.8, 0.7, 0.9, 0.8, 0.1, 0.7]),
+    np.full(6, 0.5),
+    np.array([0.3, -1.0, 2.5, 0.0, 7.0, -0.25]),
+], ids=["ties", "all-equal", "all-distinct"])
+def test_average_ranks_equal_scipy_rankdata(x):
+    assert np.array_equal(average_ranks(-x), scipy_stats.rankdata(-x, method="average"))
+
+
+def pairwise_scalar_loop(mean_ranks, k, n):
+    se = np.sqrt(k * (k + 1) / (6.0 * n))
+    raw = np.full((k, k), np.nan)
+    for i, j in itertools.combinations(range(k), 2):
+        z = (mean_ranks[i] - mean_ranks[j]) / se
+        raw[i, j] = raw[j, i] = min(2.0 * float(scipy_stats.norm.sf(abs(z))), 1.0)
+    return raw
+
+
+@pytest.mark.parametrize("mean_ranks, n", [([2.0, 3.0, 2.0, 3.0], 5),
+                                           ([1.0, 1.25, 4.0, 3.75], 200)],
+                         ids=["z-zero", "z-large"])
+def test_pairwise_z_tests_equal_the_scalar_loop(mean_ranks, n):
+    mean_ranks = np.array(mean_ranks)
+    assert np.array_equal(pairwise_z_tests(mean_ranks, 4, n),
+                          pairwise_scalar_loop(mean_ranks, 4, n), equal_nan=True)
 
 
 # -- Bergmann-Hommel ---------------------------------------------------------------------
