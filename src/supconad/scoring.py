@@ -8,7 +8,9 @@ embedding, hence always in [-1, 1].  Fusing modalities averages their scores
 over synchronized windows (``experiment.CellScores.fused``).
 
 Two embedding pathways exist: the projection-head output (retained at test
-time) and the encoder output h, L2-normalized on demand.
+time) and the encoder output h, L2-normalized on demand.  Like
+``model.forward``, scoring also takes stacked params and (n, batch, input_dim)
+features, slice i bit-identical to model i alone: one pass validates a group.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _pathway_flag(use_projection: bool) -> str:
 
 
 def embed(params: model_mod.ModelParams, features: np.ndarray, use_projection: bool) -> np.ndarray:
-    """Unit-norm embeddings of the rows of a (batch, input_dim) feature matrix."""
+    """Unit-norm embeddings of the rows of a (batch, input_dim) matrix per model."""
     trace = model_mod.forward(params, features)
     return trace.v if use_projection else unit_rows(trace.h, "encoder output")[0]
 
@@ -67,23 +69,23 @@ def embed(params: model_mod.ModelParams, features: np.ndarray, use_projection: b
 def build_template(params: model_mod.ModelParams, normal_features: np.ndarray,
                    use_projection: bool, modality: Modality | None = None) -> NormalTemplate:
     """Mean of unit embeddings of the normal windows, the rows of a
-    (batch, input_dim) matrix (not re-normalized)."""
-    if len(normal_features) == 0:
+    (batch, input_dim) matrix per model (not re-normalized)."""
+    if np.shape(normal_features)[-2:-1] == (0,):     # no rows
         raise ValueError("need at least one normal window to build a template")
     emb = embed(params, normal_features, use_projection)
-    return NormalTemplate(emb.mean(axis=0), _pathway_flag(use_projection), modality)
+    return NormalTemplate(emb.mean(axis=-2), _pathway_flag(use_projection), modality)
 
 
 def score_windows(template: NormalTemplate, params: model_mod.ModelParams,
                   features: np.ndarray, use_projection: bool) -> np.ndarray:
-    """Cosine similarity to the template of each row of a (batch, dim) feature matrix."""
+    """Cosine similarity to the template of each row of a (batch, dim) matrix per model."""
     if template.source != _pathway_flag(use_projection):
         raise ValueError(
             f"template was built from the {template.source} pathway, "
             f"scoring requested {_pathway_flag(use_projection)}"
         )
     v = embed(params, features, use_projection)
-    return v @ template.v_n
+    return (v @ template.v_n[..., None])[..., 0]
 
 
 def save_scores(path: str, records: list[ScoreRecord]) -> None:

@@ -4,7 +4,8 @@ Training always optimizes the contrastive loss on the projection-head
 embedding.  Validation, run every few epochs on a stratified held-out slice
 of the training windows, scores with the normal-template cosine pipeline
 under both embedding pathways and keeps the best parameters per pathway, so
-checkpoint selection matches whichever pathway is used at test time.
+checkpoint selection matches whichever pathway is used at test time.  A
+lockstep group is validated in one stacked scoring pass per pathway.
 """
 
 from __future__ import annotations
@@ -108,18 +109,6 @@ def _batch_sampler(pool: np.ndarray, n_normal: int, k: int, m: int, rngs: list[R
     return draw
 
 
-def _validation_auc(params, train_normal_feats, val_feats, val_is_normal, pathway, epoch):
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            use_projection = pathway == "projection"
-            template = scoring.build_template(params, train_normal_feats, use_projection)
-            scores = scoring.score_windows(template, params, val_feats, use_projection)
-    except DegenerateVectorError as exc:
-        raise DegenerateVectorError(
-            f"validation at epoch {epoch}, {pathway} pathway: {exc}") from exc
-    return roc_auc(LabeledScores(scores, val_is_normal))
-
-
 def train(windows: list[Window], encoder_dims: list[int], projection_dims: list[int],
           cfg: TrainConfig) -> TrainResult:
     """Full training run over one modality's training windows.
@@ -139,9 +128,10 @@ def train_group(tasks: list[tuple]) -> list[TrainResult | Exception]:
     params stacked on a leading model axis; each member keeps its own Rng,
     split, loss mode, batches, validation and checkpoints.  The members must
     agree on every config field except the seed and negative_mode, on their
-    dims and on their split sizes.  A member's outcome is its TrainResult,
-    or the MODEL_FAILURES error that ``train(*task)`` raises: when a member
-    of a larger group fails, every member is trained again alone, in order.
+    dims and on their split sizes, validation's too.  A member's outcome is
+    its TrainResult, or the MODEL_FAILURES error that ``train(*task)`` raises:
+    when a member of a larger group fails, every member is trained again
+    alone, in order.
     """
     if len(tasks) > 1:
         try:
@@ -166,7 +156,7 @@ def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
         if (list(enc), list(proj)) != (list(encoder_dims), list(projection_dims)):
             raise ValueError("train_group: members differ in their dims")
     k, m = cfg.batch_normal, cfg.batch_anomalous
-    rngs, splits, vals, members = [], [], [], []
+    rngs, splits, members = [], [], []
     for windows, _, _, member_cfg in tasks:
         rng = Rng(member_cfg.seed)
         train_w, val_w = split_train_val(windows, cfg.val_fraction, rng)
@@ -175,19 +165,18 @@ def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
         if len(normal) < k or len(anomalous) < m:
             raise ValueError(f"training split smaller than one minibatch: need {k} normal / "
                              f"{m} anomalous windows, have {len(normal)} / {len(anomalous)}")
-        splits.append((normal, anomalous))
-        vals.append((np.stack([w.features for w in val_w]),
-                     np.array([w.label == NORMAL for w in val_w])))
+        splits.append((normal, anomalous, val_w))
         members.append(model_mod.init_params(encoder_dims, projection_dims, rng))
         rngs.append(rng)
-    sizes = {(len(normal), len(anomalous)) for normal, anomalous in splits}
+    sizes = {(len(normal), len(anomalous), len(val_w)) for normal, anomalous, val_w in splits}
     if len(sizes) > 1:
         raise ValueError("train_group: members' training splits differ in size")
-    ((n_normal, n_anomalous),) = sizes
-    # every member's rows, normal first, in one array that each step gathers from
-    pool = np.empty((len(tasks), n_normal + n_anomalous, len(splits[0][0][0])))
-    for member_pool, (normal, anomalous) in zip(pool, splits):
-        np.stack(normal + anomalous, out=member_pool)
+    ((n_normal, _, _),) = sizes
+    # every member's rows, normal first, in one array that each step gathers from,
+    # and its validation rows in one array that each validation scores
+    pool = np.array([normal + anomalous for normal, anomalous, _ in splits])
+    val = np.array([[w.features for w in val_w] for *_, val_w in splits])
+    val_is_normal = [np.array([w.label == NORMAL for w in val_w]) for *_, val_w in splits]
     draw = _batch_sampler(pool, n_normal, k, m, rngs)
 
     params = model_mod.ModelParams.stack(members)
@@ -220,18 +209,23 @@ def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
             model_mod.sgd_step(params, grads, lr)
             epoch_loss = [total + loss for total, loss in zip(epoch_loss, losses)]
 
-        last_epoch = epoch == cfg.epochs
-        due = epoch % cfg.validate_every == 0
-        if due or (last_epoch and not best[0]):
-            for i, (val_feats, val_is_normal) in enumerate(vals):
-                member = params.member(i)
+        if epoch % cfg.validate_every == 0 or (epoch == cfg.epochs and not best[0]):
+            scores = {}    # by pathway: every member's, in one stacked pass
+            for pathway in scoring.PATHWAYS:
+                use_proj = pathway == "projection"
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        template = scoring.build_template(params, pool[:, :n_normal], use_proj)
+                        scores[pathway] = scoring.score_windows(template, params, val, use_proj)
+                except DegenerateVectorError as exc:
+                    raise DegenerateVectorError(
+                        f"validation at epoch {epoch}, {pathway} pathway: {exc}") from exc
+            for i, is_normal in enumerate(val_is_normal):
                 aucs = {}
                 for pathway in scoring.PATHWAYS:
-                    auc = _validation_auc(member, pool[i, :n_normal], val_feats, val_is_normal,
-                                          pathway, epoch)
-                    aucs[pathway] = auc
+                    aucs[pathway] = auc = roc_auc(LabeledScores(scores[pathway][i], is_normal))
                     if pathway not in best[i] or auc > best[i][pathway].val_auc:
-                        best[i][pathway] = Checkpoint(member.copy(), auc, epoch)
+                        best[i][pathway] = Checkpoint(params.member(i), auc, epoch)
                 logs[i].append(LogRow(epoch, epoch_loss[i] / n_batches,
                                       aucs["projection"], aucs["encoder"]))
 

@@ -77,6 +77,28 @@ def test_template_idempotent_for_identical_embeddings():
 def test_template_requires_windows():
     with pytest.raises(ValueError, match="at least one"):
         scoring.build_template(identity_net(2), np.empty((0, 2)), True)
+    stacked = M.ModelParams.stack([default_net(0), default_net(1)])
+    with pytest.raises(ValueError, match="need at least one normal window"):
+        scoring.build_template(stacked, np.empty((2, 0, 192)), True)
+
+
+@pytest.mark.parametrize("use_proj", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_stacked_scoring_equals_each_member_alone(n, use_proj):
+    # the default shapes: 960 normal training rows and 290 validation rows per
+    # model, held in one array as the trainer holds them
+    n_normal, n_val = 960, 290
+    members = [default_net(seed) for seed in range(n)]
+    rows = Rng(n).gaussian_array((n, n_normal + n_val, 192))
+    stacked = M.ModelParams.stack(members)
+    template = scoring.build_template(stacked, rows[:, :n_normal], use_proj)
+    scores = scoring.score_windows(template, stacked, rows[:, n_normal:], use_proj)
+    assert scores.shape == (n, n_val)
+    for i, p in enumerate(members):
+        alone = scoring.build_template(p, rows[i, :n_normal], use_proj)
+        assert np.array_equal(template.v_n[i], alone.v_n)
+        assert np.array_equal(scores[i], scoring.score_windows(alone, p, rows[i, n_normal:],
+                                                               use_proj))
 
 
 def test_template_order_invariance():

@@ -233,6 +233,33 @@ def test_nan_weights_abort_naming_epoch_and_step(monkeypatch):
     assert len(updates) == 14
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_a_group_validates_in_four_forward_passes(monkeypatch, n):
+    real_forward = M.forward
+    calls = []
+
+    def counting_forward(*args):
+        calls.append(1)
+        return real_forward(*args)
+
+    monkeypatch.setattr(M, "forward", counting_forward)
+    cfg = quick_cfg()
+    outcomes = trainer.train_group([(toy_windows(), *DIMS, quick_cfg(seed=cfg.seed + i))
+                                    for i in range(n)])
+    assert all(isinstance(o, trainer.TrainResult) for o in outcomes)
+    # 48 training normals / batch_normal 4 = 12 steps per epoch; a validation at
+    # every second epoch is a template and a score per pathway, over the whole group
+    steps, validations = cfg.epochs * 12, cfg.epochs // cfg.validate_every
+    assert len(calls) == steps + 4 * validations
+
+
+def test_a_group_needs_equal_validation_splits():
+    # 7 and 8 normal windows both leave 6 for training, but 1 and 2 for validation
+    tasks = [(toy_windows(n_normal), *DIMS, quick_cfg()) for n_normal in (7, 8)]
+    with pytest.raises(ValueError, match="^train_group: members' training splits differ in size"):
+        trainer.train_group(tasks)
+
+
 def test_training_log_csv(tmp_path):
     result = train(toy_windows(), *DIMS, quick_cfg())
     path = tmp_path / "log.csv"
