@@ -23,6 +23,7 @@ from . import experiment, fixtures, scoring, stats, trainer
 from .loss import NEGATIVE_MODES
 from .metrics import LabeledScores, dump_curves, pr_auc, roc_auc
 from .model import check_dims, save_params
+from .numerics import open_text
 from .synthgen import (LABELLING_MODES, WINDOW_LEN, GenConfig, Modality, dataset_windows,
                        generate_dataset, load_windows, save_windows)
 
@@ -75,7 +76,7 @@ def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> dict[str,
     any other key, or a value that fails, raises ValueError("path:line: ...")."""
     settable = {a.dest: a for a in parser._actions if a.default not in (None, argparse.SUPPRESS)}
     lines = {}
-    with open(path) as f:
+    with open_text(path) as f:
         for ln_no, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -143,8 +144,8 @@ def _cmd_train(args) -> int:
 
     test_windows = [w for w in windows if w.split == "test" and w.modality == modality]
     if test_windows:
-        cell = experiment.score_test_set({modality: ckpt.params}, {modality: train_windows},
-                                         {modality: test_windows}, head)
+        cell = experiment.score_test_set({modality: result}, {modality: train_windows},
+                                         {modality: test_windows}, (head,))[head]
         ls = LabeledScores(cell.scores[modality], cell.labels)
         print(f"test ROC AUC {roc_auc(ls):.4f}, PR AUC {pr_auc(ls):.4f}")
         if args.scores_out:

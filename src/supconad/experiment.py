@@ -9,9 +9,11 @@ pipeline, plus per-cell score exports and a deterministic run manifest.
 
 A grid trains all the (loss, modality) models of one labelling in one pool
 of workers and scores each (labelling, loss) group of them on its own, so a
-failure costs only its own group's cells.  ``run_group`` trains and scores
-one (labelling, loss) group; the fused benchmark is the grid's (manual,
-average, projection) group, run through it.
+failure costs only its own group's cells.  ``score_test_set`` is the one
+test scorer: it scores a trained group under every head in one call,
+stacking each modality's rows once.  The fused benchmark is the grid's
+(manual, average, projection) group, trained and scored the same way, and
+``supconad train`` scores its one model through it too.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 from . import __version__, scoring, trainer
 from .loss import NEGATIVE_MODES
 from .metrics import LabeledScores, pr_auc, roc_auc
-from .model import ModelParams, check_dims
-from .numerics import DegenerateVectorError, Rng
+from .model import check_dims
+from .numerics import DegenerateVectorError, Rng, check_seed
 from .synthgen import (ANOMALOUS, LABELLING_MODES, MODALITIES, NORMAL, WINDOW_LEN,
                        GenConfig, Modality, by_modality, dataset_windows,
                        generate_dataset, labelled_windows)
@@ -56,15 +58,15 @@ class ExperimentConfig:
     outdir: str = "grid_out"
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seeds: must be non-empty")
-        for name, known in AXES.items():
+        for name in ("seeds", *AXES):
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name}: must be non-empty")
             for value in values:
-                if value not in known:
-                    raise ValueError(f"{name}: unknown {value!r} (known: {', '.join(known)})")
+                if name == "seeds":
+                    check_seed(name, value)
+                elif value not in AXES[name]:
+                    raise ValueError(f"{name}: unknown {value!r} (known: {', '.join(AXES[name])})")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name}: repeats a value, got {values}")
         check_dims(self.encoder_dims, self.projection_dims)
@@ -205,64 +207,46 @@ def _train_models_for(windows_by_mod, cfg: ExperimentConfig, run_seed: int, labe
             for i, loss in enumerate(loss_modes)}
 
 
-def score_test_set(models: dict[Modality, ModelParams], train_by_mod, test_by_mod,
-                   pathway: str) -> CellScores:
-    """Score the test windows of each modality in ``models``, in MODALITIES order,
-    through the embedding ``pathway``, one of scoring.PATHWAYS.
+def score_test_set(outcomes: dict, train_by_mod, test_by_mod, heads) -> dict[str, CellScores]:
+    """Score the test windows of each modality in ``outcomes`` once per head (one
+    of scoring.PATHWAYS) with that pathway's best checkpoint: head -> CellScores.
 
-    A modality's template is the mean embedding of its normal training
-    windows.  The test windows must be aligned: entry i of each scored
-    modality is the same (clip_id, window_index).  A DegenerateVectorError
-    raised while scoring a modality carries it as ``modality``.
+    ``outcomes`` maps a modality to its TrainResult or its training error, as
+    _train_models_for gives them; the first error in MODALITIES order is
+    raised instead.  A template is the mean embedding of a modality's normal
+    training windows.  The test windows must be aligned: entry i of each
+    modality is the same (clip_id, window_index).  Modality by modality, in
+    MODALITIES order, the rows are stacked once and every head is scored.  An
+    error raised here, in training or in scoring, carries its ``modality``.
     """
-    if pathway not in scoring.PATHWAYS:
-        raise ValueError(f"unknown pathway {pathway!r} (known: {', '.join(scoring.PATHWAYS)})")
-    use_projection = pathway == "projection"
-    mods = [m for m in MODALITIES if m in models]
+    mods = [m for m in MODALITIES if m in outcomes]
+    for mod in mods:
+        if isinstance(outcomes[mod], Exception):
+            outcomes[mod].modality = mod
+            raise outcomes[mod]
+    for head in heads:
+        if head not in scoring.PATHWAYS:
+            raise ValueError(f"unknown pathway {head!r} (known: {', '.join(scoring.PATHWAYS)})")
     ref = test_by_mod[mods[0]]
     keys = [(w.clip_id, w.window_index) for w in ref]
     for mod in mods[1:]:
         if [(w.clip_id, w.window_index) for w in test_by_mod[mod]] != keys:
             raise ValueError("test windows are not aligned across modalities")
-    scores = {}
+    scores = {head: {} for head in heads}
     for mod in mods:
         normal_feats = np.stack([w.features for w in train_by_mod[mod] if w.label == NORMAL])
         test_feats = np.stack([w.features for w in test_by_mod[mod]])
         try:
-            template = scoring.build_template(models[mod], normal_feats, use_projection, mod)
-            scores[mod] = scoring.score_windows(template, models[mod], test_feats, use_projection)
+            for head in heads:
+                params, use_proj = outcomes[mod].best[head].params, head == "projection"
+                template = scoring.build_template(params, normal_feats, use_proj, mod)
+                scores[head][mod] = scoring.score_windows(template, params, test_feats, use_proj)
         except DegenerateVectorError as exc:
             exc.modality = mod
             raise
-    return CellScores(
-        scores=scores,
-        labels=np.array([w.label == NORMAL for w in ref]),
-        clip_ids=[k[0] for k in keys],
-        window_indices=[k[1] for k in keys],
-    )
-
-
-def _score_group(outcomes: dict, train_by_mod, test_by_mod, heads) -> dict[str, CellScores]:
-    """Score the test windows once per head, each with that pathway's best
-    checkpoints of one (labelling, loss) group's models (modality -> training
-    outcome, as _train_models_for gives them); the first training error in
-    MODALITIES order is raised instead.  An error raised here, in training or
-    in scoring, carries the modality whose model met it as ``modality``."""
-    for mod in MODALITIES:
-        if isinstance(outcomes[mod], Exception):
-            outcomes[mod].modality = mod
-            raise outcomes[mod]
-    return {head: score_test_set({m: outcomes[m].best[head].params for m in MODALITIES},
-                                 train_by_mod, test_by_mod, head)
+    labels = np.array([w.label == NORMAL for w in ref])
+    return {head: CellScores(scores[head], labels, [k[0] for k in keys], [k[1] for k in keys])
             for head in heads}
-
-
-def run_group(cfg: ExperimentConfig, run_seed: int, labelling: str, loss_mode: str,
-              train_by_mod, test_by_mod, heads) -> dict[str, CellScores]:
-    """Train the four modality models of one (labelling, loss) group and score
-    the test windows once per head, each with that pathway's best checkpoints."""
-    trained = _train_models_for(train_by_mod, cfg, run_seed, labelling, (loss_mode,))
-    return _score_group(trained[loss_mode], train_by_mod, test_by_mod, heads)
 
 
 def _grid_labelling(cfg: ExperimentConfig, run_seed: int, labelling: str, train_by_mod,
@@ -273,7 +257,7 @@ def _grid_labelling(cfg: ExperimentConfig, run_seed: int, labelling: str, train_
     for loss_mode in cfg.loss_modes:
         # a group that fails in training, validation or scoring loses all its cells
         try:
-            scored = _score_group(trained[loss_mode], train_by_mod, test_by_mod, cfg.head_modes)
+            scored = score_test_set(trained[loss_mode], train_by_mod, test_by_mod, cfg.head_modes)
         except trainer.MODEL_FAILURES as exc:
             for head in cfg.head_modes:
                 failures.append({
@@ -355,8 +339,9 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
     ds = generate_dataset(replace(cfg.gen, seed=run_seed))
     train_by_mod = by_modality(dataset_windows(ds, "manual", split="train"))
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
-    cell = run_group(cfg, run_seed, "manual", "average", train_by_mod, test_by_mod,
-                     ("projection",))["projection"]
+    trained = _train_models_for(train_by_mod, cfg, run_seed, "manual", ("average",))
+    cell = score_test_set(trained["average"], train_by_mod, test_by_mod,
+                          ("projection",))["projection"]
 
     fused = cell.fused(tuple(MODALITIES))
     fused_auc = roc_auc(LabeledScores(fused, cell.labels))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Rng, unit_rows
+from .numerics import Rng, open_text, unit_rows
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -256,7 +256,7 @@ def save_params(params: ModelParams, path: str) -> None:
 def load_params(path: str) -> ModelParams:
     """Read a version-1 checkpoint; a malformed line raises ValueError("path:line: ..."),
     and layers that do not make a model raise ValueError("path: ...")."""
-    with open(path) as f:
+    with open_text(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != "supconad-params v1":
         raise ValueError(f"unrecognized checkpoint header in {path}")

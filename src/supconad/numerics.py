@@ -1,4 +1,5 @@
-"""The unit-norm rule and the deterministic random generator.
+"""The unit-norm rule, the deterministic random generator and its seed range,
+and the text-file opener that every reader of a package file goes through.
 
 All randomness in the package flows through :class:`Rng`, a counter-based
 splitmix64 generator that is fully specified below so that runs are
@@ -6,6 +7,8 @@ reproducible bit-for-bit and ports to other languages can match the stream.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,6 +43,13 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _SPAWN_SALT = np.uint64(0xD1B54A32D192ED03)
 
 _U64_MASK = (1 << 64) - 1
+
+
+def check_seed(name: str, seed: int) -> None:
+    """Raise ValueError("<name>: ...") unless seed is a valid Rng seed."""
+    if not 0 <= int(seed) <= _U64_MASK:
+        raise ValueError(f"{name}: must fit in an unsigned 64-bit integer, got {seed!r}")
+
 
 # Uniform requests of up to _BLOCK_MAX_REQUEST draws are served from a cached
 # block of _BLOCK uniforms (8 KB) of the generator's own stream, so a small
@@ -83,8 +93,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) <= _U64_MASK:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        check_seed("seed", seed)
         self.seed = int(seed)
         self._counter = 0
         # uniforms at counter positions _block_start+1 .. _block_start+len(_block)
@@ -175,3 +184,20 @@ class Rng:
         base = (self.seed + int(_SPAWN_SALT) + (int(stream) + 1) * int(_GAMMA)) & _U64_MASK
         child_seed = int(_mix64(np.asarray([base], dtype=np.uint64))[0])
         return Rng(child_seed)
+
+
+@contextmanager
+def open_text(path: str):
+    """open(path) to read text; a byte that its encoding cannot decode raises
+    ValueError("path:line: ..."), at the first line that does not decode."""
+    try:
+        with open(path) as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as f:
+            for ln_no, raw in enumerate(f, start=1):
+                try:
+                    raw.decode(exc.encoding)
+                except UnicodeDecodeError as line_exc:
+                    raise ValueError(f"{path}:{ln_no}: {line_exc}") from None
+        raise ValueError(f"{path}: {exc}") from None

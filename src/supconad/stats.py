@@ -28,6 +28,7 @@ import numpy as np
 from scipy import special
 
 from .metrics import average_ranks
+from .numerics import open_text
 
 BERGMANN_HOMMEL_MAX_K = 9
 
@@ -223,7 +224,7 @@ def analyze(m: ResultsMatrix, alpha: float = 0.05) -> AnalysisReport:
 
 def load_matrix_csv(path: str) -> ResultsMatrix:
     """Matrix CSV: header row of dataset labels, one row per method."""
-    with open(path) as f:
+    with open_text(path) as f:
         lines = [(ln_no, ln.rstrip("\n")) for ln_no, ln in enumerate(f, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}:1: empty matrix file")

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import Rng, check_seed, open_text
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -77,6 +77,7 @@ class GenConfig:
         for name in ("contamination", "ar_coeff"):   # AR(1) noise dies at 1, explodes above
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name}: must be in [0, 1), got {getattr(self, name)!r}")
+        check_seed("seed", self.seed)
         if not self.target_imbalance > 1.0:
             raise ValueError(f"target_imbalance: must be > 1, got {self.target_imbalance!r}")
         # Every clip yields the same window count, so the achievable
@@ -400,7 +401,7 @@ def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
         except ValueError as exc:   # a single-field range error reads "<field>: ..."
             where = key_lines.get(str(exc).split(":", 1)[0])
             raise ValueError(f"{path}:{where}: {exc}" if where else f"{path}: {exc}") from None
-    with open(path) as f:
+    with open_text(path) as f:
         first = f.readline().rstrip("\n")
         if first != "# supconad-windows v1":
             raise ValueError(f"unrecognized window file header in {path}")

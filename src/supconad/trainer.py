@@ -19,7 +19,7 @@ from . import model as model_mod
 from . import scoring
 from .loss import LossBatch, LossConfig, batch_loss, batch_loss_grad
 from .metrics import LabeledScores, roc_auc
-from .numerics import DegenerateVectorError, Rng
+from .numerics import DegenerateVectorError, Rng, check_seed
 from .synthgen import ANOMALOUS, NORMAL, Window, split_train_val
 
 
@@ -56,6 +56,7 @@ class TrainConfig:
         LossConfig(self.tau, (self.negative_mode,))
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction: must be in (0, 1), got {self.val_fraction!r}")
+        check_seed("seed", self.seed)
 
 
 @dataclass

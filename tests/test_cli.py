@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 from supconad import fixtures, scoring
 from supconad.cli import main
-from supconad.model import load_params
+from supconad.model import init_params, load_params, save_params
+from supconad.numerics import Rng
 from supconad.stats import load_matrix_csv
 from supconad.synthgen import load_windows
 
@@ -365,8 +367,14 @@ def test_grid_rejects_default_dims_at_another_frame_dim(tmp_path, capsys):
      "encoder_dims: every width must be >= 1, got (192, 0, 32)"),
     ("train", "epochs=4", "projection_dims=32,1",
      "projection_dims: must end at width >= 2, got (32, 1)"),
+    ("generate", "frame_dim=6", "seed=-1", "seed: must fit in an unsigned 64-bit integer, got -1"),
+    ("train", "epochs=4", f"seed={2 ** 64}",
+     f"seed: must fit in an unsigned 64-bit integer, got {2 ** 64}"),
+    ("grid", "epochs=4", "seeds=-3", "seeds: must fit in an unsigned 64-bit integer, got -3"),
+    ("grid", "epochs=4", "seeds=3,3", "seeds: repeats a value, got (3, 3)"),
 ], ids=["train-epochs", "grid-combos", "generate-frame-dim", "grid-encoder-dims",
-        "train-projection-dims"])
+        "train-projection-dims", "generate-seed", "train-seed", "grid-seeds",
+        "grid-repeated-seed"])
 def test_config_range_error_names_its_line(tmp_path, capsys, command, known, bad, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# a comment\n{known}\n{bad}\n")
@@ -391,9 +399,14 @@ def test_config_range_error_names_its_line(tmp_path, capsys, command, known, bad
     ("grid", "--encoder-dims", "192", "must list at least 2 widths, got (192,)"),
     ("train", "--encoder-dims", "96,0,8", "every width must be >= 1, got (96, 0, 8)"),
     ("train", "--projection-dims", "8", "must list at least 2 widths, got (8,)"),
+    ("generate", "--seed", "-1", "must fit in an unsigned 64-bit integer, got -1"),
+    ("train", "--seed", str(2 ** 64), f"must fit in an unsigned 64-bit integer, got {2 ** 64}"),
+    ("grid", "--seeds", "-3", "must fit in an unsigned 64-bit integer, got -3"),
+    ("grid", "--seeds", "3,3", "repeats a value, got (3, 3)"),
 ], ids=["train-epochs", "train-val-fraction", "grid-seeds", "generate-contamination",
         "grid-output-width-1", "grid-width-0", "grid-width-negative", "grid-one-width",
-        "train-width-0", "train-one-width"])
+        "train-width-0", "train-one-width", "generate-seed", "train-seed", "grid-seed-range",
+        "grid-repeated-seed"])
 def test_flag_range_error_names_the_flag(tmp_path, capsys, command, flag, value, message):
     """Rejected before any work: no output, no generated data, no read of the data file."""
     cfg = tmp_path / "run.cfg"
@@ -456,6 +469,52 @@ def test_repeated_dataset_label_names_the_header_line(tmp_path, capsys):
     matrix.write_text("method,d0,d0,d1\nm0,0.9,0.8,0.7\nm1,0.6,0.5,0.4\nm2,0.3,0.2,0.1\n")
     assert_one_line_error(capsys, ["stats", "--matrix", str(matrix)],
                           f"supconad: error: {matrix}:1: duplicate dataset label 'd0'\n")
+
+
+# -- a byte that is not UTF-8 names the file and line ---------------------------------
+
+def _with_bad_byte(path: Path, line: int) -> None:
+    """Put a byte that no UTF-8 text holds at the start of the given line (1-based)."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"".join(lines))
+
+
+def test_a_bad_byte_in_a_window_file_names_its_line(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    run(["generate", *GEN_FLAGS, "--seed", "5", "--out", str(data)])
+    capsys.readouterr()
+    _with_bad_byte(data, 200)   # a window row, past the first read-ahead block
+    assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS],
+                          f"supconad: error: {data}:200: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_a_bad_byte_in_a_matrix_csv_names_its_line(tmp_path, capsys):
+    run(["fixtures", "--outdir", str(tmp_path)])
+    matrix = tmp_path / "fixture_roc.csv"
+    _with_bad_byte(matrix, 3)
+    capsys.readouterr()
+    assert_one_line_error(capsys, ["stats", "--matrix", str(matrix)],
+                          f"supconad: error: {matrix}:3: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_a_bad_byte_in_a_config_file_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\nseed=3\nframe_dim=6\n")
+    _with_bad_byte(cfg, 2)
+    out = tmp_path / "data.txt"
+    assert_one_line_error(capsys, ["generate", "--config", str(cfg), "--out", str(out)],
+                          f"supconad: error: {cfg}:2: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
+
+
+def test_a_bad_byte_in_a_checkpoint_names_its_line(tmp_path):
+    ckpt = tmp_path / "model.txt"
+    save_params(init_params([6, 4], [4, 2], Rng(1)), str(ckpt))
+    _with_bad_byte(ckpt, 4)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(ckpt))}:4: 'utf-8' codec "
+                                         r"can't decode byte 0xff"):
+        load_params(str(ckpt))
 
 
 def test_stats_alpha_range_error_names_the_flag(tmp_path, capsys):

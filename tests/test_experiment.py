@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from supconad import experiment, scoring, synthgen, trainer
 from supconad.experiment import (CellScores, ExperimentConfig, _train_models_for,
-                                 derive_cell_seed, run_benchmark_seed, run_grid, run_group)
+                                 derive_cell_seed, run_benchmark_seed, run_grid, score_test_set)
 from supconad.loss import NEGATIVE_MODES
 from supconad.metrics import LabeledScores, roc_auc
 from supconad.numerics import DegenerateVectorError
@@ -216,7 +216,8 @@ def _default_cell_fused_roc(cfg, seed, labelling, loss_mode, head):
     ds = generate_dataset(replace(cfg.gen, seed=seed))
     train_by_mod = by_modality(dataset_windows(ds, labelling, split="train"))
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
-    cell = run_group(cfg, seed, labelling, loss_mode, train_by_mod, test_by_mod, (head,))[head]
+    trained = _train_models_for(train_by_mod, cfg, seed, labelling, (loss_mode,))
+    cell = score_test_set(trained[loss_mode], train_by_mod, test_by_mod, (head,))[head]
     return roc_auc(LabeledScores(cell.fused(tuple(MODALITIES)), cell.labels))
 
 
@@ -353,8 +354,8 @@ def test_earlier_members_failure_wins_in_a_group():
     for i in (0, 2):
         _assert_same_result(outcomes[i], trainer.train(*tasks[i]))
     with pytest.raises(trainer.TrainingDivergedError) as exc:
-        experiment._score_group(dict(zip(MODALITIES, outcomes)), _tiny_train_by_mod(),
-                                _tiny_train_by_mod(split="test"), ("encoder",))
+        score_test_set(dict(zip(MODALITIES, outcomes)), _tiny_train_by_mod(),
+                       _tiny_train_by_mod(split="test"), ("encoder",))
     assert second != fourth and fourth.startswith("degenerate embedding at epoch 1, step 1: ")
     assert str(exc.value) == second
 
@@ -398,6 +399,34 @@ def test_a_grid_failure_record_names_its_modality(monkeypatch, tmp_path):
                for f in result.failures)
 
 
+def test_a_group_scoring_failure_is_the_earliest_modalitys_for_both_heads(monkeypatch,
+                                                                          tmp_path):
+    # the projection checkpoint fails to score at the first modality and the encoder
+    # checkpoint at the third; each modality is scored under both heads before the next
+    failing = {MODALITIES[0]: "projection", MODALITIES[2]: "encoder"}
+    real_train_group = trainer.train_group
+
+    def train_group(tasks):
+        outcomes = real_train_group(tasks)
+        for (windows, *_), outcome in zip(tasks, outcomes):
+            head = failing.get(windows[0].modality)
+            if head:
+                params = outcome.best[head].params.copy()
+                params.projection[-1].weight[:] = params.projection[-1].bias[:] = 0.0
+                outcome.best[head] = replace(outcome.best[head], params=params)
+        return outcomes
+
+    monkeypatch.setattr(trainer, "train_group", train_group)
+    _use_workers(monkeypatch, 1)
+    result = run_grid(replace(TINY, labelling_modes=("manual",), loss_modes=("average",),
+                              outdir=str(tmp_path)))
+    assert [(f["head"], f["modality"]) for f in result.failures] == [
+        ("encoder", MODALITIES[0].key), ("projection", MODALITIES[0].key)]
+    assert {f["error"] for f in result.failures} == {
+        "projection output norm is degenerate or non-finite"}
+    assert not result.cells
+
+
 def test_train_group_rejects_members_that_differ():
     tasks = _tiny_tasks()[:2]
     windows, enc, proj, cfg = tasks[1]
@@ -439,7 +468,8 @@ def test_worker_divergence_reraises_the_in_process_error(monkeypatch):
     for workers in (1, 4):
         _use_workers(monkeypatch, workers)
         with pytest.raises(trainer.TrainingDivergedError) as exc:
-            run_group(TINY, 5, "manual", "sum", train_by_mod, test_by_mod, ("encoder",))
+            trained = _train_models_for(train_by_mod, TINY, 5, "manual", ("sum",))
+            score_test_set(trained["sum"], train_by_mod, test_by_mod, ("encoder",))
         messages[workers] = str(exc.value)
     assert messages[4] == messages[1]
     assert messages[1].startswith("degenerate embedding at epoch 1, step ")

@@ -320,7 +320,7 @@ def test_spawn_streams_are_stable_and_distinct():
 
 
 def test_seed_range_validation():
-    with pytest.raises(ValueError):
-        Rng(-1)
-    with pytest.raises(ValueError):
-        Rng(2 ** 64)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=rf"^seed: must fit in an unsigned 64-bit integer, "
+                                             rf"got {seed}$"):
+            Rng(seed)

@@ -6,6 +6,7 @@ from supconad import scoring
 from supconad.experiment import CellScores, ExperimentConfig, score_test_set
 from supconad.numerics import Rng
 from supconad.synthgen import ANOMALOUS, MODALITIES, NORMAL, Modality, Window
+from supconad.trainer import Checkpoint, TrainResult
 from test_model import identity_net
 
 
@@ -224,8 +225,19 @@ def _aligned_setup(n_windows=8, dim=6):
     return models, train, test
 
 
+def _trained(models):
+    """Each model as the TrainResult whose best checkpoint on both pathways is that model."""
+    return {m: TrainResult({pathway: Checkpoint(p, 1.0, 1) for pathway in scoring.PATHWAYS},
+                           p, [])
+            for m, p in models.items()}
+
+
+def _score(models, train, test, head="projection"):
+    return score_test_set(_trained(models), train, test, (head,))[head]
+
+
 def test_score_aligned_windows_fuses_means():
-    cell = score_test_set(*_aligned_setup(), "projection")
+    cell = _score(*_aligned_setup())
     records = cell.records()
     assert len(records) == 8
     for r in records:
@@ -238,11 +250,11 @@ def test_score_aligned_windows_fuses_means():
 
 def test_score_test_set_scores_only_the_modalities_given():
     models, train, test = _aligned_setup()
-    full = score_test_set(models, train, test, "projection")
+    full = _score(models, train, test)
     subset = (Modality.FRONT_IR, Modality.TOP_IR)
     # only the given modalities need windows; the others are absent altogether
-    cell = score_test_set({m: models[m] for m in subset}, {m: train[m] for m in subset},
-                          {m: test[m] for m in subset}, "projection")
+    cell = _score({m: models[m] for m in subset}, {m: train[m] for m in subset},
+                  {m: test[m] for m in subset})
     assert list(cell.scores) == [Modality.TOP_IR, Modality.FRONT_IR]
     for m in subset:
         assert np.array_equal(cell.scores[m], full.scores[m])
@@ -254,18 +266,46 @@ def test_score_aligned_windows_rejects_misalignment():
     models, train, test = _aligned_setup()
     test[Modality.TOP_IR] = test[Modality.TOP_IR][::-1]
     with pytest.raises(ValueError, match="not aligned"):
-        score_test_set(models, train, test, "projection")
+        _score(models, train, test)
 
 
 @pytest.mark.parametrize("pathway", ["projector", "", True])
 def test_score_test_set_rejects_an_unknown_pathway(pathway):
     with pytest.raises(ValueError, match=rf"^unknown pathway {pathway!r} "
                                          r"\(known: encoder, projection\)$"):
-        score_test_set(*_aligned_setup(), pathway)
+        _score(*_aligned_setup(), pathway)
+
+
+class _CountingWindow:
+    """A window whose features count their reads."""
+
+    def __init__(self, window):
+        self.window, self.reads = window, 0
+
+    def __getattr__(self, name):
+        return getattr(self.window, name)
+
+    @property
+    def features(self):
+        self.reads += 1
+        return self.window.features
+
+
+def test_score_test_set_reads_each_window_once_for_every_head():
+    models, train, test = _aligned_setup()
+    want = {head: _score(models, train, test, head) for head in scoring.PATHWAYS}
+    train, test = ({m: [_CountingWindow(w) for w in ws] for m, ws in split.items()}
+                   for split in (train, test))
+    cells = score_test_set(_trained(models), train, test, ("encoder", "projection"))
+    assert list(cells) == ["encoder", "projection"]
+    for head, cell in cells.items():
+        assert all(np.array_equal(cell.scores[m], want[head].scores[m]) for m in MODALITIES)
+    # every window here is a normal training window or a test window
+    assert {w.reads for split in (train, test) for ws in split.values() for w in ws} == {1}
 
 
 def test_save_scores_csv(tmp_path):
-    records = score_test_set(*_aligned_setup(), "projection").records()
+    records = _score(*_aligned_setup()).records()
     path = tmp_path / "scores.csv"
     scoring.save_scores(str(path), records)
     lines = path.read_text().splitlines()
