@@ -2,24 +2,29 @@
 
 The encoder maps a flattened window to a latent vector h; the projection head
 maps h to the contrastive embedding, which is L2-normalized before entering
-the loss.  Every weight and bias is a view into one float64 vector,
-``ModelParams.flat``; the backward pass returns one gradient vector with the
-same layout, so an SGD step and a checkpoint copy are each one vector
-operation.  ``ModelParams.stack`` puts n models of one shape on a leading
-model axis: ``flat`` is then (n, P), each weight (n, out, in) and each bias
-(n, out), and every function below runs all n models in one call, slice i
-giving exactly what model i alone gives.  Forward passes take a
-(batch, input_dim) matrix per model (one window is a batch of one) and record
-what the exact reverse pass needs: each layer's activation (a ReLU's mask is
-read back from it) and the norm of the raw projection output v_raw, for the
-normalization Jacobian (I - v v^T) / ||v_raw||.  The reverse pass gives the
-gradients w.r.t. the weights and biases only; nothing needs the gradient
-w.r.t. the input, so it is not computed.
+the loss.  A model is ``ModelParams(flat, spec, n_encoder)``: ``spec`` gives
+each layer's ((out, in), activation), the first ``n_encoder`` layers are the
+encoder, and every weight (row-major) and bias, layer by layer, is a view
+into the one float64 vector ``flat``.  The backward pass returns one
+gradient vector with the same layout, so an SGD step and a checkpoint copy
+are each one vector operation.  ``ModelParams.stack`` puts n models of one
+spec on a leading model axis: ``flat`` is then (n, P), each weight
+(n, out, in) and each bias (n, out), and every function below runs all n
+models in one call, slice i giving exactly what model i alone gives.  The
+constructor trusts its arguments: a layer chain is checked where params come
+in, by ``check_dims`` for configured widths and by ``load_params`` for a
+file.  Forward passes take a (batch, input_dim) matrix per model (one window
+is a batch of one) and record what the exact reverse pass needs: each
+layer's activation (a ReLU's mask is read back from it) and the norm of the
+raw projection output v_raw, for the normalization Jacobian
+(I - v v^T) / ||v_raw||.  The reverse pass gives the gradients w.r.t. the
+weights and biases only; nothing needs the gradient w.r.t. the input, so it
+is not computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,88 +34,57 @@ ACTIVATIONS = ("relu", "identity")
 
 
 @dataclass
-class LayerParams:
+class Layer:
     weight: np.ndarray  # (out_dim, in_dim), or (n, out_dim, in_dim) in a stack
     bias: np.ndarray    # (out_dim,), or (n, out_dim)
     activation: str
 
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim not in (2, 3):
-            raise ValueError("weight must be 2-D, or 3-D in a stack")
-        if self.bias.shape != self.weight.shape[:-1]:
-            raise ValueError("bias dimension must equal weight rows")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
-
-@dataclass
 class ModelParams:
-    encoder: list[LayerParams]
-    projection: list[LayerParams]
-    # a copy of each layer's weight (row-major) then bias, in layer order, along
-    # the last axis; the layers are rebound to views of it
-    flat: np.ndarray = field(init=False, repr=False)
-    # per layer, the slice of flat's last axis holding its weight, the weight's
-    # full shape, and the slice holding its bias
-    _layout: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        chain = self.encoder + self.projection
-        if not self.encoder or not self.projection:
-            raise ValueError("encoder and projection must each have >= 1 layer")
-        lead = chain[0].weight.shape[:-2]
-        for prev, nxt in zip(chain, chain[1:]):
-            if nxt.weight.shape[:-2] != lead:
-                raise ValueError("layers differ in their leading model axes")
-            if nxt.weight.shape[-1] != prev.weight.shape[-2]:
-                raise ValueError("consecutive layer dimensions are incompatible")
-        if self.projection[-1].weight.shape[-2] < 2:
-            raise ValueError("projection output dimension must be >= 2")
-        self._bind(np.concatenate([a.reshape(*lead, -1) for l in chain
-                                   for a in (l.weight, l.bias)], axis=-1), *self._spec())
-
-    def _spec(self) -> tuple[list[tuple], int]:
-        """The layers as ((out, in), activation) pairs in order, and how many are the encoder's."""
-        return [(l.weight.shape[-2:], l.activation) for l in self.layers], len(self.encoder)
-
-    def _bind(self, flat: np.ndarray, layers: list[tuple], n_encoder: int) -> None:
-        """Take flat as the params' vector and make the layers, given as by _spec,
-        views of it on flat's leading axes."""
-        self.flat, self._layout, pos = flat, [], 0
-        for (n_out, n_in), _ in layers:
+    def __init__(self, flat: np.ndarray, spec: tuple, n_encoder: int):
+        """Params whose layers, each ((out, in), activation) in spec, are views of
+        flat's last axis; the first n_encoder of them are the encoder."""
+        self.flat, self.spec, self.n_encoder = flat, tuple(spec), n_encoder
+        # per layer, the slice of flat's last axis holding its weight, the
+        # weight's full shape, and the slice holding its bias
+        self._layout, pos = [], 0
+        for (n_out, n_in), _ in self.spec:
             end = pos + n_out * n_in
             self._layout.append((slice(pos, end), (*flat.shape[:-1], n_out, n_in),
                                  slice(end, end + n_out)))
             pos = end + n_out
-        views = [LayerParams(w, b, act) for (_, act), (w, b) in zip(layers, self.split(flat))]
-        self.encoder, self.projection = views[:n_encoder], views[n_encoder:]
+        self.layers = [Layer(w, b, act) for (_, act), (w, b) in zip(self.spec, self.split(flat))]
 
     @staticmethod
     def stack(members: list["ModelParams"]) -> "ModelParams":
-        """Params of models of one shape, on a leading model axis, as a copy."""
-        if len({tuple((l.weight.shape, l.activation) for l in m.layers) for m in members}) != 1:
-            raise ValueError("stacked models must share their layer shapes and activations")
-        return _bound(np.stack([m.flat for m in members]), *members[0]._spec())
+        """Params of models of one spec, on a leading model axis, as a copy."""
+        first = members[0]
+        if any((m.spec, m.n_encoder) != (first.spec, first.n_encoder) for m in members):
+            raise ValueError("stacked models must share their layer shapes, activations "
+                             "and encoder layers")
+        return ModelParams(np.stack([m.flat for m in members]), first.spec, first.n_encoder)
 
     def member(self, i: int) -> "ModelParams":
         """Model i of stacked params, as an unstacked copy."""
         if self.flat.ndim != 2:
             raise ValueError("member: params are not stacked")
-        return _bound(self.flat[i].copy(), *self._spec())
+        return ModelParams(self.flat[i].copy(), self.spec, self.n_encoder)
 
     def __reduce__(self):
         # flat is sent once; unpickling rebinds the layers to views of the copy received
-        return _bound, (self.flat, *self._spec())
+        return ModelParams, (self.flat, self.spec, self.n_encoder)
 
     @property
-    def layers(self) -> list[LayerParams]:
-        return self.encoder + self.projection
+    def encoder(self) -> list[Layer]:
+        return self.layers[:self.n_encoder]
+
+    @property
+    def projection(self) -> list[Layer]:
+        return self.layers[self.n_encoder:]
 
     @property
     def input_dim(self) -> int:
-        return self.encoder[0].weight.shape[-1]
+        return self.spec[0][0][1]
 
     def split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(weight, bias) views into vec, one pair per layer; vec is shaped and laid
@@ -118,14 +92,7 @@ class ModelParams:
         return [(vec[..., w].reshape(shape), vec[..., b]) for w, shape, b in self._layout]
 
     def copy(self) -> "ModelParams":
-        return _bound(self.flat.copy(), *self._spec())
-
-
-def _bound(flat: np.ndarray, layers: list[tuple], n_encoder: int) -> ModelParams:
-    """Params whose layers, given as by ModelParams._spec, are views of flat."""
-    params = ModelParams.__new__(ModelParams)
-    params._bind(flat, layers, n_encoder)
-    return params
+        return ModelParams(self.flat.copy(), self.spec, self.n_encoder)
 
 
 @dataclass
@@ -157,16 +124,13 @@ def init_params(encoder_dims: list[int], projection_dims: list[int], rng: Rng) -
     ReLU on every layer except the final projection layer, which is identity.
     """
     check_dims(encoder_dims, projection_dims)
-
-    def build(dims: list[int], final_identity: bool) -> list[LayerParams]:
-        layers = []
-        for li, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-            w = rng.gaussian_array((d_out, d_in), 0.0, 1.0 / np.sqrt(d_in))
-            act = "identity" if final_identity and li == len(dims) - 2 else "relu"
-            layers.append(LayerParams(w, np.zeros(d_out), act))
-        return layers
-
-    return ModelParams(build(encoder_dims, False), build(projection_dims, True))
+    dims = [*encoder_dims, *projection_dims[1:]]
+    spec, parts = [], []
+    for li, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+        spec.append(((d_out, d_in), "identity" if li == len(dims) - 2 else "relu"))
+        parts += [rng.gaussian_array((d_out, d_in), 0.0, 1.0 / np.sqrt(d_in)).ravel(),
+                  np.zeros(d_out)]
+    return ModelParams(np.concatenate(parts), spec, len(encoder_dims) - 1)
 
 
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
@@ -186,7 +150,7 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
             np.maximum(a, 0.0, out=a)
         act.append(a)
     v, norms = unit_rows(act[-1], "projection output")
-    return ForwardTrace(x=x, act=act, h=act[len(params.encoder) - 1], v=v, norms=norms)
+    return ForwardTrace(x=x, act=act, h=act[params.n_encoder - 1], v=v, norms=norms)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, grad_v: np.ndarray) -> np.ndarray:
@@ -255,21 +219,22 @@ def save_params(params: ModelParams, path: str) -> None:
 
 def load_params(path: str) -> ModelParams:
     """Read a version-1 checkpoint; a malformed line raises ValueError("path:line: ..."),
-    and layers that do not make a model raise ValueError("path: ...")."""
+    and layers that do not make a model (a section empty, a layer's input width
+    not its predecessor's output width, a projection output narrower than 2)
+    raise ValueError("path: ...")."""
     with open_text(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != "supconad-params v1":
-        raise ValueError(f"unrecognized checkpoint header in {path}")
-    pos = 1
-    stacks: dict[str, list[LayerParams]] = {}
+        raise ValueError(f"{path}:1: unrecognized checkpoint header")
+    pos, parts, spec = 1, [], []
     try:
         for name in ("encoder", "projection"):
+            n_encoder = len(spec)   # the layers before the projection section's are the encoder
             tag, got, n = _fields(lines, pos, 3)
             if (tag, got) != ("section", name):
                 raise ValueError(f"expected 'section {name} <n_layers>'")
             n = int(n)
             pos += 1
-            layers = []
             for _ in range(n):
                 tag, out_d, in_d, act = _fields(lines, pos, 4)
                 if tag != "layer" or act not in ACTIVATIONS:
@@ -282,14 +247,18 @@ def load_params(path: str) -> ModelParams:
                     pos += 1
                     w[r] = [float(t) for t in _fields(lines, pos, in_d)]
                 pos += 1
-                layers.append(LayerParams(w, bias, act))
-            stacks[name] = layers
+                parts += [w.ravel(), bias]
+                spec.append(((out_d, in_d), act))
     except ValueError as exc:
         raise ValueError(f"{path}:{pos + 1}: {exc}") from None
-    try:   # the layers do not chain, a section is empty or the projection too narrow
-        return ModelParams(stacks["encoder"], stacks["projection"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    shapes = [shape for shape, _ in spec]
+    if not 0 < n_encoder < len(spec):
+        raise ValueError(f"{path}: encoder and projection must each have >= 1 layer")
+    if any(nxt[1] != prev[0] for prev, nxt in zip(shapes, shapes[1:])):
+        raise ValueError(f"{path}: consecutive layer dimensions are incompatible")
+    if shapes[-1][0] < 2:
+        raise ValueError(f"{path}: projection output dimension must be >= 2")
+    return ModelParams(np.concatenate(parts), spec, n_encoder)
 
 
 def _fields(lines: list[str], pos: int, n: int) -> list[str]:

@@ -262,19 +262,17 @@ def make_windows(clip: ClipRecord, frames: np.ndarray, labelling: str) -> list[W
     drop: under ``manual`` labelling, a window of an anomalous clip with fewer
     than MANUAL_MAJORITY anomalous frames among its 16 retained frames.
     """
+    _check_labellings((labelling,))
+    if len(clip.frame_labels) == 0:
+        raise ValueError("clip has no frames")
     return _cut_clip(clip, frames, (labelling,))[0]
 
 
 def _cut_clip(clip: ClipRecord, frames: np.ndarray, modes: tuple[str, ...]) -> list[list[Window]]:
     """make_windows of one clip under each labelling mode in modes, cut once: a
-    window that several modes keep is one object in each of their lists."""
-    for mode in modes:
-        if mode not in LABELLING_MODES:
-            raise ValueError(f"unknown labelling mode {mode!r}")
+    window that several modes keep is one object in each of their lists.  The
+    callers check the modes, and a generated clip always has frames."""
     t = len(clip.frame_labels)
-    if t == 0:
-        raise ValueError("clip has no frames")
-
     kept: list[list[Window]] = [[] for _ in modes]
     for w, start in enumerate(range(0, t, WINDOW_RAW_LEN)):
         idx = np.minimum(np.arange(start, start + WINDOW_RAW_LEN, 2), t - 1)
@@ -318,11 +316,18 @@ def labelled_windows(ds: Dataset, labellings: tuple[str, ...],
     windows ``original`` keeps, and every test window) is one shared object
     in each of their lists, so its features are held once.
     """
+    _check_labellings(labellings)
     out: dict[str, list[Window]] = {lab: [] for lab in labellings}
     clips = [c for c in ds.clips if split is None or c.split == split]
     for lo in range(0, len(clips), _BLOCK_CLIPS):
         _cut_block(ds, clips[lo:lo + _BLOCK_CLIPS], out)
     return out
+
+
+def _check_labellings(labellings: tuple[str, ...]) -> None:
+    for mode in labellings:
+        if mode not in LABELLING_MODES:
+            raise ValueError(f"unknown labelling mode {mode!r}")
 
 
 def _cut_block(ds: Dataset, block: list[ClipRecord], out: dict[str, list[Window]]) -> None:
@@ -404,7 +409,7 @@ def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
     with open_text(path) as f:
         first = f.readline().rstrip("\n")
         if first != "# supconad-windows v1":
-            raise ValueError(f"unrecognized window file header in {path}")
+            raise ValueError(f"{path}:1: unrecognized window file header")
         for ln_no, line in enumerate(f, start=2):
             line = line.rstrip("\n")
             if cfg is None and not line.startswith("# "):   # the header ends at the first row

@@ -13,11 +13,9 @@ from supconad.numerics import DegenerateVectorError, Rng
 
 
 def identity_net(dim):
-    eye = np.eye(dim)
-    return M.ModelParams(
-        [M.LayerParams(eye.copy(), np.zeros(dim), "identity")],
-        [M.LayerParams(eye.copy(), np.zeros(dim), "identity")],
-    )
+    """One identity layer of width dim in each section."""
+    layer = np.concatenate([np.eye(dim).ravel(), np.zeros(dim)])
+    return M.ModelParams(np.concatenate([layer, layer]), [((dim, dim), "identity")] * 2, 1)
 
 
 def random_net(rng, dims_enc, dims_proj):
@@ -332,6 +330,8 @@ def test_unpickling_rebinds_the_layers_to_the_flat_it_receives(monkeypatch):
     for p, blob in zip((single, stacked), blobs):
         back = pickle.loads(blob)
         assert np.array_equal(back.flat, p.flat)
+        assert (back.spec, back.n_encoder) == (p.spec, p.n_encoder) == \
+            ((((6, 5), "relu"), ((4, 6), "relu"), ((3, 4), "identity")), 2)
         assert len(back.encoder) == len(p.encoder) and len(back.projection) == len(p.projection)
         for got, want in zip(back.layers, p.layers):
             assert got.activation == want.activation
@@ -397,10 +397,16 @@ def test_stack_and_member_copy_the_models():
         one = stacked.member(i)
         assert_owns_flat(one, stacked, p)
         assert np.array_equal(one.flat, p.flat)
+        assert (one.spec, one.n_encoder) == (stacked.spec, stacked.n_encoder) == \
+            (p.spec, p.n_encoder)
     stacked.flat[:] = 0.0
     assert np.any(members[0].encoder[0].weight)
     with pytest.raises(ValueError, match="must share their layer shapes"):
         M.ModelParams.stack([identity_net(2), identity_net(3)])
+    # the same layers, split into encoder and projection at another layer
+    with pytest.raises(ValueError, match="must share their layer shapes"):
+        M.ModelParams.stack([M.init_params([5, 4, 3], [3, 2], Rng(1)),
+                             M.init_params([5, 4], [4, 3, 2], Rng(1))])
 
 
 def test_stacked_forward_rejects_input_of_another_stack_shape():
@@ -438,13 +444,13 @@ def test_checkpoint_round_trip_is_exact(tmp_path, encoder_dims, projection_tail,
     def layer(d_in, d_out):
         values = data.draw(st.lists(exact_floats(), min_size=d_out * (d_in + 1),
                                     max_size=d_out * (d_in + 1)))
-        w = np.array(values[d_out:]).reshape(d_out, d_in)
-        return M.LayerParams(w, np.array(values[:d_out]), data.draw(st.sampled_from(M.ACTIVATIONS)))
+        act = data.draw(st.sampled_from(M.ACTIVATIONS))
+        return values[d_out:] + values[:d_out], ((d_out, d_in), act)   # flat: weight, then bias
 
     dims = encoder_dims + projection_tail
     layers = [layer(d_in, d_out) for d_in, d_out in zip(dims, dims[1:])]
-    n_enc = len(encoder_dims) - 1
-    p = M.ModelParams(layers[:n_enc], layers[n_enc:])
+    p = M.ModelParams(np.array([x for values, _ in layers for x in values]),
+                      [spec for _, spec in layers], len(encoder_dims) - 1)
     path = str(tmp_path / "params.txt")
     M.save_params(p, path)
     q = M.load_params(path)
@@ -453,13 +459,16 @@ def test_checkpoint_round_trip_is_exact(tmp_path, encoder_dims, projection_tail,
     assert [(la.weight.shape, la.activation) for la in q.layers] == \
         [(la.weight.shape, la.activation) for la in p.layers]
     assert (len(q.encoder), len(q.projection)) == (len(p.encoder), len(p.projection))
+    assert (q.spec, q.n_encoder) == (p.spec, p.n_encoder)
 
 
 def test_checkpoint_rejects_unknown_header(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("something-else v9\n")
-    with pytest.raises(ValueError, match="unrecognized"):
-        M.load_params(str(path))
+    for text in ("something-else v9\n", ""):
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}:1: unrecognized checkpoint header$"):
+            M.load_params(str(path))
 
 
 def _saved_checkpoint_lines(tmp_path):

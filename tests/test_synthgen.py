@@ -339,8 +339,13 @@ def test_empty_clip_rejected():
 
 def test_unknown_labelling_mode_rejected():
     clip, frames = manual_clip([True] * 32)
-    with pytest.raises(ValueError, match="labelling"):
-        make_windows(clip, frames, "fancy")
+    ds = generate_dataset(small_cfg())
+    for cut in (lambda: make_windows(clip, frames, "fancy"),
+                # the test split is cut under manual whatever the labelling asked for
+                lambda: dataset_windows(ds, "fancy", split="test"),
+                lambda: labelled_windows(ds, ("original", "fancy"), split="train")):
+        with pytest.raises(ValueError, match="^unknown labelling mode 'fancy'$"):
+            cut()
 
 
 def test_make_windows_is_deterministic():
@@ -535,9 +540,11 @@ def test_window_file_round_trip_is_exact(tmp_path, case):
 
 def test_window_file_rejects_unknown_header(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("# other-format v2\n")
-    with pytest.raises(ValueError, match="unrecognized"):
-        load_windows(str(path))
+    for text in ("# other-format v2\n", ""):
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}:1: unrecognized window file header$"):
+            load_windows(str(path))
 
 
 def _saved_window_lines(tmp_path):
