@@ -216,8 +216,12 @@ def score_test_set(outcomes: dict, train_by_mod, test_by_mod, heads) -> dict[str
     raised instead.  A template is the mean embedding of a modality's normal
     training windows.  The test windows must be aligned: entry i of each
     modality is the same (clip_id, window_index).  Modality by modality, in
-    MODALITIES order, the rows are stacked once and every head is scored.  An
-    error raised here, in training or in scoring, carries its ``modality``.
+    MODALITIES order, the normal rows are stacked once and every head's
+    template built from them; they are released before the test rows are
+    stacked once and scored under every head.  So the first failure of a
+    group is its first training error, else the earliest modality's first
+    template error in head order, else that modality's first scoring error.
+    An error raised here, in training or in scoring, carries its ``modality``.
     """
     mods = [m for m in MODALITIES if m in outcomes]
     for mod in mods:
@@ -234,13 +238,18 @@ def score_test_set(outcomes: dict, train_by_mod, test_by_mod, heads) -> dict[str
             raise ValueError("test windows are not aligned across modalities")
     scores = {head: {} for head in heads}
     for mod in mods:
+        best = outcomes[mod].best
         normal_feats = np.stack([w.features for w in train_by_mod[mod] if w.label == NORMAL])
-        test_feats = np.stack([w.features for w in test_by_mod[mod]])
         try:
+            templates = {head: scoring.build_template(best[head].params, normal_feats,
+                                                      head == "projection", mod)
+                         for head in heads}
+            del normal_feats    # the normal and test stacks are never alive together
+            test_feats = np.stack([w.features for w in test_by_mod[mod]])
             for head in heads:
-                params, use_proj = outcomes[mod].best[head].params, head == "projection"
-                template = scoring.build_template(params, normal_feats, use_proj, mod)
-                scores[head][mod] = scoring.score_windows(template, params, test_feats, use_proj)
+                scores[head][mod] = scoring.score_windows(templates[head], best[head].params,
+                                                          test_feats, head == "projection")
+            del test_feats
         except DegenerateVectorError as exc:
             exc.modality = mod
             raise
@@ -339,6 +348,19 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
     ds = generate_dataset(replace(cfg.gen, seed=run_seed))
     train_by_mod = by_modality(dataset_windows(ds, "manual", split="train"))
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
+    # the seen and unseen AUCs each need an anomalous test window; checked before training
+    normal_mask = np.array([w.label == NORMAL for w in test_by_mod[MODALITIES[0]]])
+    unseen_mask = np.array([   # only anomalous windows have an archetype, found by its id
+        w.archetype_id is not None and not ds.archetypes[w.archetype_id].seen_in_training
+        for w in test_by_mod[MODALITIES[0]]
+    ])
+    seen_mask = ~normal_mask & ~unseen_mask
+    for subset, mask in (("seen", seen_mask), ("unseen", unseen_mask)):
+        if not mask.any():
+            g = cfg.gen
+            raise ValueError(f"the test split holds no {subset}-archetype window at GenConfig "
+                             f"test_anomalous_clips={g.test_anomalous_clips}, seen_archetypes="
+                             f"{g.seen_archetypes}, unseen_archetypes={g.unseen_archetypes}")
     trained = _train_models_for(train_by_mod, cfg, run_seed, "manual", ("average",))
     cell = score_test_set(trained["average"], train_by_mod, test_by_mod,
                           ("projection",))["projection"]
@@ -348,13 +370,6 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
     singles = {
         m.key: roc_auc(LabeledScores(cell.scores[m], cell.labels)) for m in MODALITIES
     }
-
-    normal_mask = cell.labels
-    unseen_mask = np.array([   # only anomalous windows have an archetype, found by its id
-        w.archetype_id is not None and not ds.archetypes[w.archetype_id].seen_in_training
-        for w in test_by_mod[MODALITIES[0]]
-    ])
-    seen_mask = ~normal_mask & ~unseen_mask
 
     def subset_auc(anom_mask):
         keep = normal_mask | anom_mask

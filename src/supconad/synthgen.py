@@ -7,7 +7,8 @@ split into training-visible and test-only sets, and anomalous clips whose
 frames are partially normal behavior (label contamination).  Frame features
 are low-dimensional vectors, not images; the geometry (archetype means on a
 shell around the per-modality normal mean, AR(1)-smoothed frame noise) keeps
-training fast while leaving the detection task non-trivial.
+training fast while leaving the detection task non-trivial.  A window's
+features are one owning 1-D array, cut or read, never a view of a larger one.
 """
 
 from __future__ import annotations
@@ -272,17 +273,19 @@ def _cut_clip(clip: ClipRecord, frames: np.ndarray, modes: tuple[str, ...]) -> l
     """make_windows of one clip under each labelling mode in modes, cut once: a
     window that several modes keep is one object in each of their lists.  The
     callers check the modes, and a generated clip always has frames."""
-    t = len(clip.frame_labels)
+    t, d = len(clip.frame_labels), frames.shape[-1]
     kept: list[list[Window]] = [[] for _ in modes]
     for w, start in enumerate(range(0, t, WINDOW_RAW_LEN)):
         idx = np.minimum(np.arange(start, start + WINDOW_RAW_LEN, 2), t - 1)
+        # the kept frames' features, row-major, as indexes into one modality's flat frames
+        flat = (idx[:, None] * d + np.arange(d)).ravel()
         majority = (clip.clip_label != ANOMALOUS
                     or int(clip.frame_labels[idx].sum()) >= MANUAL_MAJORITY)
         keepers = [out for mode, out in zip(modes, kept) if majority or mode != "manual"]
         if not keepers:
             continue
         windows = [Window(
-            features=mod_frames[idx].reshape(-1),
+            features=mod_frames.take(flat),     # owns its data, with no (16, d) base
             label=clip.clip_label,
             clip_id=clip.clip_id,
             window_index=w,

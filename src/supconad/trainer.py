@@ -5,7 +5,9 @@ embedding.  Validation, run every few epochs on a stratified held-out slice
 of the training windows, scores with the normal-template cosine pipeline
 under both embedding pathways and keeps the best parameters per pathway, so
 checkpoint selection matches whichever pathway is used at test time.  A
-lockstep group is validated in one stacked scoring pass per pathway.
+lockstep group is validated in one stacked scoring pass per pathway.  A
+TrainResult is those best checkpoints plus the validation log; the
+parameters of the last epoch are not kept.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ class LogRow:
 @dataclass
 class TrainResult:
     best: dict[str, Checkpoint]      # keyed by pathway: "projection" / "encoder"
-    final_params: model_mod.ModelParams
     log: list[LogRow]
 
 
@@ -223,15 +224,16 @@ def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
                         f"validation at epoch {epoch}, {pathway} pathway: {exc}") from exc
             for i, is_normal in enumerate(val_is_normal):
                 aucs = {}
+                member = None    # one copy, shared by each pathway this validation improves
                 for pathway in scoring.PATHWAYS:
                     aucs[pathway] = auc = roc_auc(LabeledScores(scores[pathway][i], is_normal))
                     if pathway not in best[i] or auc > best[i][pathway].val_auc:
-                        best[i][pathway] = Checkpoint(params.member(i), auc, epoch)
+                        member = member or params.member(i)
+                        best[i][pathway] = Checkpoint(member, auc, epoch)
                 logs[i].append(LogRow(epoch, epoch_loss[i] / n_batches,
                                       aucs["projection"], aucs["encoder"]))
 
-    return [TrainResult(best=best[i], final_params=params.member(i), log=logs[i])
-            for i in range(len(tasks))]
+    return [TrainResult(best=best[i], log=logs[i]) for i in range(len(tasks))]
 
 
 def save_training_log(path: str, log: list[LogRow]) -> None:

@@ -119,6 +119,20 @@ def test_benchmark_seed_reports_consistent_fields(tmp_path):
     assert r.best_single == max(r.single_roc_auc.values())
 
 
+def test_benchmark_seed_without_an_unseen_test_window_fails_before_training(monkeypatch):
+    def train_models_for(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(experiment, "_train_models_for", train_models_for)
+    # both test anomalous clips take one of the two seen archetypes
+    cfg = replace(TINY, gen=replace(TINY.gen, test_anomalous_clips=2))
+    with pytest.raises(ValueError, match=r"^the test split holds no unseen-archetype window at "
+                                         r"GenConfig test_anomalous_clips=2, seen_archetypes=2, "
+                                         r"unseen_archetypes=3$") as exc:
+        run_benchmark_seed(cfg, 5)
+    assert "\n" not in str(exc.value)
+
+
 def _watch_release(monkeypatch):
     """Patch synthgen._draw_frames and experiment._train_models_for to record, at
     each draw, whether an earlier draw's frames are alive, and, as each training
@@ -265,12 +279,14 @@ def test_pooled_training_is_bit_identical_to_in_process(monkeypatch):
             for mod in MODALITIES:
                 serial, pooled = runs[1][loss][mod], runs[workers][loss][mod]
                 assert pooled.log == serial.log
-                _assert_same_params(pooled.final_params, serial.final_params)
                 assert list(pooled.best) == list(serial.best)
                 for pathway, ckpt in serial.best.items():
                     assert (pooled.best[pathway].val_auc, pooled.best[pathway].epoch) == \
                         (ckpt.val_auc, ckpt.epoch)
                     _assert_same_params(pooled.best[pathway].params, ckpt.params)
+                # pathways best at one validation hold one params copy, also across the pool
+                encoder, projection = pooled.best["encoder"], pooled.best["projection"]
+                assert (encoder.params is projection.params) == (encoder.epoch == projection.epoch)
 
 
 # -- lockstep training groups ------------------------------------------------------
@@ -286,7 +302,6 @@ def _tiny_tasks(loss_mode="average"):
 
 def _assert_same_result(got, want):
     assert repr(got.log) == repr(want.log)
-    _assert_same_params(got.final_params, want.final_params)
     assert list(got.best) == list(want.best)
     for pathway, ckpt in want.best.items():
         assert (got.best[pathway].val_auc, got.best[pathway].epoch) == (ckpt.val_auc, ckpt.epoch)

@@ -1,10 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from supconad import model as M
 from supconad import scoring
 from supconad.experiment import CellScores, ExperimentConfig, score_test_set
-from supconad.numerics import Rng
+from supconad.numerics import DegenerateVectorError, Rng
 from supconad.synthgen import ANOMALOUS, MODALITIES, NORMAL, Modality, Window
 from supconad.trainer import Checkpoint, TrainResult
 from test_model import identity_net
@@ -227,8 +229,7 @@ def _aligned_setup(n_windows=8, dim=6):
 
 def _trained(models):
     """Each model as the TrainResult whose best checkpoint on both pathways is that model."""
-    return {m: TrainResult({pathway: Checkpoint(p, 1.0, 1) for pathway in scoring.PATHWAYS},
-                           p, [])
+    return {m: TrainResult({pathway: Checkpoint(p, 1.0, 1) for pathway in scoring.PATHWAYS}, [])
             for m, p in models.items()}
 
 
@@ -274,6 +275,46 @@ def test_score_test_set_rejects_an_unknown_pathway(pathway):
     with pytest.raises(ValueError, match=rf"^unknown pathway {pathway!r} "
                                          r"\(known: encoder, projection\)$"):
         _score(*_aligned_setup(), pathway)
+
+
+def test_a_later_heads_template_error_wins_over_an_earlier_heads_scoring_error(monkeypatch):
+    # at the second modality the encoder head fails to score and the projection head
+    # fails to build its template: every head's template is built before any scores
+    real_build, real_score = scoring.build_template, scoring.score_windows
+    failing = MODALITIES[1]
+
+    def build_template(params, features, use_projection, modality=None):
+        if use_projection and modality == failing:
+            raise DegenerateVectorError("projection template")
+        return real_build(params, features, use_projection, modality)
+
+    def score_windows(template, params, features, use_projection):
+        if not use_projection and template.modality == failing:
+            raise DegenerateVectorError("encoder scores")
+        return real_score(template, params, features, use_projection)
+
+    monkeypatch.setattr(scoring, "build_template", build_template)
+    monkeypatch.setattr(scoring, "score_windows", score_windows)
+    models, train, test = _aligned_setup()
+    with pytest.raises(DegenerateVectorError, match="^projection template$") as exc:
+        score_test_set(_trained(models), train, test, ("encoder", "projection"))
+    assert exc.value.modality == failing
+
+
+def test_score_test_set_never_holds_a_normal_and_a_test_stack_together(monkeypatch):
+    real_stack, stacks, alive_at_stack = np.stack, [], []
+
+    def stack(arrays, *args, **kwargs):
+        alive_at_stack.append(sum(ref() is not None for ref in stacks))
+        out = real_stack(arrays, *args, **kwargs)
+        stacks.append(weakref.ref(out))
+        return out
+
+    models, train, test = _aligned_setup()
+    monkeypatch.setattr(np, "stack", stack)
+    score_test_set(_trained(models), train, test, scoring.PATHWAYS)
+    # per modality a normal stack, then a test stack: each made with no other alive
+    assert alive_at_stack == [0] * 2 * len(MODALITIES)
 
 
 class _CountingWindow:

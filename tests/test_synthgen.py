@@ -266,6 +266,19 @@ def test_window_features_are_separate_contiguous_arrays():
     assert all(end <= nxt for (_, end), (nxt, _) in zip(extents, extents[1:]))
 
 
+def test_window_features_own_their_data(tmp_path):
+    # a view would keep its base, a (WINDOW_LEN, frame_dim) gather, alive beside it
+    cfg = small_cfg(test_anomalous_clips=9)
+    ds = generate_dataset(cfg)
+    cut = [w for ws in labelled_windows(ds, LABELLING_MODES).values() for w in ws]
+    cut += make_windows(ds.clips[0], clip_frames(ds, ds.clips[0]), "original")
+    path = str(tmp_path / "windows.txt")
+    save_windows(path, cfg, "original", cut[:50])
+    _, _, read = load_windows(path)
+    assert len(read) == 50
+    assert all(w.features.base is None for w in cut + read)
+
+
 # -- windowing -------------------------------------------------------------------
 
 def test_64_frame_clip_gives_two_windows():

@@ -1,6 +1,7 @@
 import math
+import pickle
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from supconad.numerics import Rng
 from supconad.synthgen import ANOMALOUS, MODALITIES, NORMAL, Window
 from supconad.trainer import (TrainConfig, TrainingDivergedError, _batch_sampler,
                               lr_at, save_training_log, train)
+from test_experiment import _assert_same_params
 
 
 def toy_windows(n_normal=60, n_anomalous=30, dim=4, seed=0, gap=2.0):
@@ -128,9 +130,8 @@ def test_zero_learning_rate_keeps_initial_params():
     cfg = quick_cfg(lr0=0.0)
     result = train(windows, *DIMS, cfg)
     fresh = _params_at_init(windows, cfg)
-    for la, lb in zip(result.final_params.layers, fresh.layers):
-        assert np.array_equal(la.weight, lb.weight)
-        assert np.array_equal(la.bias, lb.bias)
+    for ckpt in result.best.values():
+        _assert_same_params(ckpt.params, fresh)
     # every validation sees identical params, so the tie-break keeps the first
     assert result.best["projection"].epoch == cfg.validate_every
     assert result.best["encoder"].epoch == cfg.validate_every
@@ -148,24 +149,47 @@ def test_training_is_deterministic():
     windows = toy_windows()
     a = train(windows, *DIMS, quick_cfg())
     b = train(windows, *DIMS, quick_cfg())
-    for la, lb in zip(a.final_params.layers, b.final_params.layers):
-        assert np.array_equal(la.weight, lb.weight)
-        assert np.array_equal(la.bias, lb.bias)
+    assert list(a.best) == list(b.best)
     for pa, pb in zip(a.best.values(), b.best.values()):
         assert pa.val_auc == pb.val_auc and pa.epoch == pb.epoch
-    assert [(r.epoch, r.mean_loss) for r in a.log] == [(r.epoch, r.mean_loss) for r in b.log]
+        _assert_same_params(pa.params, pb.params)
+    assert repr(a.log) == repr(b.log)
 
 
-def test_checkpoints_do_not_share_memory_with_the_final_params():
-    result = train(toy_windows(), *DIMS, quick_cfg())
-    final = result.final_params
-    for ckpt in result.best.values():
-        assert not np.shares_memory(ckpt.params.flat, final.flat)
+# overlapping toy clusters, validated every epoch: with APART the pathways' best
+# epochs differ (encoder 6, projection 5, of 10), with TOGETHER they agree (both 3)
+OVERLAP = toy_windows(gap=0.4)
+APART = quick_cfg(seed=1, validate_every=1)
+TOGETHER = quick_cfg(seed=3, validate_every=1)
+
+
+def test_a_checkpoint_is_a_copy_of_its_epochs_params():
+    result = train(OVERLAP, *DIMS, APART)
+    encoder, projection = result.best["encoder"], result.best["projection"]
+    assert (encoder.epoch, projection.epoch) == (6, 5)
+    # the only checkpoint of the same training cut to E epochs, validated at E only,
+    # holds the params of epoch E; training on to epoch 10 did not change the copy
+    for ckpt in (encoder, projection):
+        cut = train(OVERLAP, *DIMS,
+                    replace(APART, epochs=ckpt.epoch, validate_every=ckpt.epoch))
+        assert [c.epoch for c in cut.best.values()] == [ckpt.epoch] * 2
+        _assert_same_params(ckpt.params, cut.best["encoder"].params)
         for layer in ckpt.params.layers:
             assert np.shares_memory(layer.weight, ckpt.params.flat)
-            assert not np.shares_memory(layer.weight, final.flat)
-    assert not np.shares_memory(result.best["projection"].params.flat,
-                                result.best["encoder"].params.flat)
+    assert not np.shares_memory(encoder.params.flat, projection.params.flat)
+
+
+def test_pathways_best_at_one_validation_share_one_params_copy():
+    result = train(OVERLAP, *DIMS, TOGETHER)
+    assert result.best["encoder"].epoch == result.best["projection"].epoch == 3
+    assert result.best["encoder"].params is result.best["projection"].params
+    # a group's outcomes cross a worker pool in one pickle, which keeps the sharing
+    [back] = pickle.loads(pickle.dumps([result]))
+    assert back.best["encoder"].params is back.best["projection"].params
+    _assert_same_params(back.best["encoder"].params, result.best["encoder"].params)
+    # and where the best epochs differ, each pathway holds its own copy
+    apart = train(OVERLAP, *DIMS, APART)
+    assert apart.best["encoder"].params is not apart.best["projection"].params
 
 
 def test_best_checkpoint_dominates_log():
