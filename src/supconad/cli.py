@@ -133,6 +133,8 @@ def _cmd_train(args) -> int:
         raise ValueError(f"encoder_dims: must start with {n_in}, the features of a window "
                          f"in {args.data} (frame_dim {gen.frame_dim}), got {enc_dims}")
     train_windows = [w for w in windows if w.split == "train" and w.modality == modality]
+    if not train_windows:
+        raise ValueError(f"{args.data}: no train windows of modality {modality.key}")
     result = trainer.train(train_windows, list(enc_dims), list(proj_dims), tcfg)
     ckpt = result.best[head]
     print(f"best {head} checkpoint: epoch {ckpt.epoch}, val AUC {ckpt.val_auc:.4f}")

@@ -15,12 +15,13 @@ and the minibatch loss is the mean of L_ij over all K*(K-1) ordered pairs.
 Every -log term is evaluated through a softplus of shifted logits, so
 temperatures as sharp as 0.1 with cosines near +-1 cannot overflow.  A batch
 may carry a leading model axis, (n, K, d) and (n, M, d): each model's loss and
-gradient are then those of its own slice, and the mode may vary per model.
+gradient are then those of its own slice, and the mode may vary per model.  One
+expression gives log c for one mode or for a tuple of one mode per model, so a
+model's c is the same number stacked or alone.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,21 +47,6 @@ class LossConfig:
             if mode not in NEGATIVE_MODES:
                 raise ValueError(f"negative_mode: unknown {mode!r} "
                                  f"(known: {', '.join(NEGATIVE_MODES)})")
-
-    def log_scale(self, n_negatives: int) -> float | np.ndarray:
-        """log c, where c scales the summed negative exponentials: 1 (sum) or 1/M
-        (average).  A float for one mode, or one per model, shaped (n, 1, 1)."""
-        if isinstance(self.negative_mode, tuple):
-            return _log_scales(self.negative_mode, n_negatives)
-        return np.log(1.0 if self.negative_mode == "sum" else 1.0 / n_negatives)
-
-
-@functools.cache
-def _log_scales(modes: tuple[str, ...], n_negatives: int) -> np.ndarray:
-    # once per (modes, M), each entry computed exactly as for that mode alone
-    out = np.array([LossConfig(negative_mode=mode).log_scale(n_negatives) for mode in modes])
-    out.flags.writeable = False
-    return out.reshape(-1, 1, 1)
 
 
 class LossBatch:
@@ -112,9 +98,9 @@ def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, ...]:
     if terms is not None:
         return terms
     vn, va = batch.normal, batch.anomalous
-    log_c = cfg.log_scale(batch.m)
-    if np.ndim(log_c) and log_c.shape[:-2] != vn.shape[:-2]:
-        raise ValueError(f"negative_mode: needs one mode per model, got {len(log_c)} "
+    log_c = np.log(np.where(np.asarray(cfg.negative_mode) == "sum", 1.0, 1.0 / batch.m))
+    if log_c.ndim and log_c.shape != vn.shape[:-2]:
+        raise ValueError(f"negative_mode: needs one mode per model, got {log_c.size} "
                          f"for model axes {vn.shape[:-2]}")
     z = vn @ vn.swapaxes(-1, -2) / cfg.tau            # anchor-pair logits
     neg_logits = vn @ va.swapaxes(-1, -2) / cfg.tau   # anchor-negative logits
@@ -122,7 +108,7 @@ def _terms(batch: LossBatch, cfg: LossConfig) -> tuple[np.ndarray, ...]:
     exp_neg = np.exp(neg_logits - mx)
     row_sum = np.add.reduce(exp_neg, axis=-1, keepdims=True)
     log_s = mx + np.log(row_sum)
-    arg = log_c + log_s - z
+    arg = log_c[..., None, None] + log_s - z
     terms = exp_neg, row_sum, arg
     for a in terms:
         a.flags.writeable = False

@@ -352,7 +352,10 @@ def by_modality(windows: list[Window]) -> dict[Modality, list[Window]]:
 
 
 def split_train_val(windows: list[Window], fraction: float, rng: Rng) -> tuple[list[Window], list[Window]]:
-    """Label-stratified split; per class, round(fraction * n) windows go to val."""
+    """Label-stratified split; per class, round(fraction * n) windows go to val.
+
+    Each side lists every normal window before any anomalous one; the trainer
+    relies on that order for its normal pool."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     train: list[Window] = []

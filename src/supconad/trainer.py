@@ -22,7 +22,7 @@ from . import scoring
 from .loss import LossBatch, LossConfig, batch_loss, batch_loss_grad
 from .metrics import LabeledScores, roc_auc
 from .numerics import DegenerateVectorError, Rng, check_seed
-from .synthgen import ANOMALOUS, NORMAL, Window, split_train_val
+from .synthgen import NORMAL, Window, split_train_val
 
 
 class TrainingDivergedError(RuntimeError):
@@ -161,24 +161,22 @@ def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
     rngs, splits, members = [], [], []
     for windows, _, _, member_cfg in tasks:
         rng = Rng(member_cfg.seed)
-        train_w, val_w = split_train_val(windows, cfg.val_fraction, rng)
-        normal = [w.features for w in train_w if w.label == NORMAL]
-        anomalous = [w.features for w in train_w if w.label == ANOMALOUS]
-        if len(normal) < k or len(anomalous) < m:
-            raise ValueError(f"training split smaller than one minibatch: need {k} normal / "
-                             f"{m} anomalous windows, have {len(normal)} / {len(anomalous)}")
-        splits.append((normal, anomalous, val_w))
+        splits.append(split_train_val(windows, cfg.val_fraction, rng))
         members.append(model_mod.init_params(encoder_dims, projection_dims, rng))
         rngs.append(rng)
-    sizes = {(len(normal), len(anomalous), len(val_w)) for normal, anomalous, val_w in splits}
+    sizes = {(sum(w.label == NORMAL for w in train_w), len(train_w), len(val_w))
+             for train_w, val_w in splits}
     if len(sizes) > 1:
         raise ValueError("train_group: members' training splits differ in size")
-    ((n_normal, _, _),) = sizes
-    # every member's rows, normal first, in one array that each step gathers from,
-    # and its validation rows in one array that each validation scores
-    pool = np.array([normal + anomalous for normal, anomalous, _ in splits])
-    val = np.array([[w.features for w in val_w] for *_, val_w in splits])
-    val_is_normal = [np.array([w.label == NORMAL for w in val_w]) for *_, val_w in splits]
+    ((n_normal, n_train, _),) = sizes
+    if n_normal < k or n_train - n_normal < m:
+        raise ValueError(f"training split smaller than one minibatch: need {k} normal / "
+                         f"{m} anomalous windows, have {n_normal} / {n_train - n_normal}")
+    # every member's rows, normal first as the split lists them, in one array that each
+    # step gathers from, and its validation rows in one array that each validation scores
+    pool = np.array([[w.features for w in train_w] for train_w, _ in splits])
+    val = np.array([[w.features for w in val_w] for _, val_w in splits])
+    val_is_normal = [np.array([w.label == NORMAL for w in val_w]) for _, val_w in splits]
     draw = _batch_sampler(pool, n_normal, k, m, rngs)
 
     params = model_mod.ModelParams.stack(members)

@@ -351,6 +351,19 @@ def test_train_rejects_encoder_dims_that_do_not_fit_the_data(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_on_a_file_without_train_windows_names_the_file_and_modality(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    run(["generate", *GEN_FLAGS, "--seed", "7", "--out", str(data)])
+    lines = data.read_text().splitlines(keepends=True)
+    data.write_text("".join(ln for ln in lines if not ln.startswith("train,")))
+    capsys.readouterr()
+    out = tmp_path / "model.txt"
+    assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS,
+                                   "--modality", "top_ir", "--checkpoint-out", str(out)],
+                          f"supconad: error: {data}: no train windows of modality top_ir\n")
+    assert not out.exists()
+
+
 def test_grid_rejects_default_dims_at_another_frame_dim(tmp_path, capsys):
     out = tmp_path / "out"
     assert_one_line_error(capsys, ["grid", "--frame-dim", "6", "--outdir", str(out)],

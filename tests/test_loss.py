@@ -261,11 +261,13 @@ def test_stacked_batch_with_mismatched_model_axes_rejected(np_rng):
         LossBatch(np.stack([unit_rows(np_rng, 3, 4)] * 2), np.stack([unit_rows(np_rng, 5, 4)] * 3))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 8])
-def test_stacked_batch_with_a_mode_per_model_equals_each_model_alone(np_rng, n):
-    # both modes always present; the trainer's layout: 6 anchors, then 24 negatives
+@pytest.mark.parametrize("n, m", [  # the id names only n at the trainer's M = 24
+    pytest.param(n, m, id=str(n) if m == 24 else f"{n}-M{m}")
+    for m in (24, 1, 7, 97) for n in (2, 3, 4, 8)])
+def test_stacked_batch_with_a_mode_per_model_equals_each_model_alone(np_rng, n, m):
+    # both modes always present; the trainer's layout: 6 anchors, then m negatives
     modes = tuple(NEGATIVE_MODES[i % 2] for i in np_rng.permutation(n))
-    v = np.stack([unit_rows(np_rng, 30, 16) for _ in range(n)])
+    v = np.stack([unit_rows(np_rng, 6 + m, 16) for _ in range(n)])
     stacked = LossBatch(v[:, :6], v[:, 6:])
     cfg = LossConfig(0.1, modes)
     losses = batch_loss(stacked, cfg)

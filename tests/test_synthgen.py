@@ -482,6 +482,18 @@ def test_split_counts_are_stratified():
     assert len(train) + len(val) == 120
 
 
+def test_split_lists_every_normal_window_before_any_anomalous_one():
+    # the trainer takes a training split's first n_normal rows as its normal pool
+    windows = sorted(_toy_windows(30, 10), key=lambda w: w.clip_id * 7 % 40)
+    labels = [w.label for w in windows]
+    assert labels != sorted(labels, key=[NORMAL, ANOMALOUS].index)   # interleaved input
+    for seed in range(5):
+        for side in split_train_val(windows, 0.2, Rng(seed)):
+            n_normal = sum(w.label == NORMAL for w in side)
+            assert [w.label for w in side] == \
+                [NORMAL] * n_normal + [ANOMALOUS] * (len(side) - n_normal)
+
+
 def test_split_is_deterministic_and_disjoint():
     windows = _toy_windows(30, 10)
     t1, v1 = split_train_val(windows, 0.25, Rng(5))
