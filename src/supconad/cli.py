@@ -8,8 +8,10 @@ A file value goes through its flag's type and choices and becomes the flag's
 default, so a flag wins over the file, the file over the default.  A file
 key with no flag, or a file value that fails that check, is an error that
 names its path and line; a bad flag value is an argparse usage error.  A
-range error names the flag or file line that set the value, and ``train``
-checks its layer widths before it reads --data.
+range error names the flag or file line that set the value.  ``train``
+checks its layer widths before it reads --data, and that --data holds the
+windows it needs (train windows of both labels, and test windows when it
+writes scores or curves) before it trains.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .loss import NEGATIVE_MODES
 from .metrics import LabeledScores, dump_curves, pr_auc, roc_auc
 from .model import check_dims, save_params
 from .numerics import open_text
-from .synthgen import (LABELLING_MODES, WINDOW_LEN, GenConfig, Modality, dataset_windows,
-                       generate_dataset, load_windows, save_windows)
+from .synthgen import (ANOMALOUS, LABELLING_MODES, NORMAL, WINDOW_LEN, GenConfig, Modality,
+                       dataset_windows, generate_dataset, load_windows, save_windows)
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -135,6 +137,12 @@ def _cmd_train(args) -> int:
     train_windows = [w for w in windows if w.split == "train" and w.modality == modality]
     if not train_windows:
         raise ValueError(f"{args.data}: no train windows of modality {modality.key}")
+    for label in (NORMAL, ANOMALOUS):
+        if not any(w.label == label for w in train_windows):
+            raise ValueError(f"{args.data}: no {label} train windows of modality {modality.key}")
+    test_windows = [w for w in windows if w.split == "test" and w.modality == modality]
+    if not test_windows and (args.scores_out or args.curves_out):
+        raise ValueError(f"{args.data}: no test windows of modality {modality.key}")
     result = trainer.train(train_windows, list(enc_dims), list(proj_dims), tcfg)
     ckpt = result.best[head]
     print(f"best {head} checkpoint: epoch {ckpt.epoch}, val AUC {ckpt.val_auc:.4f}")
@@ -144,10 +152,13 @@ def _cmd_train(args) -> int:
     if args.log_out:
         trainer.save_training_log(args.log_out, result.log)
 
-    test_windows = [w for w in windows if w.split == "test" and w.modality == modality]
     if test_windows:
-        cell = experiment.score_test_set({modality: result}, {modality: train_windows},
-                                         {modality: test_windows}, (head,))[head]
+        scored = experiment.score_test_set({tcfg.negative_mode: {modality: result}},
+                                           {modality: train_windows}, {modality: test_windows},
+                                           (head,))[tcfg.negative_mode]
+        if isinstance(scored, tuple):
+            raise scored[1]
+        cell = scored[head]
         ls = LabeledScores(cell.scores[modality], cell.labels)
         print(f"test ROC AUC {roc_auc(ls):.4f}, PR AUC {pr_auc(ls):.4f}")
         if args.scores_out:

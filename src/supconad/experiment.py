@@ -8,12 +8,12 @@ method-by-combination AUC matrices directly consumable by the statistics
 pipeline, plus per-cell score exports and a deterministic run manifest.
 
 A grid trains all the (loss, modality) models of one labelling in one pool
-of workers and scores each (labelling, loss) group of them on its own, so a
-failure costs only its own group's cells.  ``score_test_set`` is the one
-test scorer: it scores a trained group under every head in one call,
-stacking each modality's rows once.  The fused benchmark is the grid's
-(manual, average, projection) group, trained and scored the same way, and
-``supconad train`` scores its one model through it too.
+of workers and scores them in one call of ``score_test_set``, the one test
+scorer, which stacks each modality's normal and test rows once for every
+loss group and head.  A failed group comes back as its (modality, error),
+so it costs only its own cells.  The fused benchmark is the grid's (manual,
+average, projection) group, trained and scored the same way, and ``supconad
+train`` scores its one model through it too; both raise a failed group's error.
 """
 
 from __future__ import annotations
@@ -207,55 +207,56 @@ def _train_models_for(windows_by_mod, cfg: ExperimentConfig, run_seed: int, labe
             for i, loss in enumerate(loss_modes)}
 
 
-def score_test_set(outcomes: dict, train_by_mod, test_by_mod, heads) -> dict[str, CellScores]:
-    """Score the test windows of each modality in ``outcomes`` once per head (one
-    of scoring.PATHWAYS) with that pathway's best checkpoint: head -> CellScores.
+def score_test_set(trained: dict, train_by_mod, test_by_mod, heads) -> dict:
+    """Score every trained group's test windows once per head (one of
+    scoring.PATHWAYS) with that pathway's best checkpoint: loss mode -> head ->
+    CellScores, or loss mode -> (modality, error) for a group that failed.
 
-    ``outcomes`` maps a modality to its TrainResult or its training error, as
-    _train_models_for gives them; the first error in MODALITIES order is
-    raised instead.  A template is the mean embedding of a modality's normal
-    training windows.  The test windows must be aligned: entry i of each
-    modality is the same (clip_id, window_index).  Modality by modality, in
-    MODALITIES order, the normal rows are stacked once and every head's
-    template built from them; they are released before the test rows are
-    stacked once and scored under every head.  So the first failure of a
-    group is its first training error, else the earliest modality's first
-    template error in head order, else that modality's first scoring error.
-    An error raised here, in training or in scoring, carries its ``modality``.
+    ``trained`` is what _train_models_for returns: loss mode -> modality ->
+    TrainResult or training error, the same modalities in every group.  A
+    template is the mean embedding of a modality's normal training windows;
+    entry i of each modality's test windows is the same (clip_id, window_index).
+    Modality by modality, in MODALITIES order, the normal rows are stacked once
+    and every live group's template built from them under every head, then
+    released; the test rows are stacked once and scored by every live group
+    under every head.  So a group fails with its first training error in
+    MODALITIES order, else the earliest modality's first template error in head
+    order, else that modality's first scoring error, and is not scored further.
     """
-    mods = [m for m in MODALITIES if m in outcomes]
-    for mod in mods:
-        if isinstance(outcomes[mod], Exception):
-            outcomes[mod].modality = mod
-            raise outcomes[mod]
     for head in heads:
         if head not in scoring.PATHWAYS:
             raise ValueError(f"unknown pathway {head!r} (known: {', '.join(scoring.PATHWAYS)})")
+    mods = [m for m in MODALITIES if m in next(iter(trained.values()))]
     ref = test_by_mod[mods[0]]
     keys = [(w.clip_id, w.window_index) for w in ref]
-    for mod in mods[1:]:
-        if [(w.clip_id, w.window_index) for w in test_by_mod[mod]] != keys:
-            raise ValueError("test windows are not aligned across modalities")
-    scores = {head: {} for head in heads}
+    if any([(w.clip_id, w.window_index) for w in test_by_mod[m]] != keys for m in mods[1:]):
+        raise ValueError("test windows are not aligned across modalities")
+    failed = {loss: next(((m, group[m]) for m in mods if isinstance(group[m], Exception)), None)
+              for loss, group in trained.items()}
+    scores = {loss: {head: {} for head in heads} for loss in trained}
     for mod in mods:
-        best = outcomes[mod].best
         normal_feats = np.stack([w.features for w in train_by_mod[mod] if w.label == NORMAL])
-        try:
-            templates = {head: scoring.build_template(best[head].params, normal_feats,
-                                                      head == "projection", mod)
-                         for head in heads}
-            del normal_feats    # the normal and test stacks are never alive together
-            test_feats = np.stack([w.features for w in test_by_mod[mod]])
-            for head in heads:
-                scores[head][mod] = scoring.score_windows(templates[head], best[head].params,
-                                                          test_feats, head == "projection")
-            del test_feats
-        except DegenerateVectorError as exc:
-            exc.modality = mod
-            raise
-    labels = np.array([w.label == NORMAL for w in ref])
-    return {head: CellScores(scores[head], labels, [k[0] for k in keys], [k[1] for k in keys])
-            for head in heads}
+        templates = {}
+        for loss in (loss for loss in trained if not failed[loss]):
+            best = trained[loss][mod].best
+            try:
+                templates[loss] = best, {head: scoring.build_template(
+                    best[head].params, normal_feats, head == "projection", mod) for head in heads}
+            except DegenerateVectorError as exc:
+                failed[loss] = (mod, exc)
+        del normal_feats    # the normal and test stacks are never alive together
+        test_feats = np.stack([w.features for w in test_by_mod[mod]])
+        for loss, (best, group_templates) in templates.items():
+            try:
+                for head in heads:
+                    scores[loss][head][mod] = scoring.score_windows(
+                        group_templates[head], best[head].params, test_feats, head == "projection")
+            except DegenerateVectorError as exc:
+                failed[loss] = (mod, exc)
+        del test_feats
+    cols = np.array([w.label == NORMAL for w in ref]), [k[0] for k in keys], [k[1] for k in keys]
+    return {loss: failed[loss] or {h: CellScores(s, *cols) for h, s in scores[loss].items()}
+            for loss in trained}
 
 
 def _grid_labelling(cfg: ExperimentConfig, run_seed: int, labelling: str, train_by_mod,
@@ -263,18 +264,15 @@ def _grid_labelling(cfg: ExperimentConfig, run_seed: int, labelling: str, train_
     """Train, score and export the cells of one labelling of a grid seed into cells
     and failures; its models and scores are freed when this returns."""
     trained = _train_models_for(train_by_mod, cfg, run_seed, labelling, cfg.loss_modes)
-    for loss_mode in cfg.loss_modes:
+    scored = score_test_set(trained, train_by_mod, test_by_mod, cfg.head_modes)
+    for loss_mode, group in scored.items():
         # a group that fails in training, validation or scoring loses all its cells
-        try:
-            scored = score_test_set(trained[loss_mode], train_by_mod, test_by_mod, cfg.head_modes)
-        except trainer.MODEL_FAILURES as exc:
-            for head in cfg.head_modes:
-                failures.append({
-                    "seed": run_seed, "labelling": labelling, "loss": loss_mode,
-                    "head": head, "modality": exc.modality.key, "error": str(exc),
-                })
+        if isinstance(group, tuple):
+            failures.extend({"seed": run_seed, "labelling": labelling, "loss": loss_mode,
+                             "head": head, "modality": group[0].key, "error": str(group[1])}
+                            for head in cfg.head_modes)
             continue
-        for head, cell in scored.items():
+        for head, cell in group.items():
             method = f"{loss_mode}-{head}-{labelling}"
             for combo_name in cfg.combos:
                 fused = cell.fused(scoring.MODALITY_COMBOS[combo_name])
@@ -362,8 +360,10 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
                              f"test_anomalous_clips={g.test_anomalous_clips}, seen_archetypes="
                              f"{g.seen_archetypes}, unseen_archetypes={g.unseen_archetypes}")
     trained = _train_models_for(train_by_mod, cfg, run_seed, "manual", ("average",))
-    cell = score_test_set(trained["average"], train_by_mod, test_by_mod,
-                          ("projection",))["projection"]
+    scored = score_test_set(trained, train_by_mod, test_by_mod, ("projection",))["average"]
+    if isinstance(scored, tuple):
+        raise scored[1]
+    cell = scored["projection"]
 
     fused = cell.fused(tuple(MODALITIES))
     fused_auc = roc_auc(LabeledScores(fused, cell.labels))

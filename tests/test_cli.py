@@ -364,6 +364,44 @@ def test_train_on_a_file_without_train_windows_names_the_file_and_modality(tmp_p
     assert not out.exists()
 
 
+def _generate_without(tmp_path, dropped) -> Path:
+    """The GEN_FLAGS window file at seed 7 with every row for which dropped(row) holds
+    left out."""
+    data = tmp_path / "data.txt"
+    run(["generate", *GEN_FLAGS, "--seed", "7", "--out", str(data)])
+    lines = data.read_text().splitlines(keepends=True)
+    data.write_text("".join(ln for ln in lines if not dropped(ln)))
+    return data
+
+
+@pytest.mark.parametrize("label", ["normal", "anomalous"])
+def test_train_on_a_file_without_train_windows_of_a_label_names_it(tmp_path, capsys, label):
+    data = _generate_without(
+        tmp_path, lambda ln: ln.startswith("train,top_depth,") and f",{label}," in ln)
+    capsys.readouterr()
+    out = tmp_path / "model.txt"
+    assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS,
+                                   "--checkpoint-out", str(out)],
+                          f"supconad: error: {data}: no {label} train windows of modality "
+                          "top_depth\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--scores-out", "--curves-out"])
+def test_train_writing_test_results_without_test_windows_names_the_file(tmp_path, capsys,
+                                                                         flag):
+    data = _generate_without(tmp_path, lambda ln: ln.startswith("test,top_depth,"))
+    capsys.readouterr()
+    out = tmp_path / "model.txt"
+    assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS,
+                                   "--checkpoint-out", str(out), flag, str(tmp_path / "s")],
+                          f"supconad: error: {data}: no test windows of modality top_depth\n")
+    assert not out.exists()
+    # without a test result to write, the test windows are not needed
+    assert run(["train", "--data", str(data), *TRAIN_FLAGS, "--checkpoint-out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_grid_rejects_default_dims_at_another_frame_dim(tmp_path, capsys):
     out = tmp_path / "out"
     assert_one_line_error(capsys, ["grid", "--frame-dim", "6", "--outdir", str(out)],

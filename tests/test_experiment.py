@@ -231,7 +231,7 @@ def _default_cell_fused_roc(cfg, seed, labelling, loss_mode, head):
     train_by_mod = by_modality(dataset_windows(ds, labelling, split="train"))
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
     trained = _train_models_for(train_by_mod, cfg, seed, labelling, (loss_mode,))
-    cell = score_test_set(trained[loss_mode], train_by_mod, test_by_mod, (head,))[head]
+    cell = score_test_set(trained, train_by_mod, test_by_mod, (head,))[loss_mode][head]
     return roc_auc(LabeledScores(cell.fused(tuple(MODALITIES)), cell.labels))
 
 
@@ -368,11 +368,11 @@ def test_earlier_members_failure_wins_in_a_group():
     assert [str(o) for o in outcomes[1::2]] == [second, fourth]
     for i in (0, 2):
         _assert_same_result(outcomes[i], trainer.train(*tasks[i]))
-    with pytest.raises(trainer.TrainingDivergedError) as exc:
-        score_test_set(dict(zip(MODALITIES, outcomes)), _tiny_train_by_mod(),
-                       _tiny_train_by_mod(split="test"), ("encoder",))
+    mod, error = score_test_set({"average": dict(zip(MODALITIES, outcomes))},
+                                _tiny_train_by_mod(), _tiny_train_by_mod(split="test"),
+                                ("encoder",))["average"]
     assert second != fourth and fourth.startswith("degenerate embedding at epoch 1, step 1: ")
-    assert str(exc.value) == second
+    assert (mod, type(error), str(error)) == (MODALITIES[1], trainer.TrainingDivergedError, second)
 
 
 def _validation_failure(tasks, i):
@@ -482,10 +482,10 @@ def test_worker_divergence_reraises_the_in_process_error(monkeypatch):
     # with four workers the fourth modality fails first; modality order still wins
     for workers in (1, 4):
         _use_workers(monkeypatch, workers)
-        with pytest.raises(trainer.TrainingDivergedError) as exc:
-            trained = _train_models_for(train_by_mod, TINY, 5, "manual", ("sum",))
-            score_test_set(trained["sum"], train_by_mod, test_by_mod, ("encoder",))
-        messages[workers] = str(exc.value)
+        trained = _train_models_for(train_by_mod, TINY, 5, "manual", ("sum",))
+        mod, error = score_test_set(trained, train_by_mod, test_by_mod, ("encoder",))["sum"]
+        assert (mod, type(error)) == (MODALITIES[1], trainer.TrainingDivergedError)
+        messages[workers] = str(error)
     assert messages[4] == messages[1]
     assert messages[1].startswith("degenerate embedding at epoch 1, step ")
 

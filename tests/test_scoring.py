@@ -212,6 +212,12 @@ def test_scores_invariant_to_projection_output_scale(c):
 
 # -- aligned multi-modality scoring (experiment.score_test_set) -------------------------
 
+def _models(seed):
+    """Untrained models of _aligned_setup's widths, one per modality."""
+    rng = Rng(seed)
+    return {m: M.init_params([6, 24, 12], [12, 4], rng) for m in MODALITIES}
+
+
 def _aligned_setup(n_windows=8, dim=6):
     rng = Rng(20)
     models = {m: M.init_params([dim, 24, 12], [12, 4], rng) for m in MODALITIES}
@@ -234,7 +240,7 @@ def _trained(models):
 
 
 def _score(models, train, test, head="projection"):
-    return score_test_set(_trained(models), train, test, (head,))[head]
+    return score_test_set({"average": _trained(models)}, train, test, (head,))["average"][head]
 
 
 def test_score_aligned_windows_fuses_means():
@@ -296,9 +302,9 @@ def test_a_later_heads_template_error_wins_over_an_earlier_heads_scoring_error(m
     monkeypatch.setattr(scoring, "build_template", build_template)
     monkeypatch.setattr(scoring, "score_windows", score_windows)
     models, train, test = _aligned_setup()
-    with pytest.raises(DegenerateVectorError, match="^projection template$") as exc:
-        score_test_set(_trained(models), train, test, ("encoder", "projection"))
-    assert exc.value.modality == failing
+    mod, error = score_test_set({"average": _trained(models)}, train, test,
+                                ("encoder", "projection"))["average"]
+    assert (mod, type(error), str(error)) == (failing, DegenerateVectorError, "projection template")
 
 
 def test_score_test_set_never_holds_a_normal_and_a_test_stack_together(monkeypatch):
@@ -312,8 +318,11 @@ def test_score_test_set_never_holds_a_normal_and_a_test_stack_together(monkeypat
 
     models, train, test = _aligned_setup()
     monkeypatch.setattr(np, "stack", stack)
-    score_test_set(_trained(models), train, test, scoring.PATHWAYS)
-    # per modality a normal stack, then a test stack: each made with no other alive
+    scored = score_test_set({"sum": _trained(models), "average": _trained(_models(21))},
+                            train, test, scoring.PATHWAYS)
+    assert [list(cells) for cells in scored.values()] == [list(scoring.PATHWAYS)] * 2
+    # per modality a normal stack, then a test stack, each shared by both groups and
+    # made with no other alive
     assert alive_at_stack == [0] * 2 * len(MODALITIES)
 
 
@@ -333,16 +342,40 @@ class _CountingWindow:
 
 
 def test_score_test_set_reads_each_window_once_for_every_head():
-    models, train, test = _aligned_setup()
-    want = {head: _score(models, train, test, head) for head in scoring.PATHWAYS}
+    _, train, test = _aligned_setup()
+    groups = {"sum": _models(20), "average": _models(21)}
+    want = {(loss, head): _score(models, train, test, head)
+            for loss, models in groups.items() for head in scoring.PATHWAYS}
     train, test = ({m: [_CountingWindow(w) for w in ws] for m, ws in split.items()}
                    for split in (train, test))
-    cells = score_test_set(_trained(models), train, test, ("encoder", "projection"))
-    assert list(cells) == ["encoder", "projection"]
-    for head, cell in cells.items():
-        assert all(np.array_equal(cell.scores[m], want[head].scores[m]) for m in MODALITIES)
+    scored = score_test_set({loss: _trained(models) for loss, models in groups.items()},
+                            train, test, ("encoder", "projection"))
+    assert list(scored) == ["sum", "average"]
+    for loss, cells in scored.items():
+        assert list(cells) == ["encoder", "projection"]
+        for head, cell in cells.items():
+            assert all(np.array_equal(cell.scores[m], want[loss, head].scores[m])
+                       for m in MODALITIES)
     # every window here is a normal training window or a test window
     assert {w.reads for split in (train, test) for ws in split.values() for w in ws} == {1}
+
+
+def test_a_group_whose_template_fails_leaves_the_other_group_as_if_alone():
+    _, train, test = _aligned_setup()
+    good, bad = _models(20), _models(21)
+    # the projection output of the second modality's model is all zeros: no template
+    bad[MODALITIES[1]].projection[-1].weight[:] = bad[MODALITIES[1]].projection[-1].bias[:] = 0
+    scored = score_test_set({"sum": _trained(bad), "average": _trained(good)}, train, test,
+                            scoring.PATHWAYS)
+    mod, error = scored["sum"]
+    assert (mod, type(error)) == (MODALITIES[1], DegenerateVectorError)
+    assert str(error) == "projection output norm is degenerate or non-finite"
+    for head, cell in scored["average"].items():
+        alone = _score(good, train, test, head)
+        assert list(cell.scores) == list(MODALITIES)
+        assert all(np.array_equal(cell.scores[m], alone.scores[m]) for m in MODALITIES)
+        assert np.array_equal(cell.labels, alone.labels)
+        assert (cell.clip_ids, cell.window_indices) == (alone.clip_ids, alone.window_indices)
 
 
 def test_save_scores_csv(tmp_path):
