@@ -7,13 +7,17 @@ varies, with checkpoint selection matching the pathway).  Results land as
 method-by-combination AUC matrices directly consumable by the statistics
 pipeline, plus per-cell score exports and a deterministic run manifest.
 
-A grid trains all the (loss, modality) models of one labelling in one pool
-of workers and scores them in one call of ``score_test_set``, the one test
-scorer, which stacks each modality's normal and test rows once for every
-loss group and head.  A failed group comes back as its (modality, error),
-so it costs only its own cells.  The fused benchmark is the grid's (manual,
-average, projection) group, trained and scored the same way, and ``supconad
-train`` scores its one model through it too; both raise a failed group's error.
+A grid trains and scores the (loss, modality) models of one labelling in one
+pool of forked workers: each worker trains its share in lockstep, scores it
+through ``score_test_set``, the one test scorer, and sends back only score
+vectors and errors, so the parent holds windows and scores, never a model
+(with one worker the same steps run in the parent).  A failed group comes back
+as its (modality, error) and costs only its own cells: its first training error
+in MODALITIES order on any worker, else its earliest modality's template or
+scoring error.  The fused benchmark is the grid's (manual, average, projection)
+group, trained and scored the same way, and ``supconad train`` trains its one
+model in-process and scores it through ``score_test_set``; both raise a failed
+group's error.
 """
 
 from __future__ import annotations
@@ -126,9 +130,10 @@ class GridResult:
         return not self.failures
 
 
-# Groups of trainings a pool is about to run.  Workers inherit the list
-# through fork, so the windows are never pickled; only results come back.
-_GROUPS: list[list[tuple]] = []
+# What a pool is about to run: per worker, the arguments of its _train_and_score_group
+# call.  Workers inherit the list through fork, so the windows are never pickled;
+# only score vectors and errors come back.
+_GROUPS: list[tuple] = []
 
 
 def train_workers(n_tasks: int) -> int:
@@ -148,8 +153,8 @@ def _pin_blas_to_one_thread() -> None:
 
     Uses the OpenBLAS bundled with numpy; when its setter is not found the
     call is skipped.  OpenBLAS splits a product over output blocks, so the
-    thread count does not change results; the pooled-vs-in-process identity
-    test checks this.
+    thread count does not change results; the tests that compare pooled and
+    in-process scores check this.
     """
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*"))
     for path in libs:
@@ -167,77 +172,115 @@ def _pin_blas_to_one_thread() -> None:
                 return
 
 
-def _train_group(i: int) -> list[trainer.TrainResult | Exception]:
-    return trainer.train_group(_GROUPS[i])
+def _train_and_score_group(keys, tasks, train_by_mod, test_by_mod, heads) -> dict:
+    """Train tasks as one lockstep group, keys[i] naming task i's (loss mode,
+    modality), and score them through score_test_set: loss mode -> head ->
+    modality -> score vector, or loss mode -> (in_training, modality, error) for a
+    loss mode that fails here, in_training telling a training error from a scoring one."""
+    trained: dict[str, dict] = {}
+    for (loss, mod), outcome in zip(keys, trainer.train_group(tasks)):
+        trained.setdefault(loss, {})[mod] = outcome
+    scored = score_test_set(trained, train_by_mod, test_by_mod, heads)
+    # a failed group's error is a training error exactly when its model has no TrainResult
+    return {loss: (isinstance(trained[loss][group[0]], Exception), *group)
+            if isinstance(group, tuple) else {head: cell.scores for head, cell in group.items()}
+            for loss, group in scored.items()}
 
 
-def _train_models_for(windows_by_mod, cfg: ExperimentConfig, run_seed: int, labelling: str,
-                      loss_modes: tuple[str, ...]) -> dict[str, dict]:
-    """Train one model per (loss mode, modality) of a labelling, in parallel when
-    more than one CPU is usable: loss mode -> modality -> TrainResult, or the
-    error that training that model alone raises.
+def _run_group(i: int) -> dict:
+    return _train_and_score_group(*_GROUPS[i])
 
-    The models, loss-major and in MODALITIES order within a loss mode, are
-    split into train_workers contiguous groups whose sizes differ by at most
-    one; each group trains in lockstep (trainer.train_group), one group per
-    worker, and may mix loss modes.  Every outcome is bit-identical to
-    training that model alone, in-process.
+
+def _train_and_score(train_by_mod, test_by_mod, cfg: ExperimentConfig, run_seed: int,
+                     labelling: str, loss_modes: tuple[str, ...], heads) -> dict:
+    """Train one model per (loss mode, modality) of a labelling and score it under
+    every head: loss mode -> head -> CellScores, or loss mode -> (modality, error)
+    for a group that failed.
+
+    The models, loss-major and in MODALITIES order, are split into train_workers
+    contiguous groups whose sizes differ by at most one.  Each group is trained in
+    lockstep (trainer.train_group) and scored (score_test_set) by its own worker,
+    or in this process when there is one group.  A group may hold part of a loss
+    mode's models, so this process applies score_test_set's failure rule across
+    groups: a training error in any group wins.  Every outcome is bit-identical
+    to training and scoring in-process.
     """
-    tasks = [
-        (windows_by_mod[mod], list(cfg.encoder_dims), list(cfg.projection_dims),
-         replace(cfg.train, negative_mode=loss,
-                 seed=derive_cell_seed(run_seed, labelling, loss, mod)))
-        for loss in loss_modes for mod in MODALITIES
-    ]
+    keys = [(loss, mod) for loss in loss_modes for mod in MODALITIES]
+    tasks = [(train_by_mod[mod], list(cfg.encoder_dims), list(cfg.projection_dims),
+              replace(cfg.train, negative_mode=loss,
+                      seed=derive_cell_seed(run_seed, labelling, loss, mod)))
+             for loss, mod in keys]
     workers = train_workers(len(tasks))
+    size, extra = divmod(len(tasks), workers)
+    bounds = [g * size + min(g, extra) for g in range(workers + 1)]
+    groups = [(keys[a:b], tasks[a:b], train_by_mod, test_by_mod, heads)
+              for a, b in zip(bounds, bounds[1:])]
     if workers <= 1:
-        outcomes = trainer.train_group(tasks)
+        parts = [_train_and_score_group(*groups[0])]
     else:
-        size, extra = divmod(len(tasks), workers)
-        bounds = [g * size + min(g, extra) for g in range(workers + 1)]
-        _GROUPS[:] = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
+        _GROUPS[:] = groups
         try:
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                      initializer=_pin_blas_to_one_thread) as pool:
-                outcomes = [r for group in pool.map(_train_group, range(workers)) for r in group]
+                parts = list(pool.map(_run_group, range(workers)))
         finally:
             _GROUPS.clear()
-    n = len(MODALITIES)
-    return {loss: dict(zip(MODALITIES, outcomes[i * n:(i + 1) * n]))
-            for i, loss in enumerate(loss_modes)}
+    errors = {loss: [] for loss in loss_modes}
+    scores = {loss: {head: {} for head in heads} for loss in loss_modes}
+    for part in parts:      # in task order, so each head's modalities stay in MODALITIES order
+        for loss, group in part.items():
+            if isinstance(group, tuple):
+                errors[loss].append(group)
+            else:
+                for head, by_mod in group.items():
+                    scores[loss][head].update(by_mod)
+    cols = _test_columns(test_by_mod[MODALITIES[0]])
+    return {loss: min(errors[loss], key=lambda e: (not e[0], MODALITIES.index(e[1])))[1:]
+            if errors[loss] else {head: CellScores(s, *cols) for head, s in scores[loss].items()}
+            for loss in loss_modes}
+
+
+def _test_columns(test_windows) -> tuple:
+    """A CellScores' labels, clip ids and window indices, from one modality's test windows."""
+    return (np.array([w.label == NORMAL for w in test_windows]),
+            [w.clip_id for w in test_windows], [w.window_index for w in test_windows])
 
 
 def score_test_set(trained: dict, train_by_mod, test_by_mod, heads) -> dict:
     """Score every trained group's test windows once per head (one of
     scoring.PATHWAYS) with that pathway's best checkpoint: loss mode -> head ->
-    CellScores, or loss mode -> (modality, error) for a group that failed.
+    CellScores over the group's modalities, or loss mode -> (modality, error) for
+    a group that failed.
 
-    ``trained`` is what _train_models_for returns: loss mode -> modality ->
-    TrainResult or training error, the same modalities in every group.  A
-    template is the mean embedding of a modality's normal training windows;
-    entry i of each modality's test windows is the same (clip_id, window_index).
-    Modality by modality, in MODALITIES order, the normal rows are stacked once
-    and every live group's template built from them under every head, then
-    released; the test rows are stacked once and scored by every live group
-    under every head.  So a group fails with its first training error in
-    MODALITIES order, else the earliest modality's first template error in head
-    order, else that modality's first scoring error, and is not scored further.
+    ``trained`` maps loss mode -> modality -> TrainResult or training error; the
+    groups may hold different modalities.  A template is the mean embedding of a
+    modality's normal training windows; entry i of each modality's test windows is
+    the same (clip_id, window_index).  Modality by modality, in MODALITIES order,
+    the normal rows are stacked once and every live group's template built from
+    them under every head, then released; the test rows are stacked once and
+    scored by every live group under every head.  So a group fails with its first
+    training error in MODALITIES order, else the earliest modality's first template
+    error in head order, else that modality's first scoring error, and is not
+    scored further.  This is the only test scorer: pool workers score the groups
+    they train through it, and _train_and_score keeps this rule across workers
+    that each hold part of a group.
     """
     for head in heads:
         if head not in scoring.PATHWAYS:
             raise ValueError(f"unknown pathway {head!r} (known: {', '.join(scoring.PATHWAYS)})")
-    mods = [m for m in MODALITIES if m in next(iter(trained.values()))]
+    mods = [m for m in MODALITIES if any(m in group for group in trained.values())]
     ref = test_by_mod[mods[0]]
     keys = [(w.clip_id, w.window_index) for w in ref]
     if any([(w.clip_id, w.window_index) for w in test_by_mod[m]] != keys for m in mods[1:]):
         raise ValueError("test windows are not aligned across modalities")
-    failed = {loss: next(((m, group[m]) for m in mods if isinstance(group[m], Exception)), None)
+    failed = {loss: next(((m, group[m]) for m in mods if isinstance(group.get(m), Exception)),
+                         None)
               for loss, group in trained.items()}
     scores = {loss: {head: {} for head in heads} for loss in trained}
     for mod in mods:
         normal_feats = np.stack([w.features for w in train_by_mod[mod] if w.label == NORMAL])
         templates = {}
-        for loss in (loss for loss in trained if not failed[loss]):
+        for loss in (loss for loss in trained if not failed[loss] and mod in trained[loss]):
             best = trained[loss][mod].best
             try:
                 templates[loss] = best, {head: scoring.build_template(
@@ -254,7 +297,7 @@ def score_test_set(trained: dict, train_by_mod, test_by_mod, heads) -> dict:
             except DegenerateVectorError as exc:
                 failed[loss] = (mod, exc)
         del test_feats
-    cols = np.array([w.label == NORMAL for w in ref]), [k[0] for k in keys], [k[1] for k in keys]
+    cols = _test_columns(ref)
     return {loss: failed[loss] or {h: CellScores(s, *cols) for h, s in scores[loss].items()}
             for loss in trained}
 
@@ -262,9 +305,9 @@ def score_test_set(trained: dict, train_by_mod, test_by_mod, heads) -> dict:
 def _grid_labelling(cfg: ExperimentConfig, run_seed: int, labelling: str, train_by_mod,
                     test_by_mod, cells: dict, failures: list) -> None:
     """Train, score and export the cells of one labelling of a grid seed into cells
-    and failures; its models and scores are freed when this returns."""
-    trained = _train_models_for(train_by_mod, cfg, run_seed, labelling, cfg.loss_modes)
-    scored = score_test_set(trained, train_by_mod, test_by_mod, cfg.head_modes)
+    and failures; its scores are freed when this returns."""
+    scored = _train_and_score(train_by_mod, test_by_mod, cfg, run_seed, labelling,
+                              cfg.loss_modes, cfg.head_modes)
     for loss_mode, group in scored.items():
         # a group that fails in training, validation or scoring loses all its cells
         if isinstance(group, tuple):
@@ -359,8 +402,8 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
             raise ValueError(f"the test split holds no {subset}-archetype window at GenConfig "
                              f"test_anomalous_clips={g.test_anomalous_clips}, seen_archetypes="
                              f"{g.seen_archetypes}, unseen_archetypes={g.unseen_archetypes}")
-    trained = _train_models_for(train_by_mod, cfg, run_seed, "manual", ("average",))
-    scored = score_test_set(trained, train_by_mod, test_by_mod, ("projection",))["average"]
+    scored = _train_and_score(train_by_mod, test_by_mod, cfg, run_seed, "manual", ("average",),
+                              ("projection",))["average"]
     if isinstance(scored, tuple):
         raise scored[1]
     cell = scored["projection"]

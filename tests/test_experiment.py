@@ -1,5 +1,6 @@
 import itertools
 import os
+import pickle
 import warnings
 import weakref
 
@@ -8,8 +9,8 @@ import pytest
 
 from dataclasses import replace
 
-from supconad import experiment, scoring, synthgen, trainer
-from supconad.experiment import (CellScores, ExperimentConfig, _train_models_for,
+from supconad import experiment, model, scoring, synthgen, trainer
+from supconad.experiment import (CellScores, ExperimentConfig, _train_and_score,
                                  derive_cell_seed, run_benchmark_seed, run_grid, score_test_set)
 from supconad.loss import NEGATIVE_MODES
 from supconad.metrics import LabeledScores, roc_auc
@@ -120,10 +121,10 @@ def test_benchmark_seed_reports_consistent_fields(tmp_path):
 
 
 def test_benchmark_seed_without_an_unseen_test_window_fails_before_training(monkeypatch):
-    def train_models_for(*args):
+    def train_and_score(*args):
         raise AssertionError("training started")
 
-    monkeypatch.setattr(experiment, "_train_models_for", train_models_for)
+    monkeypatch.setattr(experiment, "_train_and_score", train_and_score)
     # both test anomalous clips take one of the two seen archetypes
     cfg = replace(TINY, gen=replace(TINY.gen, test_anomalous_clips=2))
     with pytest.raises(ValueError, match=r"^the test split holds no unseen-archetype window at "
@@ -134,13 +135,13 @@ def test_benchmark_seed_without_an_unseen_test_window_fails_before_training(monk
 
 
 def _watch_release(monkeypatch):
-    """Patch synthgen._draw_frames and experiment._train_models_for to record, at
+    """Patch synthgen._draw_frames and experiment._train_and_score to record, at
     each draw, whether an earlier draw's frames are alive, and, as each training
-    call starts, whether any frames are alive, its windows, and which windows and
-    outcomes of each earlier call are alive.  A drawing block is four clips, so
+    call starts, whether any frames are alive, its training windows, and which
+    training windows and scored cells of each earlier call are alive.  A drawing block is four clips, so
     each cut of TINY's data draws several blocks."""
     seen = {"frames": [], "held_at_draw": [], "calls": []}
-    draw, train = synthgen._draw_frames, experiment._train_models_for
+    draw, train = synthgen._draw_frames, experiment._train_and_score
 
     def draw_frames(ds, clips):
         seen["held_at_draw"].append(sum(r() is not None for r in seen["frames"]))
@@ -148,20 +149,21 @@ def _watch_release(monkeypatch):
         seen["frames"].append(weakref.ref(frames))
         return frames
 
-    def train_models_for(windows_by_mod, *args):
+    def train_and_score(windows_by_mod, *args):
         call = {"frames_alive": sum(r() is not None for r in seen["frames"]),
                 "windows": {id(w) for ws in windows_by_mod.values() for w in ws},
                 "earlier_alive": [{k: [r() for r in c[k]] for k in ("window_refs", "outcome_refs")}
                                   for c in seen["calls"]]}
         out = train(windows_by_mod, *args)
         call["window_refs"] = [weakref.ref(w) for ws in windows_by_mod.values() for w in ws]
-        call["outcome_refs"] = [weakref.ref(x) for by_mod in out.values() for x in by_mod.values()]
+        call["outcome_refs"] = [weakref.ref(cell) for cells in out.values()
+                                for cell in cells.values()]
         seen["calls"].append(call)
         return out
 
     monkeypatch.setattr(synthgen, "_BLOCK_CLIPS", 4)
     monkeypatch.setattr(synthgen, "_draw_frames", draw_frames)
-    monkeypatch.setattr(experiment, "_train_models_for", train_models_for)
+    monkeypatch.setattr(experiment, "_train_and_score", train_and_score)
     return seen
 
 
@@ -230,8 +232,8 @@ def _default_cell_fused_roc(cfg, seed, labelling, loss_mode, head):
     ds = generate_dataset(replace(cfg.gen, seed=seed))
     train_by_mod = by_modality(dataset_windows(ds, labelling, split="train"))
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
-    trained = _train_models_for(train_by_mod, cfg, seed, labelling, (loss_mode,))
-    cell = score_test_set(trained, train_by_mod, test_by_mod, (head,))[loss_mode][head]
+    cell = _train_and_score(train_by_mod, test_by_mod, cfg, seed, labelling, (loss_mode,),
+                            (head,))[loss_mode][head]
     return roc_auc(LabeledScores(cell.fused(tuple(MODALITIES)), cell.labels))
 
 
@@ -264,29 +266,97 @@ def _assert_same_params(a, b):
         assert np.array_equal(la.bias, lb.bias)
 
 
-def test_pooled_training_is_bit_identical_to_in_process(monkeypatch):
-    # the eight models of a labelling: two workers train two groups of four,
-    # three train groups of 3, 3 and 2, and the middle one mixes loss modes
-    train_by_mod = _tiny_train_by_mod()
+def _scored_by_workers(monkeypatch, workers_counts, loss_modes=NEGATIVE_MODES):
+    """workers -> what _train_and_score returns for TINY's manual labelling of seed 5
+    at that worker count, under both heads."""
+    train_by_mod, test_by_mod = _tiny_train_by_mod(), _tiny_train_by_mod(split="test")
     runs = {}
-    for workers in (1, 2, 3):
+    for workers in workers_counts:
         _use_workers(monkeypatch, workers)
-        runs[workers] = _train_models_for(train_by_mod, TINY, 5, "manual", NEGATIVE_MODES)
+        runs[workers] = _train_and_score(train_by_mod, test_by_mod, TINY, 5, "manual",
+                                         loss_modes, scoring.PATHWAYS)
+    return runs
+
+
+def _assert_same_scored(got, want):
+    """Every loss mode's cells array_equal, or its failure the same (modality, type, message)."""
+    assert list(got) == list(want)
+    for loss, group in want.items():
+        if isinstance(group, tuple):
+            mod, error = got[loss]
+            assert (mod, type(error), str(error)) == (group[0], type(group[1]), str(group[1]))
+            continue
+        assert list(got[loss]) == list(group)
+        for head, cell in group.items():
+            other = got[loss][head]
+            assert list(other.scores) == list(cell.scores)
+            assert all(np.array_equal(other.scores[m], cell.scores[m]) for m in cell.scores)
+            assert np.array_equal(other.labels, cell.labels)
+            assert (other.clip_ids, other.window_indices) == (cell.clip_ids, cell.window_indices)
+
+
+@pytest.mark.parametrize("diverge", [False, True])
+def test_pooled_and_in_process_runs_score_the_same(monkeypatch, diverge):
+    # the eight models of a labelling: two workers train and score two groups of four,
+    # three train groups of 3, 3 and 2, and the middle one mixes loss modes and holds
+    # the last sum modality and the first two average ones
+    if diverge:
+        _diverge_in_sum_groups(monkeypatch)
+    runs = _scored_by_workers(monkeypatch, (1, 2, 3))
+    assert isinstance(runs[1]["average"], dict) and isinstance(runs[1]["sum"], tuple) == diverge
+    if diverge:
+        mod, error = runs[1]["sum"]
+        assert (mod, type(error)) == (MODALITIES[1], trainer.TrainingDivergedError)
     for workers in (2, 3):
-        assert list(runs[workers]) == list(NEGATIVE_MODES)
-        for loss in NEGATIVE_MODES:
-            assert list(runs[workers][loss]) == list(MODALITIES)
-            for mod in MODALITIES:
-                serial, pooled = runs[1][loss][mod], runs[workers][loss][mod]
-                assert pooled.log == serial.log
-                assert list(pooled.best) == list(serial.best)
-                for pathway, ckpt in serial.best.items():
-                    assert (pooled.best[pathway].val_auc, pooled.best[pathway].epoch) == \
-                        (ckpt.val_auc, ckpt.epoch)
-                    _assert_same_params(pooled.best[pathway].params, ckpt.params)
-                # pathways best at one validation hold one params copy, also across the pool
-                encoder, projection = pooled.best["encoder"], pooled.best["projection"]
-                assert (encoder.params is projection.params) == (encoder.epoch == projection.epoch)
+        _assert_same_scored(runs[workers], runs[1])
+
+
+def test_a_training_error_on_one_worker_beats_a_template_error_on_another(monkeypatch):
+    # two workers: the first trains and scores modalities 0 and 1, the second 2 and 3.
+    # Modality 0's template fails on the first; modality 3 fails training on the second.
+    real_train_group, real_template = trainer.train_group, scoring.build_template
+
+    def train_group(tasks):
+        return [trainer.TrainingDivergedError(f"training of {windows[0].modality.key}")
+                if windows[0].modality is MODALITIES[3] else outcome
+                for (windows, *_), outcome in zip(tasks, real_train_group(tasks))]
+
+    def build_template(params, normal_features, use_projection, modality=None):
+        if modality is MODALITIES[0]:
+            raise DegenerateVectorError("template norm is degenerate")
+        return real_template(params, normal_features, use_projection, modality)
+
+    monkeypatch.setattr(trainer, "train_group", train_group)
+    monkeypatch.setattr(scoring, "build_template", build_template)
+    runs = _scored_by_workers(monkeypatch, (1, 2), ("average",))
+    for scored in runs.values():
+        mod, error = scored["average"]
+        assert (mod, type(error), str(error)) == (
+            MODALITIES[3], trainer.TrainingDivergedError, f"training of {MODALITIES[3].key}")
+
+
+def test_the_pooled_parent_stacks_no_rows_and_runs_no_forward(monkeypatch, tmp_path):
+    # workers are forked copies: what they append goes to their own copy of calls
+    calls = []
+    real_stack, real_forward = np.stack, model.forward
+
+    def stack(*args, **kwargs):
+        calls.append("np.stack")
+        return real_stack(*args, **kwargs)
+
+    def forward(*args, **kwargs):
+        calls.append("model.forward")
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", stack)
+    monkeypatch.setattr(model, "forward", forward)
+    _use_workers(monkeypatch, 2)
+    assert run_grid(replace(TINY, outdir=str(tmp_path / "pooled"))).ok
+    assert calls == []
+    # in-process, the same grid's training and scoring run in this process
+    _use_workers(monkeypatch, 1)
+    assert run_grid(replace(TINY, outdir=str(tmp_path / "in_process"))).ok
+    assert {"np.stack", "model.forward"} <= set(calls)
 
 
 # -- lockstep training groups ------------------------------------------------------
@@ -326,6 +396,19 @@ def test_mixed_mode_group_equals_training_each_task_alone(n):
     assert {cfg.negative_mode for *_, cfg in tasks} == set(NEGATIVE_MODES)
     for got, task in zip(trainer.train_group(tasks), tasks, strict=True):
         _assert_same_result(got, trainer.train(*task))
+
+
+def test_equal_best_epochs_share_one_params_object_also_after_a_pickle_round_trip():
+    # validated at every epoch, one of the eight models has its best epochs apart
+    results = trainer.train_group([(*task, replace(cfg, validate_every=1)) for *task, cfg
+                                   in _tiny_tasks("sum") + _tiny_tasks("average")])
+    equal = []
+    for outcomes in (results, pickle.loads(pickle.dumps(results))):
+        for result in outcomes:
+            encoder, projection = result.best["encoder"], result.best["projection"]
+            equal.append(encoder.epoch == projection.epoch)
+            assert (encoder.params is projection.params) == equal[-1]
+    assert set(equal) == {True, False}
 
 
 def _scaled(windows, indices, factor=1e200):
@@ -482,8 +565,8 @@ def test_worker_divergence_reraises_the_in_process_error(monkeypatch):
     # with four workers the fourth modality fails first; modality order still wins
     for workers in (1, 4):
         _use_workers(monkeypatch, workers)
-        trained = _train_models_for(train_by_mod, TINY, 5, "manual", ("sum",))
-        mod, error = score_test_set(trained, train_by_mod, test_by_mod, ("encoder",))["sum"]
+        mod, error = _train_and_score(train_by_mod, test_by_mod, TINY, 5, "manual", ("sum",),
+                                      ("encoder",))["sum"]
         assert (mod, type(error)) == (MODALITIES[1], trainer.TrainingDivergedError)
         messages[workers] = str(error)
     assert messages[4] == messages[1]
@@ -512,22 +595,26 @@ def test_degenerate_vector_fails_only_its_group(monkeypatch, tmp_path, workers):
     # worker when pooled
     real_train_group = trainer.train_group
     bad_seed = derive_cell_seed(5, "original", "sum", MODALITIES[2])
+    # raised while building the projection template of the (manual, sum) model of
+    # the first modality, after its encoder template was built cleanly; the process
+    # that trains a model also scores it, so it can mark that model's checkpoint
+    bad_template_seed = derive_cell_seed(5, "manual", "sum", MODALITIES[0])
+    marked = []
 
     def train_group(tasks):
+        outcomes = real_train_group(tasks)
+        marked.extend(outcome.best["projection"].params
+                      for (*_, cfg), outcome in zip(tasks, outcomes)
+                      if cfg.seed == bad_template_seed)
         return [DegenerateVectorError("cannot normalize row with degenerate norm")
                 if cfg.seed == bad_seed else outcome
-                for (*_, cfg), outcome in zip(tasks, real_train_group(tasks))]
+                for (*_, cfg), outcome in zip(tasks, outcomes)]
 
-    # raised while scoring the projection head of the second group that gets
-    # to scoring, (manual, sum), after its encoder head scored cleanly
     real_template = scoring.build_template
-    projection_groups = []
 
     def build_template(params, normal_features, use_projection, modality=None):
-        if use_projection and modality is MODALITIES[0]:
-            projection_groups.append(modality)
-            if len(projection_groups) == 2:
-                raise DegenerateVectorError("template norm is degenerate")
+        if use_projection and any(params is p for p in marked):
+            raise DegenerateVectorError("template norm is degenerate")
         return real_template(params, normal_features, use_projection, modality)
 
     monkeypatch.setattr(trainer, "train_group", train_group)
@@ -552,11 +639,16 @@ def test_degenerate_vector_fails_only_its_group(monkeypatch, tmp_path, workers):
 
 
 def _training_pids(monkeypatch):
-    """Run _train_models_for with a stub trainer whose outcome for each model is the
-    process it ran in."""
-    monkeypatch.setattr(trainer, "train_group", lambda tasks: [os.getpid()] * len(tasks))
-    trained = _train_models_for(_tiny_train_by_mod(), TINY, 5, "manual", NEGATIVE_MODES)
-    return {pid for by_mod in trained.values() for pid in by_mod.values()}
+    """Run _train_and_score with a stub group whose score for each model is the
+    process that trained and scored it."""
+    def train_and_score_group(keys, tasks, train_by_mod, test_by_mod, heads):
+        return {loss: {head: {mod: os.getpid() for key_loss, mod in keys if key_loss == loss}
+                       for head in heads} for loss, _ in keys}
+
+    monkeypatch.setattr(experiment, "_train_and_score_group", train_and_score_group)
+    scored = _train_and_score(_tiny_train_by_mod(), _tiny_train_by_mod(split="test"), TINY, 5,
+                              "manual", NEGATIVE_MODES, ("encoder",))
+    return {pid for cells in scored.values() for pid in cells["encoder"].scores.values()}
 
 
 def test_two_usable_cpus_train_in_two_forked_workers(monkeypatch):

@@ -269,6 +269,22 @@ def test_score_test_set_scores_only_the_modalities_given():
     assert (cell.clip_ids, cell.window_indices) == (full.clip_ids, full.window_indices)
 
 
+def test_score_test_set_scores_groups_that_hold_different_modalities():
+    # as a pool worker's mixed group: the last sum modality and the first two average ones
+    models, train, test = _aligned_setup()
+    others = _models(21)
+    groups = {"sum": {MODALITIES[3]: models[MODALITIES[3]]},
+              "average": {m: others[m] for m in MODALITIES[:2]}}
+    scored = score_test_set({loss: _trained(g) for loss, g in groups.items()}, train, test,
+                            scoring.PATHWAYS)
+    for loss, group in groups.items():
+        for head, cell in scored[loss].items():
+            alone = _score(group, {m: train[m] for m in group}, {m: test[m] for m in group}, head)
+            assert list(cell.scores) == list(group)
+            assert all(np.array_equal(cell.scores[m], alone.scores[m]) for m in group)
+            assert np.array_equal(cell.labels, alone.labels)
+
+
 def test_score_aligned_windows_rejects_misalignment():
     models, train, test = _aligned_setup()
     test[Modality.TOP_IR] = test[Modality.TOP_IR][::-1]

@@ -183,7 +183,7 @@ def test_pathways_best_at_one_validation_share_one_params_copy():
     result = train(OVERLAP, *DIMS, TOGETHER)
     assert result.best["encoder"].epoch == result.best["projection"].epoch == 3
     assert result.best["encoder"].params is result.best["projection"].params
-    # a group's outcomes cross a worker pool in one pickle, which keeps the sharing
+    # one pickle of a list of results keeps the sharing
     [back] = pickle.loads(pickle.dumps([result]))
     assert back.best["encoder"].params is back.best["projection"].params
     _assert_same_params(back.best["encoder"].params, result.best["encoder"].params)
