@@ -10,8 +10,9 @@ key with no flag, or a file value that fails that check, is an error that
 names its path and line; a bad flag value is an argparse usage error.  A
 range error names the flag or file line that set the value.  ``train``
 checks its layer widths before it reads --data, and that --data holds the
-windows it needs (train windows of both labels, and test windows when it
-writes scores or curves) before it trains.
+windows it needs (train windows of both labels, test windows when it writes
+scores or curves, and test windows of both labels when it has any) before it
+trains.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import experiment, fixtures, scoring, stats, trainer
 from .loss import NEGATIVE_MODES
@@ -143,6 +144,9 @@ def _cmd_train(args) -> int:
     test_windows = [w for w in windows if w.split == "test" and w.modality == modality]
     if not test_windows and (args.scores_out or args.curves_out):
         raise ValueError(f"{args.data}: no test windows of modality {modality.key}")
+    for label in (NORMAL, ANOMALOUS):
+        if test_windows and not any(w.label == label for w in test_windows):
+            raise ValueError(f"{args.data}: no {label} test windows of modality {modality.key}")
     result = trainer.train(train_windows, list(enc_dims), list(proj_dims), tcfg)
     ckpt = result.best[head]
     print(f"best {head} checkpoint: epoch {ckpt.epoch}, val AUC {ckpt.val_auc:.4f}")
@@ -153,13 +157,14 @@ def _cmd_train(args) -> int:
         trainer.save_training_log(args.log_out, result.log)
 
     if test_windows:
-        scored = experiment.score_test_set({tcfg.negative_mode: {modality: result}},
+        scored = experiment.score_test_set({(tcfg.negative_mode, modality): result},
                                            {modality: train_windows}, {modality: test_windows},
-                                           (head,))[tcfg.negative_mode]
+                                           (head,))[tcfg.negative_mode, modality]
         if isinstance(scored, tuple):
             raise scored[1]
-        cell = scored[head]
-        ls = LabeledScores(cell.scores[modality], cell.labels)
+        cell = replace(experiment.CellScores.for_windows(test_windows),
+                       scores={modality: scored[head]})
+        ls = LabeledScores(scored[head], cell.labels)
         print(f"test ROC AUC {roc_auc(ls):.4f}, PR AUC {pr_auc(ls):.4f}")
         if args.scores_out:
             scoring.save_scores(args.scores_out, cell.records())

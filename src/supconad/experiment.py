@@ -8,16 +8,14 @@ method-by-combination AUC matrices directly consumable by the statistics
 pipeline, plus per-cell score exports and a deterministic run manifest.
 
 A grid trains and scores the (loss, modality) models of one labelling in one
-pool of forked workers: each worker trains its share in lockstep, scores it
-through ``score_test_set``, the one test scorer, and sends back only score
-vectors and errors, so the parent holds windows and scores, never a model
-(with one worker the same steps run in the parent).  A failed group comes back
-as its (modality, error) and costs only its own cells: its first training error
-in MODALITIES order on any worker, else its earliest modality's template or
-scoring error.  The fused benchmark is the grid's (manual, average, projection)
-group, trained and scored the same way, and ``supconad train`` trains its one
-model in-process and scores it through ``score_test_set``; both raise a failed
-group's error.
+pool of forked workers: each worker trains its share in lockstep, scores each
+model through ``score_test_set``, the one test scorer, and sends back only score
+vectors and errors, so the parent holds windows and scores, never a model (with
+one worker the same steps run in the parent).  The parent picks the error of a
+failed (labelling, loss) group, which costs only that group's cells.  The fused
+benchmark is the grid's (manual, average, projection) group, trained and scored
+the same way, and ``supconad train`` trains its one model in-process and scores
+it through ``score_test_set``; both raise a failed group's error.
 """
 
 from __future__ import annotations
@@ -118,6 +116,12 @@ class CellScores:
             in enumerate(zip(self.clip_ids, self.window_indices, self.labels))
         ]
 
+    @classmethod
+    def for_windows(cls, test_windows) -> CellScores:
+        """No scores yet, and the labels and ids of test_windows, one modality's test windows."""
+        return cls({}, np.array([w.label == NORMAL for w in test_windows]),
+                   [w.clip_id for w in test_windows], [w.window_index for w in test_windows])
+
 
 @dataclass
 class GridResult:
@@ -130,9 +134,9 @@ class GridResult:
         return not self.failures
 
 
-# What a pool is about to run: per worker, the arguments of its _train_and_score_group
-# call.  Workers inherit the list through fork, so the windows are never pickled;
-# only score vectors and errors come back.
+# What _train_and_score is about to run: per group, the (keys, tasks, train_by_mod,
+# test_by_mod, heads) that _run_group reads.  Workers inherit the list through fork,
+# so the windows are never pickled; only score vectors and errors come back.
 _GROUPS: list[tuple] = []
 
 
@@ -172,23 +176,12 @@ def _pin_blas_to_one_thread() -> None:
                 return
 
 
-def _train_and_score_group(keys, tasks, train_by_mod, test_by_mod, heads) -> dict:
-    """Train tasks as one lockstep group, keys[i] naming task i's (loss mode,
-    modality), and score them through score_test_set: loss mode -> head ->
-    modality -> score vector, or loss mode -> (in_training, modality, error) for a
-    loss mode that fails here, in_training telling a training error from a scoring one."""
-    trained: dict[str, dict] = {}
-    for (loss, mod), outcome in zip(keys, trainer.train_group(tasks)):
-        trained.setdefault(loss, {})[mod] = outcome
-    scored = score_test_set(trained, train_by_mod, test_by_mod, heads)
-    # a failed group's error is a training error exactly when its model has no TrainResult
-    return {loss: (isinstance(trained[loss][group[0]], Exception), *group)
-            if isinstance(group, tuple) else {head: cell.scores for head, cell in group.items()}
-            for loss, group in scored.items()}
-
-
 def _run_group(i: int) -> dict:
-    return _train_and_score_group(*_GROUPS[i])
+    """Worker entry point, also run in-process for one group: train group i of
+    _GROUPS in lockstep and score each of its models through score_test_set."""
+    keys, tasks, train_by_mod, test_by_mod, heads = _GROUPS[i]
+    return score_test_set(dict(zip(keys, trainer.train_group(tasks))), train_by_mod,
+                          test_by_mod, heads)
 
 
 def _train_and_score(train_by_mod, test_by_mod, cfg: ExperimentConfig, run_seed: int,
@@ -199,11 +192,14 @@ def _train_and_score(train_by_mod, test_by_mod, cfg: ExperimentConfig, run_seed:
 
     The models, loss-major and in MODALITIES order, are split into train_workers
     contiguous groups whose sizes differ by at most one.  Each group is trained in
-    lockstep (trainer.train_group) and scored (score_test_set) by its own worker,
-    or in this process when there is one group.  A group may hold part of a loss
-    mode's models, so this process applies score_test_set's failure rule across
-    groups: a training error in any group wins.  Every outcome is bit-identical
-    to training and scoring in-process.
+    lockstep (trainer.train_group) and its models scored (score_test_set) by its
+    own worker, or in this process when there is one group.  Every outcome is
+    bit-identical to training and scoring in-process.
+
+    This is the one place a group's failure is picked, from its models' outcomes
+    on every worker: its first training error in MODALITIES order; failing that,
+    the earliest modality's first template error in head order; failing that,
+    that modality's first scoring error.
     """
     keys = [(loss, mod) for loss in loss_modes for mod in MODALITIES]
     tasks = [(train_by_mod[mod], list(cfg.encoder_dims), list(cfg.projection_dims),
@@ -213,93 +209,79 @@ def _train_and_score(train_by_mod, test_by_mod, cfg: ExperimentConfig, run_seed:
     workers = train_workers(len(tasks))
     size, extra = divmod(len(tasks), workers)
     bounds = [g * size + min(g, extra) for g in range(workers + 1)]
-    groups = [(keys[a:b], tasks[a:b], train_by_mod, test_by_mod, heads)
-              for a, b in zip(bounds, bounds[1:])]
-    if workers <= 1:
-        parts = [_train_and_score_group(*groups[0])]
-    else:
-        _GROUPS[:] = groups
-        try:
+    _GROUPS[:] = [(keys[a:b], tasks[a:b], train_by_mod, test_by_mod, heads)
+                  for a, b in zip(bounds, bounds[1:])]
+    try:
+        if workers <= 1:
+            parts = [_run_group(0)]
+        else:
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                      initializer=_pin_blas_to_one_thread) as pool:
                 parts = list(pool.map(_run_group, range(workers)))
-        finally:
-            _GROUPS.clear()
-    errors = {loss: [] for loss in loss_modes}
-    scores = {loss: {head: {} for head in heads} for loss in loss_modes}
-    for part in parts:      # in task order, so each head's modalities stay in MODALITIES order
-        for loss, group in part.items():
-            if isinstance(group, tuple):
-                errors[loss].append(group)
-            else:
-                for head, by_mod in group.items():
-                    scores[loss][head].update(by_mod)
-    cols = _test_columns(test_by_mod[MODALITIES[0]])
-    return {loss: min(errors[loss], key=lambda e: (not e[0], MODALITIES.index(e[1])))[1:]
-            if errors[loss] else {head: CellScores(s, *cols) for head, s in scores[loss].items()}
-            for loss in loss_modes}
-
-
-def _test_columns(test_windows) -> tuple:
-    """A CellScores' labels, clip ids and window indices, from one modality's test windows."""
-    return (np.array([w.label == NORMAL for w in test_windows]),
-            [w.clip_id for w in test_windows], [w.window_index for w in test_windows])
+    finally:
+        _GROUPS.clear()
+    scored = {key: outcome for part in parts for key, outcome in part.items()}
+    unscored = CellScores.for_windows(test_by_mod[MODALITIES[0]])
+    out = {}
+    for loss in loss_modes:
+        failed = [m for m in MODALITIES if isinstance(scored[loss, m], tuple)]
+        if failed:
+            # min keeps the first of equal stages, the earliest modality's
+            mod = min(failed, key=lambda m: scored[loss, m][0])
+            out[loss] = (mod, scored[loss, mod][1])
+        else:
+            out[loss] = {head: replace(unscored, scores={m: scored[loss, m][head]
+                                                         for m in MODALITIES})
+                         for head in heads}
+    return out
 
 
 def score_test_set(trained: dict, train_by_mod, test_by_mod, heads) -> dict:
-    """Score every trained group's test windows once per head (one of
-    scoring.PATHWAYS) with that pathway's best checkpoint: loss mode -> head ->
-    CellScores over the group's modalities, or loss mode -> (modality, error) for
-    a group that failed.
+    """Score each trained model's test windows under every head (one of
+    scoring.PATHWAYS) with that pathway's best checkpoint.
 
-    ``trained`` maps loss mode -> modality -> TrainResult or training error; the
-    groups may hold different modalities.  A template is the mean embedding of a
-    modality's normal training windows; entry i of each modality's test windows is
-    the same (clip_id, window_index).  Modality by modality, in MODALITIES order,
-    the normal rows are stacked once and every live group's template built from
-    them under every head, then released; the test rows are stacked once and
-    scored by every live group under every head.  So a group fails with its first
-    training error in MODALITIES order, else the earliest modality's first template
-    error in head order, else that modality's first scoring error, and is not
-    scored further.  This is the only test scorer: pool workers score the groups
-    they train through it, and _train_and_score keeps this rule across workers
-    that each hold part of a group.
+    ``trained`` maps (loss mode, modality) to a TrainResult or the error its
+    training raised.  Each key gets head -> score vector, or (stage, error) for a
+    model that failed: stage 0 with its training error, stage 1 with its first
+    template error in head order or else its first scoring error.  A template is
+    the mean embedding of a modality's normal training windows; entry i of each
+    modality's test windows is the same (clip_id, window_index).  Modality by
+    modality, in MODALITIES order, the normal rows are stacked once and every
+    model's templates built from them, then released; the test rows are stacked
+    once and scored by every model under every head.  This is the only test
+    scorer.
     """
     for head in heads:
         if head not in scoring.PATHWAYS:
             raise ValueError(f"unknown pathway {head!r} (known: {', '.join(scoring.PATHWAYS)})")
-    mods = [m for m in MODALITIES if any(m in group for group in trained.values())]
-    ref = test_by_mod[mods[0]]
-    keys = [(w.clip_id, w.window_index) for w in ref]
+    mods = [m for m in MODALITIES if any(mod == m for _, mod in trained)]
+    keys = [(w.clip_id, w.window_index) for w in test_by_mod[mods[0]]]
     if any([(w.clip_id, w.window_index) for w in test_by_mod[m]] != keys for m in mods[1:]):
         raise ValueError("test windows are not aligned across modalities")
-    failed = {loss: next(((m, group[m]) for m in mods if isinstance(group.get(m), Exception)),
-                         None)
-              for loss, group in trained.items()}
-    scores = {loss: {head: {} for head in heads} for loss in trained}
+    scored = {key: (0, result) for key, result in trained.items()
+              if isinstance(result, Exception)}
     for mod in mods:
         normal_feats = np.stack([w.features for w in train_by_mod[mod] if w.label == NORMAL])
         templates = {}
-        for loss in (loss for loss in trained if not failed[loss] and mod in trained[loss]):
-            best = trained[loss][mod].best
+        for key in (key for key in trained if key[1] == mod and key not in scored):
+            best = trained[key].best
             try:
-                templates[loss] = best, {head: scoring.build_template(
+                templates[key] = {head: scoring.build_template(
                     best[head].params, normal_feats, head == "projection", mod) for head in heads}
             except DegenerateVectorError as exc:
-                failed[loss] = (mod, exc)
+                scored[key] = (1, exc)
         del normal_feats    # the normal and test stacks are never alive together
         test_feats = np.stack([w.features for w in test_by_mod[mod]])
-        for loss, (best, group_templates) in templates.items():
+        for key, by_head in templates.items():
+            best = trained[key].best
             try:
-                for head in heads:
-                    scores[loss][head][mod] = scoring.score_windows(
-                        group_templates[head], best[head].params, test_feats, head == "projection")
+                scored[key] = {head: scoring.score_windows(
+                    by_head[head], best[head].params, test_feats, head == "projection")
+                    for head in heads}
             except DegenerateVectorError as exc:
-                failed[loss] = (mod, exc)
+                scored[key] = (1, exc)
         del test_feats
-    cols = _test_columns(ref)
-    return {loss: failed[loss] or {h: CellScores(s, *cols) for h, s in scores[loss].items()}
-            for loss in trained}
+    return {key: scored[key] for key in trained}
 
 
 def _grid_labelling(cfg: ExperimentConfig, run_seed: int, labelling: str, train_by_mod,

@@ -387,6 +387,19 @@ def test_train_on_a_file_without_train_windows_of_a_label_names_it(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label", ["normal", "anomalous"])
+def test_train_on_a_file_without_test_windows_of_a_label_names_it(tmp_path, capsys, label):
+    data = _generate_without(
+        tmp_path, lambda ln: ln.startswith("test,top_depth,") and f",{label}," in ln)
+    capsys.readouterr()
+    out = tmp_path / "model.txt"
+    assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS,
+                                   "--checkpoint-out", str(out)],
+                          f"supconad: error: {data}: no {label} test windows of modality "
+                          "top_depth\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--scores-out", "--curves-out"])
 def test_train_writing_test_results_without_test_windows_names_the_file(tmp_path, capsys,
                                                                          flag):

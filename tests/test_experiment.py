@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from supconad import experiment, model, scoring, synthgen, trainer
 from supconad.experiment import (CellScores, ExperimentConfig, _train_and_score,
-                                 derive_cell_seed, run_benchmark_seed, run_grid, score_test_set)
+                                 derive_cell_seed, run_benchmark_seed, run_grid)
 from supconad.loss import NEGATIVE_MODES
 from supconad.metrics import LabeledScores, roc_auc
 from supconad.numerics import DegenerateVectorError
@@ -437,7 +437,7 @@ def test_group_failure_is_the_failing_members_own_error():
         _assert_same_result(outcomes[i], trainer.train(*tasks[i]))
 
 
-def test_earlier_members_failure_wins_in_a_group():
+def test_earlier_members_failure_wins_in_a_group(monkeypatch):
     tasks = _tiny_tasks()
     # the second member fails later, at the step that first draws window 20;
     # the fourth fails at its first step
@@ -451,9 +451,10 @@ def test_earlier_members_failure_wins_in_a_group():
     assert [str(o) for o in outcomes[1::2]] == [second, fourth]
     for i in (0, 2):
         _assert_same_result(outcomes[i], trainer.train(*tasks[i]))
-    mod, error = score_test_set({"average": dict(zip(MODALITIES, outcomes))},
-                                _tiny_train_by_mod(), _tiny_train_by_mod(split="test"),
-                                ("encoder",))["average"]
+    monkeypatch.setattr(trainer, "train_group", lambda tasks: outcomes)
+    _use_workers(monkeypatch, 1)
+    mod, error = _train_and_score(_tiny_train_by_mod(), _tiny_train_by_mod(split="test"), TINY,
+                                  5, "manual", ("average",), ("encoder",))["average"]
     assert second != fourth and fourth.startswith("degenerate embedding at epoch 1, step 1: ")
     assert (mod, type(error), str(error)) == (MODALITIES[1], trainer.TrainingDivergedError, second)
 
@@ -638,14 +639,17 @@ def test_degenerate_vector_fails_only_its_group(monkeypatch, tmp_path, workers):
         for lab in ("original", "manual"))
 
 
-def _training_pids(monkeypatch):
-    """Run _train_and_score with a stub group whose score for each model is the
-    process that trained and scored it."""
-    def train_and_score_group(keys, tasks, train_by_mod, test_by_mod, heads):
-        return {loss: {head: {mod: os.getpid() for key_loss, mod in keys if key_loss == loss}
-                       for head in heads} for loss, _ in keys}
+def _pid_run_group(i):
+    """A stub worker entry point (module-level, so a pool can pickle it): each model's
+    score is the process that ran it."""
+    keys, *_, heads = experiment._GROUPS[i]
+    return {key: {head: os.getpid() for head in heads} for key in keys}
 
-    monkeypatch.setattr(experiment, "_train_and_score_group", train_and_score_group)
+
+def _training_pids(monkeypatch):
+    """Run _train_and_score with a stub worker entry point whose score for each model
+    is the process that trained and scored it."""
+    monkeypatch.setattr(experiment, "_run_group", _pid_run_group)
     scored = _train_and_score(_tiny_train_by_mod(), _tiny_train_by_mod(split="test"), TINY, 5,
                               "manual", NEGATIVE_MODES, ("encoder",))
     return {pid for cells in scored.values() for pid in cells["encoder"].scores.values()}

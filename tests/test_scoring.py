@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -233,14 +234,22 @@ def _aligned_setup(n_windows=8, dim=6):
     return models, train, test
 
 
-def _trained(models):
-    """Each model as the TrainResult whose best checkpoint on both pathways is that model."""
-    return {m: TrainResult({pathway: Checkpoint(p, 1.0, 1) for pathway in scoring.PATHWAYS}, [])
+def _trained(models, loss="average"):
+    """Each (loss, modality) model as the TrainResult whose best checkpoint on both
+    pathways is that model."""
+    return {(loss, m): TrainResult({pathway: Checkpoint(p, 1.0, 1)
+                                    for pathway in scoring.PATHWAYS}, [])
             for m, p in models.items()}
 
 
+def _cell(scored, loss, test, head):
+    """The CellScores of loss's models in scored, under head."""
+    by_mod = {m: by_head[head] for (key_loss, m), by_head in scored.items() if key_loss == loss}
+    return dataclasses.replace(CellScores.for_windows(test[next(iter(by_mod))]), scores=by_mod)
+
+
 def _score(models, train, test, head="projection"):
-    return score_test_set({"average": _trained(models)}, train, test, (head,))["average"][head]
+    return _cell(score_test_set(_trained(models), train, test, (head,)), "average", test, head)
 
 
 def test_score_aligned_windows_fuses_means():
@@ -260,9 +269,11 @@ def test_score_test_set_scores_only_the_modalities_given():
     full = _score(models, train, test)
     subset = (Modality.FRONT_IR, Modality.TOP_IR)
     # only the given modalities need windows; the others are absent altogether
-    cell = _score({m: models[m] for m in subset}, {m: train[m] for m in subset},
-                  {m: test[m] for m in subset})
-    assert list(cell.scores) == [Modality.TOP_IR, Modality.FRONT_IR]
+    given = {m: models[m] for m in subset}
+    scored = score_test_set(_trained(given), {m: train[m] for m in subset},
+                            {m: test[m] for m in subset}, ("projection",))
+    assert list(scored) == [("average", m) for m in subset]
+    cell = _cell(scored, "average", test, "projection")
     for m in subset:
         assert np.array_equal(cell.scores[m], full.scores[m])
     assert np.array_equal(cell.labels, full.labels)
@@ -275,10 +286,11 @@ def test_score_test_set_scores_groups_that_hold_different_modalities():
     others = _models(21)
     groups = {"sum": {MODALITIES[3]: models[MODALITIES[3]]},
               "average": {m: others[m] for m in MODALITIES[:2]}}
-    scored = score_test_set({loss: _trained(g) for loss, g in groups.items()}, train, test,
-                            scoring.PATHWAYS)
+    scored = score_test_set({**_trained(groups["sum"], "sum"), **_trained(groups["average"])},
+                            train, test, scoring.PATHWAYS)
     for loss, group in groups.items():
-        for head, cell in scored[loss].items():
+        for head in scoring.PATHWAYS:
+            cell = _cell(scored, loss, test, head)
             alone = _score(group, {m: train[m] for m in group}, {m: test[m] for m in group}, head)
             assert list(cell.scores) == list(group)
             assert all(np.array_equal(cell.scores[m], alone.scores[m]) for m in group)
@@ -318,9 +330,9 @@ def test_a_later_heads_template_error_wins_over_an_earlier_heads_scoring_error(m
     monkeypatch.setattr(scoring, "build_template", build_template)
     monkeypatch.setattr(scoring, "score_windows", score_windows)
     models, train, test = _aligned_setup()
-    mod, error = score_test_set({"average": _trained(models)}, train, test,
-                                ("encoder", "projection"))["average"]
-    assert (mod, type(error), str(error)) == (failing, DegenerateVectorError, "projection template")
+    stage, error = score_test_set(_trained(models), train, test,
+                                  ("encoder", "projection"))["average", failing]
+    assert (stage, type(error), str(error)) == (1, DegenerateVectorError, "projection template")
 
 
 def test_score_test_set_never_holds_a_normal_and_a_test_stack_together(monkeypatch):
@@ -334,11 +346,11 @@ def test_score_test_set_never_holds_a_normal_and_a_test_stack_together(monkeypat
 
     models, train, test = _aligned_setup()
     monkeypatch.setattr(np, "stack", stack)
-    scored = score_test_set({"sum": _trained(models), "average": _trained(_models(21))},
+    scored = score_test_set({**_trained(models, "sum"), **_trained(_models(21))},
                             train, test, scoring.PATHWAYS)
-    assert [list(cells) for cells in scored.values()] == [list(scoring.PATHWAYS)] * 2
-    # per modality a normal stack, then a test stack, each shared by both groups and
-    # made with no other alive
+    assert [list(by_head) for by_head in scored.values()] == [list(scoring.PATHWAYS)] * 8
+    # per modality a normal stack, then a test stack, each shared by both groups' models
+    # and made with no other alive
     assert alive_at_stack == [0] * 2 * len(MODALITIES)
 
 
@@ -364,14 +376,13 @@ def test_score_test_set_reads_each_window_once_for_every_head():
             for loss, models in groups.items() for head in scoring.PATHWAYS}
     train, test = ({m: [_CountingWindow(w) for w in ws] for m, ws in split.items()}
                    for split in (train, test))
-    scored = score_test_set({loss: _trained(models) for loss, models in groups.items()},
+    scored = score_test_set({**_trained(groups["sum"], "sum"), **_trained(groups["average"])},
                             train, test, ("encoder", "projection"))
-    assert list(scored) == ["sum", "average"]
-    for loss, cells in scored.items():
-        assert list(cells) == ["encoder", "projection"]
-        for head, cell in cells.items():
-            assert all(np.array_equal(cell.scores[m], want[loss, head].scores[m])
-                       for m in MODALITIES)
+    assert list(scored) == [(loss, m) for loss in groups for m in MODALITIES]
+    for (loss, m), by_head in scored.items():
+        assert list(by_head) == ["encoder", "projection"]
+        for head, scores in by_head.items():
+            assert np.array_equal(scores, want[loss, head].scores[m])
     # every window here is a normal training window or a test window
     assert {w.reads for split in (train, test) for ws in split.values() for w in ws} == {1}
 
@@ -381,12 +392,18 @@ def test_a_group_whose_template_fails_leaves_the_other_group_as_if_alone():
     good, bad = _models(20), _models(21)
     # the projection output of the second modality's model is all zeros: no template
     bad[MODALITIES[1]].projection[-1].weight[:] = bad[MODALITIES[1]].projection[-1].bias[:] = 0
-    scored = score_test_set({"sum": _trained(bad), "average": _trained(good)}, train, test,
+    scored = score_test_set({**_trained(bad, "sum"), **_trained(good)}, train, test,
                             scoring.PATHWAYS)
-    mod, error = scored["sum"]
-    assert (mod, type(error)) == (MODALITIES[1], DegenerateVectorError)
+    stage, error = scored["sum", MODALITIES[1]]
+    assert (stage, type(error)) == (1, DegenerateVectorError)
     assert str(error) == "projection output norm is degenerate or non-finite"
-    for head, cell in scored["average"].items():
+    # its group mates are scored all the same, each as if alone
+    for m in (m for m in MODALITIES if m != MODALITIES[1]):
+        alone = score_test_set(_trained({m: bad[m]}, "sum"), train, test, scoring.PATHWAYS)
+        assert all(np.array_equal(scored["sum", m][h], alone["sum", m][h])
+                   for h in scoring.PATHWAYS)
+    for head in scoring.PATHWAYS:
+        cell = _cell(scored, "average", test, head)
         alone = _score(good, train, test, head)
         assert list(cell.scores) == list(MODALITIES)
         assert all(np.array_equal(cell.scores[m], alone.scores[m]) for m in MODALITIES)
