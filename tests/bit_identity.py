@@ -4,8 +4,10 @@
 seed's ``BenchmarkSeedResult`` repr (criterion 6), the sha256 of every
 file the criterion-8 grid writes, with ``outdir`` taken out of
 ``manifest.json``, and the sha256 of every file ``supconad train`` writes
-for each ``--head`` on ``test_cli``'s small data (``cli_train``), and the
-sha256 of the window file ``supconad generate`` writes there (``cli_generate``).  A
+for each ``--head`` on ``test_cli``'s small data (``cli_train``), the
+sha256 of the window file ``supconad generate`` writes there (``cli_generate``),
+and the sha256 of the fixture matrices and of what ``supconad stats`` writes for
+each (``cli_stats``).  A
 mismatch names the first differing seed or file and the recorded and found
 numpy and OpenBLAS versions: another BLAS build or CPU kernel may round
 differently and so give other bits.
@@ -13,7 +15,7 @@ differently and so give other bits.
 A change that is meant to change results re-records the file, and says why;
 naming entries re-records only those and keeps the others:
 
-    PYTHONPATH=src:tests python3 tests/bit_identity.py [criterion_6 criterion_8 cli_generate cli_train]
+    PYTHONPATH=src:tests python3 tests/bit_identity.py [criterion_6 criterion_8 cli_generate cli_train cli_stats]
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _record(kinds: list[str]) -> None:
 
     from supconad.experiment import ExperimentConfig, run_benchmark_seed, run_grid
     from test_acceptance import BENCHMARK_SEEDS, CRITERION_8
-    from test_cli import generate_digests, train_digests
+    from test_cli import generate_digests, stats_digests, train_digests
 
     def criterion_8() -> dict[str, str]:
         with tempfile.TemporaryDirectory() as tmp:
@@ -102,12 +104,17 @@ def _record(kinds: list[str]) -> None:
         with tempfile.TemporaryDirectory() as tmp:
             return train_digests(pathlib.Path(tmp))
 
+    def cli_stats() -> dict[str, str]:
+        with tempfile.TemporaryDirectory() as tmp:
+            return stats_digests(pathlib.Path(tmp))
+
     record = {
         "criterion_6": lambda: {str(seed): repr(run_benchmark_seed(ExperimentConfig(), seed))
                                 for seed in BENCHMARK_SEEDS},
         "criterion_8": criterion_8,
         "cli_generate": cli_generate,
         "cli_train": cli_train,
+        "cli_stats": cli_stats,
     }
     recorded = _recorded() if kinds else {}
     recorded.update({kind: record[kind]() for kind in kinds or record})

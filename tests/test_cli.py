@@ -123,6 +123,22 @@ def test_train_outputs_match_the_recorded_digests(tmp_path):
     bit_identity.check("cli_train", digests)
 
 
+def stats_digests(tmp_path: Path) -> dict[str, str]:
+    """sha256 of the two matrices `supconad fixtures` writes and of the three files
+    `supconad stats` then writes for each of them."""
+    assert run(["fixtures", "--outdir", str(tmp_path)]) == 0
+    for name in ("fixture_roc", "fixture_pr"):
+        assert run(["stats", "--matrix", str(tmp_path / f"{name}.csv")]) == 0
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(tmp_path))}
+
+
+def test_stats_outputs_match_the_recorded_digests(tmp_path):
+    digests = stats_digests(tmp_path)
+    assert len(digests) == 2 * 4     # each matrix and its raw_p, adjusted_p, significance
+    bit_identity.check("cli_stats", digests)
+
+
 def test_fixtures_roundtrip_and_stats_reproduce_known_pairs(tmp_path, capsys):
     outdir = str(tmp_path)
     assert run(["fixtures", "--outdir", outdir]) == 0
