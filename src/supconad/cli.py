@@ -12,7 +12,8 @@ range error names the flag or file line that set the value.  ``train``
 checks its layer widths before it reads --data, and that --data holds the
 windows it needs (train windows of both labels, test windows when it writes
 scores or curves, and test windows of both labels when it has any) before it
-trains.
+trains; a data error that training raises, such as a split too small for a
+minibatch, names the file and modality too.
 """
 
 from __future__ import annotations
@@ -147,7 +148,12 @@ def _cmd_train(args) -> int:
     for label in (NORMAL, ANOMALOUS):
         if test_windows and not any(w.label == label for w in test_windows):
             raise ValueError(f"{args.data}: no {label} test windows of modality {modality.key}")
-    result = trainer.train(train_windows, list(enc_dims), list(proj_dims), tcfg)
+    try:
+        result = trainer.train(train_windows, list(enc_dims), list(proj_dims), tcfg)
+    except ValueError as exc:
+        if type(exc) is not ValueError:     # a DegenerateVectorError says where it arose
+            raise
+        raise ValueError(f"{args.data}: modality {modality.key}: {exc}") from None
     ckpt = result.best[head]
     print(f"best {head} checkpoint: epoch {ckpt.epoch}, val AUC {ckpt.val_auc:.4f}")
 

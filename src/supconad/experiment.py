@@ -34,7 +34,7 @@ from . import __version__, scoring, trainer
 from .loss import NEGATIVE_MODES
 from .metrics import LabeledScores, pr_auc, roc_auc
 from .model import check_dims
-from .numerics import DegenerateVectorError, Rng, check_seed
+from .numerics import DegenerateVectorError, Rng, check_seed, write_rows
 from .synthgen import (ANOMALOUS, LABELLING_MODES, MODALITIES, NORMAL, WINDOW_LEN,
                        GenConfig, Modality, by_modality, dataset_windows,
                        generate_dataset, labelled_windows)
@@ -341,16 +341,16 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
 def _write_grid_csvs(cfg: ExperimentConfig, cells, seeds, name: str) -> None:
     """grid_roc_<name>.csv and grid_pr_<name>.csv: per method and combination, the
     mean AUC over the cells present for seeds, or ``failed`` where there are none."""
+    def mean_auc(method: str, combo: str, metric_idx: int) -> float | str:
+        aucs = [cells[(s, method, combo)][metric_idx]
+                for s in seeds if (s, method, combo) in cells]
+        return float(np.mean(aucs)) if aucs else "failed"
+
     for metric_idx, metric in enumerate(("roc", "pr")):
-        with open(os.path.join(cfg.outdir, f"grid_{metric}_{name}.csv"), "w") as f:
-            f.write("method," + ",".join(cfg.combos) + "\n")
-            for method in cfg.method_labels():
-                row = []
-                for combo in cfg.combos:
-                    aucs = [cells[(s, method, combo)][metric_idx]
-                            for s in seeds if (s, method, combo) in cells]
-                    row.append(repr(float(np.mean(aucs))) if aucs else "failed")
-                f.write(method + "," + ",".join(row) + "\n")
+        write_rows(os.path.join(cfg.outdir, f"grid_{metric}_{name}.csv"),
+                   [("method", *cfg.combos)],
+                   [(method, *(mean_auc(method, combo, metric_idx) for combo in cfg.combos))
+                    for method in cfg.method_labels()])
 
 
 @dataclass

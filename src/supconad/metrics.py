@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import write_rows
+
 
 @dataclass(frozen=True)
 class LabeledScores:
@@ -94,11 +96,5 @@ def pr_curve_points(ls: LabeledScores) -> list[tuple[float, float]]:
 
 def dump_curves(ls: LabeledScores, roc_path: str, pr_path: str) -> None:
     """Write curve points as two-column CSVs for external plotting."""
-    with open(roc_path, "w") as f:
-        f.write("fpr,tpr\n")
-        for fpr, tpr in roc_curve_points(ls):
-            f.write(f"{fpr!r},{tpr!r}\n")
-    with open(pr_path, "w") as f:
-        f.write("recall,precision\n")
-        for rec, prec in pr_curve_points(ls):
-            f.write(f"{rec!r},{prec!r}\n")
+    write_rows(roc_path, [("fpr", "tpr")], roc_curve_points(ls))
+    write_rows(pr_path, [("recall", "precision")], pr_curve_points(ls))

@@ -1,5 +1,6 @@
 """The unit-norm rule, the deterministic random generator and its seed range,
-and the text-file opener that every reader of a package file goes through.
+the text-file opener that every reader of a package file goes through, and
+the row writer that every CSV and the window file go through.
 
 All randomness in the package flows through :class:`Rng`, a counter-based
 splitmix64 generator that is fully specified below so that runs are
@@ -201,3 +202,13 @@ def open_text(path: str):
                 except UnicodeDecodeError as line_exc:
                     raise ValueError(f"{path}:{ln_no}: {line_exc}") from None
         raise ValueError(f"{path}: {exc}") from None
+
+
+def write_rows(path: str, head, body) -> None:
+    """Write head's rows, then body's as body yields them, one comma-joined line
+    per row: a str cell as it is, any other cell as its repr, which round-trips
+    a float64 exactly.  A generator body is never held whole."""
+    with open(path, "w") as f:
+        for rows in (head, body):
+            f.writelines(",".join([c if isinstance(c, str) else repr(c) for c in row]) + "\n"
+                         for row in rows)

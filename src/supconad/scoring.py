@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .numerics import unit_rows
+from .numerics import unit_rows, write_rows
 from .synthgen import MODALITIES, Modality
 
 PATHWAYS = ("encoder", "projection")
@@ -93,8 +93,6 @@ def save_scores(path: str, records: list[ScoreRecord]) -> None:
     if not records:
         raise ValueError("no score records to save")
     mods = [m for m in MODALITIES if m in records[0].per_modality]
-    with open(path, "w") as f:
-        f.write("clip_id,window_index," + ",".join(m.key for m in mods) + ",fused,label\n")
-        for r in records:
-            vals = ",".join(repr(r.per_modality[m]) for m in mods)
-            f.write(f"{r.clip_id},{r.window_index},{vals},{r.fused_score!r},{r.label}\n")
+    write_rows(path, [("clip_id", "window_index", *(m.key for m in mods), "fused", "label")],
+               ((r.clip_id, r.window_index, *(r.per_modality[m] for m in mods), r.fused_score,
+                 r.label) for r in records))

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special
 
 from .metrics import average_ranks
-from .numerics import open_text
+from .numerics import open_text, write_rows
 
 BERGMANN_HOMMEL_MAX_K = 9
 
@@ -258,31 +258,23 @@ def load_matrix_csv(path: str) -> ResultsMatrix:
 
 
 def save_matrix_csv(path: str, m: ResultsMatrix) -> None:
-    with open(path, "w") as f:
-        f.write("method," + ",".join(m.datasets) + "\n")
-        for label, row in zip(m.methods, m.values):
-            f.write(label + "," + ",".join(repr(float(x)) for x in row) + "\n")
+    write_rows(path, [("method", *m.datasets)],
+               ((label, *row) for label, row in zip(m.methods, m.values.tolist())))
 
 
 def save_pvalue_matrix_csv(path: str, methods: tuple[str, ...], p: np.ndarray) -> None:
-    with open(path, "w") as f:
-        f.write("method," + ",".join(methods) + "\n")
-        for i, label in enumerate(methods):
-            cells = ["" if np.isnan(p[i, j]) else repr(float(p[i, j]))
-                     for j in range(len(methods))]
-            f.write(label + "," + ",".join(cells) + "\n")
+    write_rows(path, [("method", *methods)],
+               ((label, *("" if np.isnan(x) else x for x in row))
+                for label, row in zip(methods, p.tolist())))
 
 
 def save_significance_report(path: str, report: AnalysisReport) -> None:
     """One row per method pair: raw p, adjusted p, significance flag."""
-    methods = report.pvalues.methods
-    with open(path, "w") as f:
-        f.write(f"# friedman_chi_sq={report.friedman_chi_sq!r}\n")
-        f.write(f"# friedman_p={report.friedman_p!r}\n")
-        f.write(f"# alpha={report.pvalues.alpha!r}\n")
-        f.write("method_a,method_b,raw_p,adjusted_p,significant\n")
-        for i, j in itertools.combinations(range(len(methods)), 2):
-            raw = report.pvalues.raw_p[i, j]
-            adj = report.pvalues.adjusted_p[i, j]
-            flag = "yes" if adj < report.pvalues.alpha else "no"
-            f.write(f"{methods[i]},{methods[j]},{raw!r},{adj!r},{flag}\n")
+    pv = report.pvalues
+    write_rows(path, [[f"# friedman_chi_sq={report.friedman_chi_sq!r}"],
+                      [f"# friedman_p={report.friedman_p!r}"], [f"# alpha={pv.alpha!r}"],
+                      ("method_a", "method_b", "raw_p", "adjusted_p", "significant")],
+               # numpy scalars, written np.float64(...) as grid_short's fingerprints hold them
+               ((pv.methods[i], pv.methods[j], pv.raw_p[i, j], pv.adjusted_p[i, j],
+                 "yes" if pv.adjusted_p[i, j] < pv.alpha else "no")
+                for i, j in itertools.combinations(range(len(pv.methods)), 2)))

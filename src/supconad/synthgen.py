@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import Rng, check_seed, open_text
+from .numerics import Rng, check_seed, open_text, write_rows
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -380,19 +380,14 @@ def split_train_val(windows: list[Window], fraction: float, rng: Rng) -> tuple[l
 #   # <config field>=<value>        (one line per GenConfig field)
 #   split,modality,clip_id,window_index,label,archetype,f0,f1,...
 #
-# Floats are written with repr, which round-trips float64 exactly.
+# Written by numerics.write_rows: floats as their repr, which round-trips float64.
 
 def save_windows(path: str, cfg: GenConfig, labelling: str, windows: list[Window]) -> None:
-    with open(path, "w") as f:
-        f.write("# supconad-windows v1\n")
-        f.write(f"# labelling={labelling}\n")
-        for fld in fields(GenConfig):
-            f.write(f"# {fld.name}={getattr(cfg, fld.name)!r}\n")
-        for w in windows:
-            arch = "" if w.archetype_id is None else str(w.archetype_id)
-            feat = ",".join(repr(float(x)) for x in w.features)
-            f.write(f"{w.split},{w.modality.key},{w.clip_id},{w.window_index},"
-                    f"{w.label},{arch},{feat}\n")
+    write_rows(path, [["# supconad-windows v1"], [f"# labelling={labelling}"],
+                      *([f"# {f.name}={getattr(cfg, f.name)!r}"] for f in fields(GenConfig))],
+               ((w.split, w.modality.key, w.clip_id, w.window_index, w.label,
+                 "" if w.archetype_id is None else w.archetype_id, *w.features.tolist())
+                for w in windows))
 
 
 def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:

@@ -13,7 +13,7 @@ parameters of the last epoch are not kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import model as model_mod
 from . import scoring
 from .loss import LossBatch, LossConfig, batch_loss, batch_loss_grad
 from .metrics import LabeledScores, roc_auc
-from .numerics import DegenerateVectorError, Rng, check_seed
+from .numerics import DegenerateVectorError, Rng, check_seed, write_rows
 from .synthgen import NORMAL, Window, split_train_val
 
 
@@ -236,8 +236,5 @@ def _train_lockstep(tasks: list[tuple]) -> list[TrainResult]:
 
 def save_training_log(path: str, log: list[LogRow]) -> None:
     """CSV with one line per validation event."""
-    with open(path, "w") as f:
-        f.write("epoch,mean_loss,val_auc_projection,val_auc_encoder\n")
-        for row in log:
-            f.write(f"{row.epoch},{row.mean_loss!r},"
-                    f"{row.val_auc_projection!r},{row.val_auc_encoder!r}\n")
+    write_rows(path, [("epoch", "mean_loss", "val_auc_projection", "val_auc_encoder")],
+               map(astuple, log))

@@ -416,6 +416,39 @@ def test_train_on_a_file_without_test_windows_of_a_label_names_it(tmp_path, caps
     assert not out.exists()
 
 
+def test_train_on_a_split_with_an_empty_side_names_the_file_and_modality(tmp_path, capsys):
+    anomalous = []     # the anomalous train rows of top_depth; all but the first 2 dropped
+
+    def dropped(ln):
+        if ln.startswith("train,top_depth,") and ",anomalous," in ln:
+            anomalous.append(ln)
+            return len(anomalous) > 2
+        return False
+
+    data = _generate_without(tmp_path, dropped)
+    capsys.readouterr()
+    out = tmp_path / "model.txt"
+    assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS,
+                                   "--checkpoint-out", str(out)],
+                          f"supconad: error: {data}: modality top_depth: split leaves an empty "
+                          "side for anomalous windows\n")
+    assert not out.exists()
+
+
+def test_train_on_a_split_smaller_than_a_minibatch_names_the_file_and_modality(tmp_path,
+                                                                               capsys):
+    data = _generate_without(tmp_path, lambda ln: False)
+    capsys.readouterr()
+    out = tmp_path / "model.txt"
+    assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS,
+                                   "--batch-normal", "6", "--batch-anomalous", "24",   # defaults
+                                   "--checkpoint-out", str(out)],
+                          f"supconad: error: {data}: modality top_depth: training split smaller "
+                          "than one minibatch: need 6 normal / 24 anomalous windows, "
+                          "have 53 / 10\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--scores-out", "--curves-out"])
 def test_train_writing_test_results_without_test_windows_names_the_file(tmp_path, capsys,
                                                                          flag):

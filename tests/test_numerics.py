@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supconad.numerics import (_BLOCK, _BLOCK_MAX_REQUEST, DegenerateVectorError, Rng,
-                               unit_rows)
+                               unit_rows, write_rows)
 from supconad.scoring import embed
 from test_model import identity_net
 
@@ -324,3 +325,36 @@ def test_seed_range_validation():
         with pytest.raises(ValueError, match=rf"^seed: must fit in an unsigned 64-bit integer, "
                                              rf"got {seed}$"):
             Rng(seed)
+
+
+# -- write_rows: the cell rule of every CSV --------------------------------------
+
+# repr keeps no NaN payload, so the only NaN drawn is the one float("nan") reads back
+_cells = st.one_of(
+    st.text(st.sampled_from("az09 #=_-.+"), max_size=4),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan]),
+)
+_rows = st.lists(st.lists(_cells, min_size=1, max_size=6), max_size=5)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_rows, _rows)
+@example([["# a=1"], ["", "x"]], [[0.0, -0.0, ""], [5e-324, math.inf, -math.inf, math.nan, 7]])
+def test_write_rows_round_trips_str_int_and_float_bits(tmp_path_factory, head, body):
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    write_rows(str(path), head, (row for row in body))
+    lines = path.read_text().split("\n")
+    assert lines.pop() == ""          # every row ends its line
+    assert len(lines) == len(head) + len(body)
+    for line, row in zip(lines, head + body):     # head's rows first
+        texts = line.split(",")
+        assert len(texts) == len(row)
+        for text, cell in zip(texts, row):
+            if isinstance(cell, str):
+                assert text == cell
+            elif isinstance(cell, int):
+                assert int(text) == cell
+            else:
+                assert struct.pack("<d", float(text)) == struct.pack("<d", cell)
