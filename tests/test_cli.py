@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from supconad import fixtures, scoring
+from supconad import fixtures, scoring, trainer
 from supconad.cli import main
 from supconad.model import init_params, load_params, save_params
-from supconad.numerics import Rng
+from supconad.numerics import DegenerateVectorError, Rng
 from supconad.stats import load_matrix_csv
 from supconad.synthgen import load_windows
 
@@ -447,6 +447,20 @@ def test_train_on_a_split_smaller_than_a_minibatch_names_the_file_and_modality(t
                           "than one minibatch: need 6 normal / 24 anomalous windows, "
                           "have 53 / 10\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [DegenerateVectorError, trainer.TrainingDivergedError])
+def test_train_reports_a_model_failure_as_raised(tmp_path, capsys, monkeypatch, error):
+    data = _generate_without(tmp_path, lambda ln: False)
+    capsys.readouterr()
+
+    def fail(*args):
+        raise error("validation at epoch 2, projection pathway: norm is degenerate")
+
+    monkeypatch.setattr(trainer, "train", fail)
+    assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS],
+                          "supconad: error: validation at epoch 2, projection pathway: norm is "
+                          "degenerate\n")
 
 
 @pytest.mark.parametrize("flag", ["--scores-out", "--curves-out"])
