@@ -8,14 +8,15 @@ method-by-combination AUC matrices directly consumable by the statistics
 pipeline, plus per-cell score exports and a deterministic run manifest.
 
 A grid trains and scores the (loss, modality) models of one labelling in one
-pool of forked workers: each worker trains its share in lockstep, scores each
-model through ``score_test_set``, the one test scorer, and sends back only score
-vectors and errors, so the parent holds windows and scores, never a model (with
-one worker the same steps run in the parent).  The parent picks the error of a
-failed (labelling, loss) group, which costs only that group's cells.  The fused
-benchmark is the grid's (manual, average, projection) group, trained and scored
-the same way, and ``supconad train`` trains its one model in-process and scores
-it through ``score_test_set``; both raise a failed group's error.
+pool of forked workers: each worker cuts its modalities' training windows, trains
+its share in lockstep, scores each model through ``score_test_set``, the one test
+scorer, and sends back only score vectors and errors, so the parent holds test
+windows and scores, never a training window or a model (with one worker the same
+steps run in the parent).  The parent picks the error of a failed (labelling,
+loss) group, which costs only that group's cells.  The fused benchmark is the
+grid's (manual, average, projection) group, trained and scored the same way, and
+``supconad train`` trains its one model in-process and scores it through
+``score_test_set``; both raise a failed group's error.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .metrics import LabeledScores, pr_auc, roc_auc
 from .model import check_dims
 from .numerics import DegenerateVectorError, Rng, check_seed, write_rows
 from .synthgen import (ANOMALOUS, LABELLING_MODES, MODALITIES, NORMAL, WINDOW_LEN,
-                       GenConfig, Modality, by_modality, dataset_windows,
-                       generate_dataset, labelled_windows)
+                       Dataset, GenConfig, Modality, by_modality, dataset_windows,
+                       generate_dataset)
 
 DEFAULT_ENCODER_DIMS = (192, 64, 32)
 DEFAULT_PROJECTION_DIMS = (32, 16)
@@ -134,9 +135,9 @@ class GridResult:
         return not self.failures
 
 
-# What _train_and_score is about to run: per group, the (keys, tasks, train_by_mod,
-# test_by_mod, heads) that _run_group reads.  Workers inherit the list through fork,
-# so the windows are never pickled; only score vectors and errors come back.
+# What _train_and_score is about to run: per group, the (keys, ds, test_by_mod, cfg,
+# run_seed, labelling, heads) that _run_group reads.  Workers inherit the list through
+# fork, so nothing is pickled on the way in; only score vectors and errors come back.
 _GROUPS: list[tuple] = []
 
 
@@ -177,39 +178,41 @@ def _pin_blas_to_one_thread() -> None:
 
 
 def _run_group(i: int) -> dict:
-    """Worker entry point, also run in-process for one group: train group i of
-    _GROUPS in lockstep and score each of its models through score_test_set."""
-    keys, tasks, train_by_mod, test_by_mod, heads = _GROUPS[i]
+    """Worker entry point, also run in-process for one group: cut group i's modalities'
+    training windows, train its models in lockstep and score each (score_test_set)."""
+    keys, ds, test_by_mod, cfg, run_seed, labelling, heads = _GROUPS[i]
+    mods = tuple(m for m in MODALITIES if any(mod == m for _, mod in keys))
+    train_by_mod = by_modality(dataset_windows(ds, labelling, "train", mods))
+    tasks = [(train_by_mod[mod], list(cfg.encoder_dims), list(cfg.projection_dims),
+              replace(cfg.train, negative_mode=loss,
+                      seed=derive_cell_seed(run_seed, labelling, loss, mod)))
+             for loss, mod in keys]
     return score_test_set(dict(zip(keys, trainer.train_group(tasks))), train_by_mod,
                           test_by_mod, heads)
 
 
-def _train_and_score(train_by_mod, test_by_mod, cfg: ExperimentConfig, run_seed: int,
+def _train_and_score(ds: Dataset, test_by_mod, cfg: ExperimentConfig, run_seed: int,
                      labelling: str, loss_modes: tuple[str, ...], heads) -> dict:
-    """Train one model per (loss mode, modality) of a labelling and score it under
-    every head: loss mode -> head -> CellScores, or loss mode -> (modality, error)
-    for a group that failed.
+    """Train one model per (loss mode, modality) of a labelling of ds and score it
+    under every head: loss mode -> head -> CellScores, or loss mode -> (modality,
+    error) for a group that failed.
 
-    The models, loss-major and in MODALITIES order, are split into train_workers
-    contiguous groups whose sizes differ by at most one.  Each group is trained in
-    lockstep (trainer.train_group) and its models scored (score_test_set) by its
-    own worker, or in this process when there is one group.  Every outcome is
-    bit-identical to training and scoring in-process.
+    The models, modality-major and in MODALITIES order, are split into train_workers
+    contiguous groups whose sizes differ by at most one.  Each group's training
+    windows are cut, its models trained in lockstep (trainer.train_group) and
+    scored (score_test_set) by its own worker, or in this process when there is one
+    group.  Every outcome is bit-identical to training and scoring in-process.
 
     This is the one place a group's failure is picked, from its models' outcomes
     on every worker: its first training error in MODALITIES order; failing that,
     the earliest modality's first template error in head order; failing that,
     that modality's first scoring error.
     """
-    keys = [(loss, mod) for loss in loss_modes for mod in MODALITIES]
-    tasks = [(train_by_mod[mod], list(cfg.encoder_dims), list(cfg.projection_dims),
-              replace(cfg.train, negative_mode=loss,
-                      seed=derive_cell_seed(run_seed, labelling, loss, mod)))
-             for loss, mod in keys]
-    workers = train_workers(len(tasks))
-    size, extra = divmod(len(tasks), workers)
+    keys = [(loss, mod) for mod in MODALITIES for loss in loss_modes]
+    workers = train_workers(len(keys))
+    size, extra = divmod(len(keys), workers)
     bounds = [g * size + min(g, extra) for g in range(workers + 1)]
-    _GROUPS[:] = [(keys[a:b], tasks[a:b], train_by_mod, test_by_mod, heads)
+    _GROUPS[:] = [(keys[a:b], ds, test_by_mod, cfg, run_seed, labelling, heads)
                   for a, b in zip(bounds, bounds[1:])]
     try:
         if workers <= 1:
@@ -284,11 +287,11 @@ def score_test_set(trained: dict, train_by_mod, test_by_mod, heads) -> dict:
     return {key: scored[key] for key in trained}
 
 
-def _grid_labelling(cfg: ExperimentConfig, run_seed: int, labelling: str, train_by_mod,
+def _grid_labelling(cfg: ExperimentConfig, ds: Dataset, run_seed: int, labelling: str,
                     test_by_mod, cells: dict, failures: list) -> None:
     """Train, score and export the cells of one labelling of a grid seed into cells
     and failures; its scores are freed when this returns."""
-    scored = _train_and_score(train_by_mod, test_by_mod, cfg, run_seed, labelling,
+    scored = _train_and_score(ds, test_by_mod, cfg, run_seed, labelling,
                               cfg.loss_modes, cfg.head_modes)
     for loss_mode, group in scored.items():
         # a group that fails in training, validation or scoring loses all its cells
@@ -318,11 +321,8 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
     for run_seed in cfg.seeds:
         ds = generate_dataset(replace(cfg.gen, seed=run_seed))
         test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
-        train_windows = labelled_windows(ds, cfg.labelling_modes, split="train")
         for labelling in cfg.labelling_modes:
-            # popped, so the windows only this labelling keeps die with its call
-            _grid_labelling(cfg, run_seed, labelling, by_modality(train_windows.pop(labelling)),
-                            test_by_mod, cells, failures)
+            _grid_labelling(cfg, ds, run_seed, labelling, test_by_mod, cells, failures)
         _write_grid_csvs(cfg, cells, (run_seed,), f"seed{run_seed}")
     _write_grid_csvs(cfg, cells, cfg.seeds, "mean")
 
@@ -369,7 +369,6 @@ class BenchmarkSeedResult:
 def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedResult:
     """One seed of the fused benchmark: the (manual, average, projection) grid group."""
     ds = generate_dataset(replace(cfg.gen, seed=run_seed))
-    train_by_mod = by_modality(dataset_windows(ds, "manual", split="train"))
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
     # the seen and unseen AUCs each need an anomalous test window; checked before training
     normal_mask = np.array([w.label == NORMAL for w in test_by_mod[MODALITIES[0]]])
@@ -384,7 +383,7 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
             raise ValueError(f"the test split holds no {subset}-archetype window at GenConfig "
                              f"test_anomalous_clips={g.test_anomalous_clips}, seen_archetypes="
                              f"{g.seen_archetypes}, unseen_archetypes={g.unseen_archetypes}")
-    scored = _train_and_score(train_by_mod, test_by_mod, cfg, run_seed, "manual", ("average",),
+    scored = _train_and_score(ds, test_by_mod, cfg, run_seed, "manual", ("average",),
                               ("projection",))["average"]
     if isinstance(scored, tuple):
         raise scored[1]

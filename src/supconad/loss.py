@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_lower_bound
+
 UNIT_NORM_TOL = 1e-9
 NEGATIVE_MODES = ("sum", "average")
 
@@ -39,8 +41,7 @@ class LossConfig:
     negative_mode: str | tuple[str, ...] = "average"
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau: must be > 0, got {self.tau!r}")
+        check_lower_bound("tau", self.tau, 0, strict=True)
         modes = self.negative_mode if isinstance(self.negative_mode, tuple) else (
             self.negative_mode,)
         for mode in modes:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, open_text, unit_rows
+from .numerics import Rng, finite_floats, open_text, unit_rows
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -241,11 +241,11 @@ def load_params(path: str) -> ModelParams:
                     raise ValueError(f"expected 'layer <out> <in> <{'|'.join(ACTIVATIONS)}>'")
                 out_d, in_d = int(out_d), int(in_d)
                 pos += 1
-                bias = np.array([float(t) for t in _fields(lines, pos, out_d)])
+                bias = finite_floats(_fields(lines, pos, out_d))
                 w = np.empty((out_d, in_d))
                 for r in range(out_d):
                     pos += 1
-                    w[r] = [float(t) for t in _fields(lines, pos, in_d)]
+                    w[r] = finite_floats(_fields(lines, pos, in_d))
                 pos += 1
                 parts += [w.ravel(), bias]
                 spec.append(((out_d, in_d), act))

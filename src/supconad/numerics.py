@@ -1,6 +1,8 @@
 """The unit-norm rule, the deterministic random generator and its seed range,
-the text-file opener that every reader of a package file goes through, and
-the row writer that every CSV and the window file go through.
+the lower-bound check of the config fields, the text-file opener that every
+reader of a package file goes through, the float parse of the window file and
+checkpoint readers, and the row writer that every CSV and the window file go
+through.
 
 All randomness in the package flows through :class:`Rng`, a counter-based
 splitmix64 generator that is fully specified below so that runs are
@@ -50,6 +52,22 @@ def check_seed(name: str, seed: int) -> None:
     """Raise ValueError("<name>: ...") unless seed is a valid Rng seed."""
     if not 0 <= int(seed) <= _U64_MASK:
         raise ValueError(f"{name}: must fit in an unsigned 64-bit integer, got {seed!r}")
+
+
+def check_lower_bound(name: str, value: float, low: float, strict: bool = False) -> None:
+    """Raise ValueError("<name>: ...") unless value is finite and >= low, or > low if strict."""
+    if not (value > low if strict else value >= low):
+        raise ValueError(f"{name}: must be {'>' if strict else '>='} {low}, got {value!r}")
+    if value == np.inf:
+        raise ValueError(f"{name}: must be finite, got inf")
+
+
+def finite_floats(tokens: list[str]) -> np.ndarray:
+    """tokens as a float64 array; a non-finite one raises ValueError("non-finite value")."""
+    values = np.array([float(t) for t in tokens])
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
 
 
 # Uniform requests of up to _BLOCK_MAX_REQUEST draws are served from a cached

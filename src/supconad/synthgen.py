@@ -7,8 +7,9 @@ split into training-visible and test-only sets, and anomalous clips whose
 frames are partially normal behavior (label contamination).  Frame features
 are low-dimensional vectors, not images; the geometry (archetype means on a
 shell around the per-modality normal mean, AR(1)-smoothed frame noise) keeps
-training fast while leaving the detection task non-trivial.  A window's
-features are one owning 1-D array, cut or read, never a view of a larger one.
+training fast while leaving the detection task non-trivial.  dataset_windows,
+the one cut, draws frames a block of clips at a time, for any subset of the
+modalities; a window's features are one owning 1-D array, never a view.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import Rng, check_seed, open_text, write_rows
+from .numerics import Rng, check_lower_bound, check_seed, finite_floats, open_text, write_rows
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -72,15 +73,12 @@ class GenConfig:
                   "test_normal_clips", "test_anomalous_clips", "seen_archetypes",
                   "unseen_archetypes")
         for name in counts + ("archetype_radius", "frame_noise_std"):
-            low = 1 if name in counts else 0
-            if not getattr(self, name) >= low:    # a NaN fails too
-                raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
+            check_lower_bound(name, getattr(self, name), 1 if name in counts else 0)
         for name in ("contamination", "ar_coeff"):   # AR(1) noise dies at 1, explodes above
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name}: must be in [0, 1), got {getattr(self, name)!r}")
         check_seed("seed", self.seed)
-        if not self.target_imbalance > 1.0:
-            raise ValueError(f"target_imbalance: must be > 1, got {self.target_imbalance!r}")
+        check_lower_bound("target_imbalance", self.target_imbalance, 1, strict=True)
         # Every clip yields the same window count, so the achievable
         # training imbalance is fixed by the clip counts; reject configs
         # that cannot land within 10% of the requested ratio.
@@ -122,7 +120,7 @@ class Window:
 
 @dataclass
 class Dataset:
-    """The clip plan; labelled_windows draws the clips' frames, a block at a time."""
+    """The clip plan; dataset_windows draws the clips' frames, a block at a time."""
     config: GenConfig
     archetypes: list[AnomalyArchetype]
     normal_means: dict[Modality, np.ndarray]   # per-modality frame-feature mean
@@ -163,7 +161,7 @@ def _frame_label_layout(cfg: GenConfig, rng: Rng) -> np.ndarray:
     return mask
 
 
-# Clips whose frames labelled_windows draws at once and holds while it cuts
+# Clips whose frames dataset_windows draws at once and holds while it cuts
 # them: 32 clips x 4 modalities x 160 frames x 12 dims of float64 is about 2 MB
 # at the default shape.
 _BLOCK_CLIPS = 32
@@ -190,7 +188,7 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
     """The clip plan for both splits: each clip's split, label, frame-label mask
     and archetype, with the archetypes and the per-modality normal means.
 
-    The frames are not drawn here but by labelled_windows, a block of clips at
+    The frames are not drawn here but by dataset_windows, a block of clips at
     a time, through _draw_frames.
     """
     master = Rng(cfg.seed)
@@ -220,32 +218,33 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
     return Dataset(cfg, archetypes, mu, clips)
 
 
-def _draw_frames(ds: Dataset, clips: list[ClipRecord]) -> np.ndarray:
-    """Frames of clips, any subset of ds.clips in any order, as one
-    (clip, modality, frame, frame_dim) array, modalities in MODALITIES order.
+def _draw_frames(ds: Dataset, clips: list[ClipRecord],
+                 modalities: tuple[Modality, ...]) -> np.ndarray:
+    """Frames of clips and modalities, any subsets of ds.clips and MODALITIES in
+    any order, as one (clip, modality, frame, frame_dim) array.
 
     Modality streams of one clip share the frame-label sequence but are drawn
     from modality-specific means with independent noise, each (clip, modality)
-    stream from its own spawned Rng and smoothed on its own, so a clip's frames
-    do not depend on which clips are drawn with it.  A frame's features are its
-    mean (the archetype's on anomalous frames) plus AR(1)-smoothed Gaussian
-    noise, scaled by the archetype's spread on anomalous frames.
+    stream from its own spawned Rng and smoothed on its own, so a stream's frames
+    do not depend on the clips or modalities drawn with it.  A frame's features
+    are its mean (the archetype's on anomalous frames) plus AR(1)-smoothed
+    Gaussian noise, scaled by the archetype's spread on anomalous frames.
     """
     cfg = ds.config
     master = Rng(cfg.seed)
-    t, d, n_mod = cfg.frames_per_clip, cfg.frame_dim, len(MODALITIES)
-    frames = np.empty((len(clips), n_mod, t, d))
+    t, d = cfg.frames_per_clip, cfg.frame_dim
+    frames = np.empty((len(clips), len(modalities), t, d))
     for clip, clip_dev in zip(clips, frames):
         noise_std = np.full((t, 1), cfg.frame_noise_std)
         if clip.archetype_id is not None:
             noise_std[clip.frame_labels] *= ds.archetypes[clip.archetype_id].spread
-        for mi in range(n_mod):
-            rng_feat = master.spawn(1000 + clip.clip_id * n_mod + mi)
-            np.multiply(rng_feat.gaussian_array((t, d)), noise_std, out=clip_dev[mi])
+        for mod, mod_dev in zip(modalities, clip_dev):
+            rng_feat = master.spawn(1000 + clip.clip_id * len(MODALITIES) + MODALITIES.index(mod))
+            np.multiply(rng_feat.gaussian_array((t, d)), noise_std, out=mod_dev)
     _ar1_in_place(frames, cfg.ar_coeff)
     for clip, clip_frames in zip(clips, frames):
         anomalous = clip.frame_labels[:, None]
-        for mod, mod_frames in zip(MODALITIES, clip_frames):
+        for mod, mod_frames in zip(modalities, clip_frames):
             mean = ds.normal_means[mod]
             if clip.archetype_id is not None:
                 mean = np.where(anomalous, ds.archetypes[clip.archetype_id].means[mod], mean)
@@ -263,28 +262,27 @@ def make_windows(clip: ClipRecord, frames: np.ndarray, labelling: str) -> list[W
     drop: under ``manual`` labelling, a window of an anomalous clip with fewer
     than MANUAL_MAJORITY anomalous frames among its 16 retained frames.
     """
-    _check_labellings((labelling,))
+    _check_labelling(labelling)
     if len(clip.frame_labels) == 0:
         raise ValueError("clip has no frames")
-    return _cut_clip(clip, frames, (labelling,))[0]
+    return _cut_clip(clip, frames, labelling, MODALITIES)
 
 
-def _cut_clip(clip: ClipRecord, frames: np.ndarray, modes: tuple[str, ...]) -> list[list[Window]]:
-    """make_windows of one clip under each labelling mode in modes, cut once: a
-    window that several modes keep is one object in each of their lists.  The
-    callers check the modes, and a generated clip always has frames."""
+def _cut_clip(clip: ClipRecord, frames: np.ndarray, labelling: str,
+              modalities: tuple[Modality, ...]) -> list[Window]:
+    """make_windows of one clip's frames over modalities, the modalities of frames'
+    first axis.  The callers check the labelling, and a generated clip always has
+    frames."""
     t, d = len(clip.frame_labels), frames.shape[-1]
-    kept: list[list[Window]] = [[] for _ in modes]
+    kept: list[Window] = []
     for w, start in enumerate(range(0, t, WINDOW_RAW_LEN)):
         idx = np.minimum(np.arange(start, start + WINDOW_RAW_LEN, 2), t - 1)
+        if (labelling == "manual" and clip.clip_label == ANOMALOUS
+                and int(clip.frame_labels[idx].sum()) < MANUAL_MAJORITY):
+            continue
         # the kept frames' features, row-major, as indexes into one modality's flat frames
         flat = (idx[:, None] * d + np.arange(d)).ravel()
-        majority = (clip.clip_label != ANOMALOUS
-                    or int(clip.frame_labels[idx].sum()) >= MANUAL_MAJORITY)
-        keepers = [out for mode, out in zip(modes, kept) if majority or mode != "manual"]
-        if not keepers:
-            continue
-        windows = [Window(
+        kept.extend(Window(
             features=mod_frames.take(flat),     # owns its data, with no (16, d) base
             label=clip.clip_label,
             clip_id=clip.clip_id,
@@ -292,53 +290,36 @@ def _cut_clip(clip: ClipRecord, frames: np.ndarray, modes: tuple[str, ...]) -> l
             modality=mod,
             split=clip.split,
             archetype_id=clip.archetype_id,
-        ) for mod, mod_frames in zip(MODALITIES, frames)]
-        for out in keepers:
-            out.extend(windows)
+        ) for mod, mod_frames in zip(modalities, frames))
     return kept
 
 
-def dataset_windows(ds: Dataset, labelling: str, split: str | None = None) -> list[Window]:
-    """Windows for the whole dataset, or for one split.
+def dataset_windows(ds: Dataset, labelling: str, split: str | None = None,
+                    modalities: tuple[Modality, ...] = MODALITIES) -> list[Window]:
+    """Windows of modalities for the whole dataset, or for one split.
 
     ``labelling`` applies to the training split only.  The test split always
     uses ``manual`` labelling (frame-level majority truth), so every method
-    variant is evaluated against one fixed, comparable test set.
+    variant is evaluated against one fixed, comparable test set.  The clips
+    are drawn _BLOCK_CLIPS at a time, and a block's frames are dropped once
+    its windows are cut, before the next block is drawn.  A window is the
+    same whichever modalities are cut with it.
     """
-    return labelled_windows(ds, (labelling,), split)[labelling]
-
-
-def labelled_windows(ds: Dataset, labellings: tuple[str, ...],
-                     split: str | None = None) -> dict[str, list[Window]]:
-    """labelling -> dataset_windows(ds, labelling, split), for each of labellings,
-    with each clip drawn and cut once.
-
-    The clips are drawn _BLOCK_CLIPS at a time, and a block's frames are
-    dropped once its windows are cut, before the next block is drawn.  A
-    window that several labellings keep (``manual`` keeps a subset of the
-    windows ``original`` keeps, and every test window) is one shared object
-    in each of their lists, so its features are held once.
-    """
-    _check_labellings(labellings)
-    out: dict[str, list[Window]] = {lab: [] for lab in labellings}
+    _check_labelling(labelling)
+    out: list[Window] = []
     clips = [c for c in ds.clips if split is None or c.split == split]
     for lo in range(0, len(clips), _BLOCK_CLIPS):
-        _cut_block(ds, clips[lo:lo + _BLOCK_CLIPS], out)
+        block = clips[lo:lo + _BLOCK_CLIPS]
+        # the block's frames die with the comprehension, before the next block is drawn
+        out += [w for clip, frames in zip(block, _draw_frames(ds, block, modalities))
+                for w in _cut_clip(clip, frames, labelling if clip.split == "train" else "manual",
+                                   modalities)]
     return out
 
 
-def _check_labellings(labellings: tuple[str, ...]) -> None:
-    for mode in labellings:
-        if mode not in LABELLING_MODES:
-            raise ValueError(f"unknown labelling mode {mode!r}")
-
-
-def _cut_block(ds: Dataset, block: list[ClipRecord], out: dict[str, list[Window]]) -> None:
-    """Draw block's frames and add their windows to out; the frames die on return."""
-    for clip, frames in zip(block, _draw_frames(ds, block)):
-        modes = tuple(out) if clip.split == "train" else ("manual",) * len(out)
-        for kept, windows in zip(out.values(), _cut_clip(clip, frames, modes)):
-            kept.extend(windows)
+def _check_labelling(labelling: str) -> None:
+    if labelling not in LABELLING_MODES:
+        raise ValueError(f"unknown labelling mode {labelling!r}")
 
 
 def by_modality(windows: list[Window]) -> dict[Modality, list[Window]]:
@@ -442,7 +423,7 @@ def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
                 if label not in (NORMAL, ANOMALOUS):
                     raise ValueError(f"unknown label {label!r}")
                 windows.append(Window(
-                    features=np.array([float(t) for t in parts[6:]], dtype=np.float64),
+                    features=finite_floats(parts[6:]),
                     label=label,
                     clip_id=int(clip_id),
                     window_index=int(w_idx),

@@ -21,7 +21,7 @@ from . import model as model_mod
 from . import scoring
 from .loss import LossBatch, LossConfig, batch_loss, batch_loss_grad
 from .metrics import LabeledScores, roc_auc
-from .numerics import DegenerateVectorError, Rng, check_seed, write_rows
+from .numerics import DegenerateVectorError, Rng, check_lower_bound, check_seed, write_rows
 from .synthgen import NORMAL, Window, split_train_val
 
 
@@ -50,10 +50,8 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("epochs", 1), ("lr_decay_every", 1), ("validate_every", 1),
                           ("batch_normal", 2), ("batch_anomalous", 1), ("lr0", 0)):
-            if not getattr(self, name) >= low:    # a NaN fails too
-                raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)!r}")
-        if not self.lr_decay_factor > 0:
-            raise ValueError(f"lr_decay_factor: must be > 0, got {self.lr_decay_factor!r}")
+            check_lower_bound(name, getattr(self, name), low)
+        check_lower_bound("lr_decay_factor", self.lr_decay_factor, 0, strict=True)
         # checks tau and negative_mode; as one model's mode, so that a tuple is rejected
         LossConfig(self.tau, (self.negative_mode,))
         if not 0.0 < self.val_fraction < 1.0:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import pickle
@@ -135,65 +136,106 @@ def test_benchmark_seed_without_an_unseen_test_window_fails_before_training(monk
 
 
 def _watch_release(monkeypatch):
-    """Patch synthgen._draw_frames and experiment._train_and_score to record, at
-    each draw, whether an earlier draw's frames are alive, and, as each training
-    call starts, whether any frames are alive, its training windows, and which
-    training windows and scored cells of each earlier call are alive.  A drawing block is four clips, so
-    each cut of TINY's data draws several blocks."""
-    seen = {"frames": [], "held_at_draw": [], "calls": []}
-    draw, train = synthgen._draw_frames, experiment._train_and_score
+    """Train in-process, and patch synthgen._draw_frames, trainer.train_group and
+    experiment._train_and_score to record: at each draw, its split and whether an
+    earlier draw's frames are alive; as each training group starts, whether any
+    frames are alive and which training windows and scored cells of each earlier
+    group are alive.  A drawing block is four clips, so each cut of TINY's data
+    draws several blocks."""
+    seen = {"frames": [], "splits": [], "held_at_draw": [], "groups": []}
+    draw, train_group, train = (synthgen._draw_frames, trainer.train_group,
+                                experiment._train_and_score)
 
-    def draw_frames(ds, clips):
+    def draw_frames(ds, clips, modalities):
         seen["held_at_draw"].append(sum(r() is not None for r in seen["frames"]))
-        frames = draw(ds, clips)
+        (split,) = {c.split for c in clips}
+        seen["splits"].append(split)
+        frames = draw(ds, clips, modalities)
         seen["frames"].append(weakref.ref(frames))
         return frames
 
-    def train_and_score(windows_by_mod, *args):
-        call = {"frames_alive": sum(r() is not None for r in seen["frames"]),
-                "windows": {id(w) for ws in windows_by_mod.values() for w in ws},
-                "earlier_alive": [{k: [r() for r in c[k]] for k in ("window_refs", "outcome_refs")}
-                                  for c in seen["calls"]]}
-        out = train(windows_by_mod, *args)
-        call["window_refs"] = [weakref.ref(w) for ws in windows_by_mod.values() for w in ws]
-        call["outcome_refs"] = [weakref.ref(cell) for cells in out.values()
-                                for cell in cells.values()]
-        seen["calls"].append(call)
+    def watched_train_group(tasks):
+        seen["groups"].append({
+            "frames_alive": sum(r() is not None for r in seen["frames"]),
+            "earlier_alive": [{k: [r() for r in g[k]] for k in ("window_refs", "outcome_refs")}
+                              for g in seen["groups"]],
+            "window_refs": [weakref.ref(w) for windows, *_ in tasks for w in windows],
+            "outcome_refs": []})
+        return train_group(tasks)
+
+    def train_and_score(*args):
+        out = train(*args)
+        seen["groups"][-1]["outcome_refs"] = [weakref.ref(cell) for cells in out.values()
+                                              for cell in cells.values()]
         return out
 
+    _use_workers(monkeypatch, 1)
     monkeypatch.setattr(synthgen, "_BLOCK_CLIPS", 4)
     monkeypatch.setattr(synthgen, "_draw_frames", draw_frames)
+    monkeypatch.setattr(trainer, "train_group", watched_train_group)
     monkeypatch.setattr(experiment, "_train_and_score", train_and_score)
     return seen
 
 
-def assert_one_block_at_a_time(seen):
-    """Each TINY clip (26 train, 7 test) drawn once, in blocks of four; no draw
-    starts while an earlier block's frames are alive."""
-    assert len(seen["frames"]) == 7 + 2
+def assert_one_block_at_a_time(seen, labellings):
+    """TINY's 7 test clips drawn once, then its 26 training clips once per
+    labelling, each in blocks of four; no draw starts while an earlier block's
+    frames are alive."""
+    assert seen["splits"] == ["test"] * 2 + ["train"] * 7 * labellings
     assert seen["held_at_draw"] == [0] * len(seen["frames"])
 
 
 def test_grid_frees_the_dataset_and_each_labelling_before_the_next(monkeypatch, tmp_path):
     seen = _watch_release(monkeypatch)
     assert run_grid(replace(TINY, outdir=str(tmp_path))).ok
-    assert_one_block_at_a_time(seen)
-    first, second = seen["calls"]
+    assert_one_block_at_a_time(seen, 2)
+    first, second = seen["groups"]
     assert first["frames_alive"] == second["frames_alive"] == 0
     (alive,) = second["earlier_alive"]
-    assert alive["outcome_refs"] and all(x is None for x in alive["outcome_refs"])
-    # of the first labelling's windows, only those the second also keeps are alive
-    windows = alive["window_refs"]
-    assert all(w is None or id(w) in second["windows"] for w in windows)
-    assert any(w is None for w in windows)
+    # the first labelling's training windows and cells are all freed
+    for refs in alive.values():
+        assert refs and all(x is None for x in refs)
 
 
 def test_benchmark_seed_frees_the_dataset_before_training(monkeypatch):
     seen = _watch_release(monkeypatch)
     run_benchmark_seed(TINY, 5)
-    assert_one_block_at_a_time(seen)
-    (call,) = seen["calls"]
-    assert call["frames_alive"] == 0
+    assert_one_block_at_a_time(seen, 1)
+    (group,) = seen["groups"]
+    assert group["frames_alive"] == 0
+
+
+@pytest.mark.parametrize("run", ["grid", "benchmark_seed"])
+def test_the_pooled_parent_draws_and_holds_only_the_test_split(monkeypatch, tmp_path, run):
+    """With two workers, each cuts the training windows it trains on: the parent
+    draws only the 7 test clips, and holds no training window while the pool runs."""
+    drawn, held = [], []
+    draw, pool = synthgen._draw_frames, experiment.ProcessPoolExecutor
+
+    def draw_frames(ds, clips, *args):
+        drawn.extend(c.split for c in clips)
+        return draw(ds, clips, *args)
+
+    def training_windows():
+        gc.collect()
+        return sum(isinstance(o, synthgen.Window) and o.split == "train"
+                   for o in gc.get_objects())
+
+    class WatchedPool(pool):
+        def map(self, *args, **kwargs):
+            held.append(training_windows())
+            return super().map(*args, **kwargs)
+
+    _use_workers(monkeypatch, 2)
+    monkeypatch.setattr(synthgen, "_draw_frames", draw_frames)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", WatchedPool)
+    before = training_windows()
+    if run == "grid":
+        assert run_grid(replace(TINY, outdir=str(tmp_path))).ok
+    else:
+        run_benchmark_seed(TINY, 5)
+    assert drawn == ["test"] * 7
+    assert held == [before] * (2 if run == "grid" else 1)
 
 
 # the single-modality combination of each modality, by modality key
@@ -230,9 +272,8 @@ def test_grid_over_a_subset_of_the_axes_gives_the_same_cells(tiny_grid_seeds_5_6
 
 def _default_cell_fused_roc(cfg, seed, labelling, loss_mode, head):
     ds = generate_dataset(replace(cfg.gen, seed=seed))
-    train_by_mod = by_modality(dataset_windows(ds, labelling, split="train"))
     test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
-    cell = _train_and_score(train_by_mod, test_by_mod, cfg, seed, labelling, (loss_mode,),
+    cell = _train_and_score(ds, test_by_mod, cfg, seed, labelling, (loss_mode,),
                             (head,))[loss_mode][head]
     return roc_auc(LabeledScores(cell.fused(tuple(MODALITIES)), cell.labels))
 
@@ -255,9 +296,18 @@ def _use_workers(monkeypatch, n):
     monkeypatch.setattr(experiment, "train_workers", lambda n_tasks: min(n_tasks, n))
 
 
-def _tiny_train_by_mod(labelling="manual", split="train"):
-    ds = generate_dataset(replace(TINY.gen, seed=5))
-    return by_modality(dataset_windows(ds, labelling, split=split))
+def _tiny_dataset():
+    return generate_dataset(replace(TINY.gen, seed=5))
+
+
+def _tiny_by_mod(split):
+    return by_modality(dataset_windows(_tiny_dataset(), "manual", split=split))
+
+
+def _tiny_train_and_score(loss_modes, heads):
+    """_train_and_score on TINY's manual labelling of seed 5."""
+    return _train_and_score(_tiny_dataset(), _tiny_by_mod("test"), TINY, 5,
+                            "manual", loss_modes, heads)
 
 
 def _assert_same_params(a, b):
@@ -269,12 +319,10 @@ def _assert_same_params(a, b):
 def _scored_by_workers(monkeypatch, workers_counts, loss_modes=NEGATIVE_MODES):
     """workers -> what _train_and_score returns for TINY's manual labelling of seed 5
     at that worker count, under both heads."""
-    train_by_mod, test_by_mod = _tiny_train_by_mod(), _tiny_train_by_mod(split="test")
     runs = {}
     for workers in workers_counts:
         _use_workers(monkeypatch, workers)
-        runs[workers] = _train_and_score(train_by_mod, test_by_mod, TINY, 5, "manual",
-                                         loss_modes, scoring.PATHWAYS)
+        runs[workers] = _tiny_train_and_score(loss_modes, scoring.PATHWAYS)
     return runs
 
 
@@ -297,9 +345,10 @@ def _assert_same_scored(got, want):
 
 @pytest.mark.parametrize("diverge", [False, True])
 def test_pooled_and_in_process_runs_score_the_same(monkeypatch, diverge):
-    # the eight models of a labelling: two workers train and score two groups of four,
-    # three train groups of 3, 3 and 2, and the middle one mixes loss modes and holds
-    # the last sum modality and the first two average ones
+    # the eight models of a labelling, modality-major: two workers train and score two
+    # groups of four, the first two modalities and the last two; three train groups
+    # of 3, 3 and 2, and the middle one holds the second modality's average model and
+    # both models of the third
     if diverge:
         _diverge_in_sum_groups(monkeypatch)
     runs = _scored_by_workers(monkeypatch, (1, 2, 3))
@@ -363,7 +412,7 @@ def test_the_pooled_parent_stacks_no_rows_and_runs_no_forward(monkeypatch, tmp_p
 
 def _tiny_tasks(loss_mode="average"):
     """The four (windows, encoder_dims, projection_dims, cfg) tasks of a TINY group."""
-    train_by_mod = _tiny_train_by_mod()
+    train_by_mod = _tiny_by_mod("train")
     return [(train_by_mod[mod], list(TINY.encoder_dims), list(TINY.projection_dims),
              replace(TINY.train, negative_mode=loss_mode,
                      seed=derive_cell_seed(5, "manual", loss_mode, mod)))
@@ -390,9 +439,10 @@ def test_train_group_equals_training_each_task_alone(n, loss_mode):
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_mixed_mode_group_equals_training_each_task_alone(n):
-    # a slice of the grid's loss-major order, sum then average, across the boundary
-    start = len(MODALITIES) - n // 2
-    tasks = (_tiny_tasks("sum") + _tiny_tasks("average"))[start:start + n]
+    # a middle slice of the grid's modality-major order, each modality's sum then average
+    start = (2 * len(MODALITIES) - n) // 2
+    tasks = [task for pair in zip(_tiny_tasks("sum"), _tiny_tasks("average"))
+             for task in pair][start:start + n]
     assert {cfg.negative_mode for *_, cfg in tasks} == set(NEGATIVE_MODES)
     for got, task in zip(trainer.train_group(tasks), tasks, strict=True):
         _assert_same_result(got, trainer.train(*task))
@@ -453,8 +503,7 @@ def test_earlier_members_failure_wins_in_a_group(monkeypatch):
         _assert_same_result(outcomes[i], trainer.train(*tasks[i]))
     monkeypatch.setattr(trainer, "train_group", lambda tasks: outcomes)
     _use_workers(monkeypatch, 1)
-    mod, error = _train_and_score(_tiny_train_by_mod(), _tiny_train_by_mod(split="test"), TINY,
-                                  5, "manual", ("average",), ("encoder",))["average"]
+    mod, error = _tiny_train_and_score(("average",), ("encoder",))["average"]
     assert second != fourth and fourth.startswith("degenerate embedding at epoch 1, step 1: ")
     assert (mod, type(error), str(error)) == (MODALITIES[1], trainer.TrainingDivergedError, second)
 
@@ -561,13 +610,11 @@ def _diverge_in_sum_groups(monkeypatch):
 
 def test_worker_divergence_reraises_the_in_process_error(monkeypatch):
     _diverge_in_sum_groups(monkeypatch)
-    train_by_mod, test_by_mod = _tiny_train_by_mod(), _tiny_train_by_mod(split="test")
     messages = {}
     # with four workers the fourth modality fails first; modality order still wins
     for workers in (1, 4):
         _use_workers(monkeypatch, workers)
-        mod, error = _train_and_score(train_by_mod, test_by_mod, TINY, 5, "manual", ("sum",),
-                                      ("encoder",))["sum"]
+        mod, error = _tiny_train_and_score(("sum",), ("encoder",))["sum"]
         assert (mod, type(error)) == (MODALITIES[1], trainer.TrainingDivergedError)
         messages[workers] = str(error)
     assert messages[4] == messages[1]
@@ -650,8 +697,7 @@ def _training_pids(monkeypatch):
     """Run _train_and_score with a stub worker entry point whose score for each model
     is the process that trained and scored it."""
     monkeypatch.setattr(experiment, "_run_group", _pid_run_group)
-    scored = _train_and_score(_tiny_train_by_mod(), _tiny_train_by_mod(split="test"), TINY, 5,
-                              "manual", NEGATIVE_MODES, ("encoder",))
+    scored = _tiny_train_and_score(NEGATIVE_MODES, ("encoder",))
     return {pid for cells in scored.values() for pid in cells["encoder"].scores.values()}
 
 
@@ -689,7 +735,7 @@ def _output_files(outdir):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_grid_matches_the_recorded_digests_at_any_worker_count(monkeypatch, tmp_path, workers):
     # at three workers the eight models of a labelling train as groups of 3, 3
-    # and 2, and the middle group mixes loss modes
+    # and 2, modality-major, so every group mixes loss modes
     _use_workers(monkeypatch, workers)
     run_grid(ExperimentConfig(outdir=str(tmp_path), **CRITERION_8))
     bit_identity.check("criterion_8", bit_identity.grid_digests(str(tmp_path)))
@@ -707,15 +753,16 @@ def test_tiny_grid_files_are_the_same_at_1_2_and_3_workers(monkeypatch, tmp_path
 
 
 def test_a_diverging_sum_model_costs_only_its_own_cells(monkeypatch, tmp_path):
-    """No stubbed outcome: one (manual, sum) model trains, in a group with two
-    average models, on its windows scaled until its forward overflows."""
+    """No stubbed outcome: one (manual, sum) model trains, in a group with the
+    average model of its modality, on its windows scaled until its forward
+    overflows."""
     mod = MODALITIES[3]
     bad_seed = derive_cell_seed(5, "manual", "sum", mod)
     real_train_group = trainer.train_group
 
     def train_group(tasks):
         if any(cfg.seed == bad_seed for *_, cfg in tasks):
-            assert [cfg.negative_mode for *_, cfg in tasks] == ["sum", "average", "average"]
+            assert [cfg.negative_mode for *_, cfg in tasks] == ["sum", "average"]
         return real_train_group([(_scaled(w, range(len(w))), *rest) if rest[-1].seed == bad_seed
                                  else (w, *rest) for w, *rest in tasks])
 

@@ -524,3 +524,15 @@ def test_checkpoint_malformed_line_names_path_and_line(tmp_path, line, bad):
     (tmp_path / "params.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{line + 1}: "):
         M.load_params(path)
+
+
+@pytest.mark.parametrize("line, column, value", [(3, 0, "nan"), (5, 2, "inf"), (3, -1, "-inf")])
+def test_checkpoint_non_finite_value_names_path_and_line(tmp_path, line, column, value):
+    # lines[3] is the first layer's bias row, lines[5] one of its weight rows
+    path, lines = _saved_checkpoint_lines(tmp_path)
+    parts = lines[line].split()
+    parts[column] = value
+    lines[line] = " ".join(parts)
+    (tmp_path / "params.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{line + 1}: non-finite value$"):
+        M.load_params(path)

@@ -13,8 +13,7 @@ from supconad.numerics import Rng
 from supconad.synthgen import (ANOMALOUS, LABELLING_MODES, MANUAL_MAJORITY, MODALITIES,
                                NORMAL, WINDOW_LEN, WINDOW_RAW_LEN, ClipRecord, GenConfig,
                                Window, by_modality, dataset_windows, generate_dataset,
-                               labelled_windows, load_windows, make_windows, save_windows,
-                               split_train_val)
+                               load_windows, make_windows, save_windows, split_train_val)
 from test_experiment import TINY
 
 # small but feasible: 22/4 = 5.5, within 10% of 5.45
@@ -33,7 +32,7 @@ def split_clips(ds, split):
 
 def clip_frames(ds, clip):
     """One clip's frames, (modality, frame, frame_dim), drawn on their own."""
-    return synthgen._draw_frames(ds, [clip])[0]
+    return synthgen._draw_frames(ds, [clip], MODALITIES)[0]
 
 
 def original_windows(ds, split):
@@ -69,6 +68,7 @@ def test_config_rejects_bad_contamination():
     ("contamination", 1.0), ("target_imbalance", 1.0), ("target_imbalance", math.nan),
     ("seen_archetypes", 0), ("unseen_archetypes", 0), ("ar_coeff", 1.0), ("ar_coeff", -0.1),
     ("ar_coeff", math.nan), ("frame_noise_std", -1.0), ("archetype_radius", -3.0),
+    ("frame_noise_std", math.inf), ("archetype_radius", math.inf),
 ])
 def test_range_error_names_exactly_its_field(name, value):
     with pytest.raises(ValueError, match=f"^{name}: ") as exc:
@@ -144,7 +144,8 @@ def test_generation_is_deterministic():
     b = generate_dataset(small_cfg())
     for ca, cb in zip(a.clips, b.clips):
         assert np.array_equal(ca.frame_labels, cb.frame_labels)
-    assert np.array_equal(synthgen._draw_frames(a, a.clips), synthgen._draw_frames(b, b.clips))
+    assert np.array_equal(synthgen._draw_frames(a, a.clips, MODALITIES),
+                          synthgen._draw_frames(b, b.clips, MODALITIES))
 
 
 def oracle_clip_features(cfg, mu, arch_mean, spread, mask, rng):
@@ -197,9 +198,10 @@ def oracle_clips(cfg):
     return out
 
 
-def assert_matches_oracle(cfg, blocks):
+def assert_matches_oracle(cfg, blocks, modalities=MODALITIES):
     """The clip plan matches the oracle's, and _draw_frames, called once per
-    block (clip indices, any subset in any order), gives the oracle's frames."""
+    block (clip indices, any subset in any order) over modalities, gives the
+    oracle's frames."""
     ds = generate_dataset(cfg)
     expected = oracle_clips(cfg)
     assert len(ds.clips) == len(expected)
@@ -207,16 +209,16 @@ def assert_matches_oracle(cfg, blocks):
         assert (clip.split, clip.clip_label, clip.archetype_id) == (split, label, arch_id)
         assert clip.frame_labels.tobytes() == mask.tobytes()
     for block in blocks:
-        frames = synthgen._draw_frames(ds, [ds.clips[i] for i in block])
-        assert frames.shape == (len(block), len(MODALITIES), cfg.frames_per_clip, cfg.frame_dim)
+        frames = synthgen._draw_frames(ds, [ds.clips[i] for i in block], modalities)
+        assert frames.shape == (len(block), len(modalities), cfg.frames_per_clip, cfg.frame_dim)
         for i, clip_frames in zip(block, frames):
-            for mod, mod_frames in zip(MODALITIES, clip_frames):
+            for mod, mod_frames in zip(modalities, clip_frames, strict=True):
                 assert mod_frames.tobytes() == expected[i][4][mod].tobytes(), (i, mod)
     return ds
 
 
 def _split_blocks(n_clips):
-    """Every clip once, in blocks of _BLOCK_CLIPS, as labelled_windows draws them."""
+    """Every clip once, in blocks of _BLOCK_CLIPS, as dataset_windows draws them."""
     return [range(lo, min(lo + synthgen._BLOCK_CLIPS, n_clips))
             for lo in range(0, n_clips, synthgen._BLOCK_CLIPS)]
 
@@ -251,6 +253,15 @@ def test_frames_of_any_subset_and_order_of_clips_match_the_oracle(seed):
     assert_matches_oracle(cfg, blocks)
 
 
+@pytest.mark.parametrize("modalities", [MODALITIES[1:2], MODALITIES[2:], MODALITIES[::-1]],
+                         ids=["one", "last-two", "reversed"])
+def test_frames_of_any_subset_and_order_of_modalities_match_the_oracle(modalities):
+    """A stream's frames do not depend on the modalities drawn with it."""
+    cfg = small_cfg(test_anomalous_clips=9, seed=3)
+    n = len(oracle_clips(cfg))
+    assert_matches_oracle(cfg, [range(n), [n - 1, 0]], modalities)
+
+
 def test_window_features_are_separate_contiguous_arrays():
     cfg = small_cfg(test_anomalous_clips=9)
     windows = dataset_windows(generate_dataset(cfg), "original")
@@ -270,7 +281,7 @@ def test_window_features_own_their_data(tmp_path):
     # a view would keep its base, a (WINDOW_LEN, frame_dim) gather, alive beside it
     cfg = small_cfg(test_anomalous_clips=9)
     ds = generate_dataset(cfg)
-    cut = [w for ws in labelled_windows(ds, LABELLING_MODES).values() for w in ws]
+    cut = [w for labelling in LABELLING_MODES for w in dataset_windows(ds, labelling)]
     cut += make_windows(ds.clips[0], clip_frames(ds, ds.clips[0]), "original")
     path = str(tmp_path / "windows.txt")
     save_windows(path, cfg, "original", cut[:50])
@@ -356,7 +367,7 @@ def test_unknown_labelling_mode_rejected():
     for cut in (lambda: make_windows(clip, frames, "fancy"),
                 # the test split is cut under manual whatever the labelling asked for
                 lambda: dataset_windows(ds, "fancy", split="test"),
-                lambda: labelled_windows(ds, ("original", "fancy"), split="train")):
+                lambda: dataset_windows(ds, "fancy", split="train", modalities=MODALITIES[:1])):
         with pytest.raises(ValueError, match="^unknown labelling mode 'fancy'$"):
             cut()
 
@@ -374,8 +385,8 @@ def test_make_windows_is_deterministic():
 
 
 def _one_labelling_cut(ds, labelling, split):
-    """dataset_windows as a per-labelling loop over the clips, each clip drawn
-    on its own and cut afresh: the reference for labelled_windows."""
+    """dataset_windows as a loop over the clips, each clip drawn on its own and
+    cut afresh: the reference for dataset_windows."""
     out = []
     for clip in ds.clips:
         if clip.split != split:
@@ -401,29 +412,22 @@ def cut_datasets(request):
 
 @pytest.mark.parametrize("split", ["train", "test"])
 def test_labelled_windows_equal_a_cut_per_labelling(cut_datasets, split):
-    got = labelled_windows(cut_datasets, LABELLING_MODES, split)
-    assert list(got) == list(LABELLING_MODES)
-    for labelling, windows in got.items():
+    """dataset_windows under each labelling, over all modalities and over a
+    subset, equals the reference cut."""
+    for labelling in LABELLING_MODES:
         want = _one_labelling_cut(cut_datasets, labelling, split)
-        assert len(windows) == len(want)
-        for a, b in zip(windows, want):
+        got = dataset_windows(cut_datasets, labelling, split)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
             assert (a.label, a.clip_id, a.window_index, a.modality, a.split, a.archetype_id) \
                 == (b.label, b.clip_id, b.window_index, b.modality, b.split, b.archetype_id)
-            assert a.features.dtype == b.features.dtype and np.all(a.features == b.features)
-        assert [w.features.tobytes() for w in dataset_windows(cut_datasets, labelling, split)] \
-            == [w.features.tobytes() for w in want]
-
-
-@pytest.mark.parametrize("split", ["train", "test"])
-def test_a_window_both_labellings_keep_is_one_object(cut_datasets, split):
-    got = labelled_windows(cut_datasets, LABELLING_MODES, split)
-    original = {(w.clip_id, w.window_index, w.modality): w for w in got["original"]}
-    assert got["manual"] and all(original[(w.clip_id, w.window_index, w.modality)] is w
-                                 for w in got["manual"])
-    if split == "train":   # manual drops windows of anomalous clips; the test split is all manual
-        assert len(got["manual"]) < len(original)
-    else:
-        assert len(got["manual"]) == len(original)
+            assert a.features.dtype == b.features.dtype
+            assert a.features.tobytes() == b.features.tobytes()
+        subset = MODALITIES[1::2]
+        assert [(w.clip_id, w.window_index, w.modality, w.features.tobytes())
+                for w in dataset_windows(cut_datasets, labelling, split, subset)] \
+            == [(w.clip_id, w.window_index, w.modality, w.features.tobytes())
+                for w in want if w.modality in subset]
 
 
 def test_manual_anomalous_count_never_exceeds_original():
@@ -622,6 +626,18 @@ def test_window_file_bad_field_names_path_and_line(tmp_path, column):
     lines[i] = ",".join(parts)
     (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{i + 1}: .*'x1'"):
+        load_windows(path)
+
+
+@pytest.mark.parametrize("column, value", [(6, "nan"), (-1, "inf"), (9, "-inf")])
+def test_window_file_non_finite_feature_names_path_and_line(tmp_path, column, value):
+    path, lines = _saved_window_lines(tmp_path)
+    i = _first_data_line(lines) + 2
+    parts = lines[i].split(",")
+    parts[column] = value
+    lines[i] = ",".join(parts)
+    (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{i + 1}: non-finite value$"):
         load_windows(path)
 
 

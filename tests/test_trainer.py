@@ -312,7 +312,7 @@ def test_config_validation():
     ("epochs", 0), ("lr0", -0.01), ("lr0", math.nan), ("lr_decay_factor", 0.0),
     ("lr_decay_every", 0), ("tau", 0.0), ("batch_normal", 1), ("batch_anomalous", 0),
     ("validate_every", 0), ("negative_mode", "avg"), ("negative_mode", ("sum", "average")),
-    ("val_fraction", 1.0),
+    ("val_fraction", 1.0), ("lr0", math.inf), ("lr_decay_factor", math.inf), ("tau", math.inf),
 ])
 def test_range_error_names_exactly_its_field(name, value):
     with pytest.raises(ValueError, match=f"^{name}: ") as exc:
