@@ -8,11 +8,11 @@ method-by-combination AUC matrices directly consumable by the statistics
 pipeline, plus per-cell score exports and a deterministic run manifest.
 
 A grid trains and scores the (loss, modality) models of one labelling in one
-pool of forked workers: each worker cuts its modalities' training windows, trains
-its share in lockstep, scores each model through ``score_test_set``, the one test
-scorer, and sends back only score vectors and errors, so the parent holds test
-windows and scores, never a training window or a model (with one worker the same
-steps run in the parent).  The parent picks the error of a failed (labelling,
+pool of forked workers: each worker cuts both splits of its modalities, trains its
+share in lockstep, scores each model through ``score_test_set``, the one test
+scorer, and sends back only score vectors and errors, so the parent holds the test
+split's keys and scores, never a frame, a window or a model (with one worker the
+same steps run in the parent).  The parent picks the error of a failed (labelling,
 loss) group, which costs only that group's cells.  The fused benchmark is the
 grid's (manual, average, projection) group, trained and scored the same way, and
 ``supconad train`` trains its one model in-process and scores it through
@@ -38,7 +38,7 @@ from .model import check_dims
 from .numerics import DegenerateVectorError, Rng, check_seed, write_rows
 from .synthgen import (ANOMALOUS, LABELLING_MODES, MODALITIES, NORMAL, WINDOW_LEN,
                        Dataset, GenConfig, Modality, by_modality, dataset_windows,
-                       generate_dataset)
+                       generate_dataset, keys_of_test_windows)
 
 DEFAULT_ENCODER_DIMS = (192, 64, 32)
 DEFAULT_PROJECTION_DIMS = (32, 16)
@@ -119,7 +119,7 @@ class CellScores:
 
     @classmethod
     def for_windows(cls, test_windows) -> CellScores:
-        """No scores yet, and the labels and ids of test_windows, one modality's test windows."""
+        """No scores yet, and the labels and ids of test_windows, Windows or WindowKeys."""
         return cls({}, np.array([w.label == NORMAL for w in test_windows]),
                    [w.clip_id for w in test_windows], [w.window_index for w in test_windows])
 
@@ -135,8 +135,8 @@ class GridResult:
         return not self.failures
 
 
-# What _train_and_score is about to run: per group, the (keys, ds, test_by_mod, cfg,
-# run_seed, labelling, heads) that _run_group reads.  Workers inherit the list through
+# What _train_and_score is about to run: per group, the (keys, ds, cfg, run_seed,
+# labelling, heads) that _run_group reads.  Workers inherit the list through
 # fork, so nothing is pickled on the way in; only score vectors and errors come back.
 _GROUPS: list[tuple] = []
 
@@ -178,11 +178,13 @@ def _pin_blas_to_one_thread() -> None:
 
 
 def _run_group(i: int) -> dict:
-    """Worker entry point, also run in-process for one group: cut group i's modalities'
-    training windows, train its models in lockstep and score each (score_test_set)."""
-    keys, ds, test_by_mod, cfg, run_seed, labelling, heads = _GROUPS[i]
+    """Worker entry point, also run in-process for one group: cut both splits of group
+    i's modalities, train its models in lockstep and score each (score_test_set)."""
+    keys, ds, cfg, run_seed, labelling, heads = _GROUPS[i]
     mods = tuple(m for m in MODALITIES if any(mod == m for _, mod in keys))
-    train_by_mod = by_modality(dataset_windows(ds, labelling, "train", mods))
+    windows = dataset_windows(ds, labelling, modalities=mods)
+    train_by_mod, test_by_mod = (by_modality([w for w in windows if w.split == split])
+                                 for split in ("train", "test"))
     tasks = [(train_by_mod[mod], list(cfg.encoder_dims), list(cfg.projection_dims),
               replace(cfg.train, negative_mode=loss,
                       seed=derive_cell_seed(run_seed, labelling, loss, mod)))
@@ -191,15 +193,15 @@ def _run_group(i: int) -> dict:
                           test_by_mod, heads)
 
 
-def _train_and_score(ds: Dataset, test_by_mod, cfg: ExperimentConfig, run_seed: int,
+def _train_and_score(ds: Dataset, test_keys, cfg: ExperimentConfig, run_seed: int,
                      labelling: str, loss_modes: tuple[str, ...], heads) -> dict:
     """Train one model per (loss mode, modality) of a labelling of ds and score it
-    under every head: loss mode -> head -> CellScores, or loss mode -> (modality,
-    error) for a group that failed.
+    under every head: loss mode -> head -> CellScores over test_keys, the keys of
+    ds's test windows, or loss mode -> (modality, error) for a group that failed.
 
     The models, modality-major and in MODALITIES order, are split into train_workers
-    contiguous groups whose sizes differ by at most one.  Each group's training
-    windows are cut, its models trained in lockstep (trainer.train_group) and
+    contiguous groups whose sizes differ by at most one.  Each group's windows of
+    both splits are cut, its models trained in lockstep (trainer.train_group) and
     scored (score_test_set) by its own worker, or in this process when there is one
     group.  Every outcome is bit-identical to training and scoring in-process.
 
@@ -212,7 +214,7 @@ def _train_and_score(ds: Dataset, test_by_mod, cfg: ExperimentConfig, run_seed: 
     workers = train_workers(len(keys))
     size, extra = divmod(len(keys), workers)
     bounds = [g * size + min(g, extra) for g in range(workers + 1)]
-    _GROUPS[:] = [(keys[a:b], ds, test_by_mod, cfg, run_seed, labelling, heads)
+    _GROUPS[:] = [(keys[a:b], ds, cfg, run_seed, labelling, heads)
                   for a, b in zip(bounds, bounds[1:])]
     try:
         if workers <= 1:
@@ -224,7 +226,7 @@ def _train_and_score(ds: Dataset, test_by_mod, cfg: ExperimentConfig, run_seed: 
     finally:
         _GROUPS.clear()
     scored = {key: outcome for part in parts for key, outcome in part.items()}
-    unscored = CellScores.for_windows(test_by_mod[MODALITIES[0]])
+    unscored = CellScores.for_windows(test_keys)
     out = {}
     for loss in loss_modes:
         failed = [m for m in MODALITIES if isinstance(scored[loss, m], tuple)]
@@ -288,10 +290,10 @@ def score_test_set(trained: dict, train_by_mod, test_by_mod, heads) -> dict:
 
 
 def _grid_labelling(cfg: ExperimentConfig, ds: Dataset, run_seed: int, labelling: str,
-                    test_by_mod, cells: dict, failures: list) -> None:
+                    test_keys, cells: dict, failures: list) -> None:
     """Train, score and export the cells of one labelling of a grid seed into cells
     and failures; its scores are freed when this returns."""
-    scored = _train_and_score(ds, test_by_mod, cfg, run_seed, labelling,
+    scored = _train_and_score(ds, test_keys, cfg, run_seed, labelling,
                               cfg.loss_modes, cfg.head_modes)
     for loss_mode, group in scored.items():
         # a group that fails in training, validation or scoring loses all its cells
@@ -320,9 +322,9 @@ def run_grid(cfg: ExperimentConfig) -> GridResult:
 
     for run_seed in cfg.seeds:
         ds = generate_dataset(replace(cfg.gen, seed=run_seed))
-        test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
+        test_keys = keys_of_test_windows(ds)
         for labelling in cfg.labelling_modes:
-            _grid_labelling(cfg, ds, run_seed, labelling, test_by_mod, cells, failures)
+            _grid_labelling(cfg, ds, run_seed, labelling, test_keys, cells, failures)
         _write_grid_csvs(cfg, cells, (run_seed,), f"seed{run_seed}")
     _write_grid_csvs(cfg, cells, cfg.seeds, "mean")
 
@@ -369,13 +371,11 @@ class BenchmarkSeedResult:
 def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedResult:
     """One seed of the fused benchmark: the (manual, average, projection) grid group."""
     ds = generate_dataset(replace(cfg.gen, seed=run_seed))
-    test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
+    test_keys = keys_of_test_windows(ds)
     # the seen and unseen AUCs each need an anomalous test window; checked before training
-    normal_mask = np.array([w.label == NORMAL for w in test_by_mod[MODALITIES[0]]])
-    unseen_mask = np.array([   # only anomalous windows have an archetype, found by its id
-        w.archetype_id is not None and not ds.archetypes[w.archetype_id].seen_in_training
-        for w in test_by_mod[MODALITIES[0]]
-    ])
+    normal_mask = np.array([k.label == NORMAL for k in test_keys])
+    unseen = {a.id for a in ds.archetypes if not a.seen_in_training}   # normal windows: None
+    unseen_mask = np.array([k.archetype_id in unseen for k in test_keys])
     seen_mask = ~normal_mask & ~unseen_mask
     for subset, mask in (("seen", seen_mask), ("unseen", unseen_mask)):
         if not mask.any():
@@ -383,7 +383,7 @@ def run_benchmark_seed(cfg: ExperimentConfig, run_seed: int) -> BenchmarkSeedRes
             raise ValueError(f"the test split holds no {subset}-archetype window at GenConfig "
                              f"test_anomalous_clips={g.test_anomalous_clips}, seen_archetypes="
                              f"{g.seen_archetypes}, unseen_archetypes={g.unseen_archetypes}")
-    scored = _train_and_score(ds, test_by_mod, cfg, run_seed, "manual", ("average",),
+    scored = _train_and_score(ds, test_keys, cfg, run_seed, "manual", ("average",),
                               ("projection",))["average"]
     if isinstance(scored, tuple):
         raise scored[1]

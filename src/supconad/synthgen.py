@@ -15,6 +15,7 @@ modalities; a window's features are one owning 1-D array, never a view.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
@@ -116,6 +117,9 @@ class Window:
     modality: Modality
     split: str
     archetype_id: int | None
+
+
+WindowKey = namedtuple("WindowKey", "clip_id window_index label archetype_id")
 
 
 @dataclass
@@ -252,34 +256,26 @@ def _draw_frames(ds: Dataset, clips: list[ClipRecord],
     return frames
 
 
-def make_windows(clip: ClipRecord, frames: np.ndarray, labelling: str) -> list[Window]:
-    """Cut one clip's frames, a (modality, frame, frame_dim) array in MODALITIES
-    order, into non-overlapping, downsampled windows for all modalities.
-
-    Segments of 32 frames are taken back to back; a short final segment is
-    padded by repeating the last available frame, then every other frame is
-    kept (32 -> 16).  Every kept window takes its clip's label.  The one
-    drop: under ``manual`` labelling, a window of an anomalous clip with fewer
-    than MANUAL_MAJORITY anomalous frames among its 16 retained frames.
-    """
-    _check_labelling(labelling)
-    if len(clip.frame_labels) == 0:
-        raise ValueError("clip has no frames")
-    return _cut_clip(clip, frames, labelling, MODALITIES)
+def _kept_segments(clip: ClipRecord, labelling: str):
+    """(window_index, kept frame positions) of each window of clip under labelling:
+    32-frame segments back to back, a short last one padded with its last frame,
+    every other frame kept (32 -> 16).  The one drop: under ``manual``, a window of
+    an anomalous clip with fewer than MANUAL_MAJORITY anomalous kept frames."""
+    t = len(clip.frame_labels)
+    for w, start in enumerate(range(0, t, WINDOW_RAW_LEN)):
+        idx = np.minimum(np.arange(start, start + WINDOW_RAW_LEN, 2), t - 1)
+        if not (labelling == "manual" and clip.clip_label == ANOMALOUS
+                and int(clip.frame_labels[idx].sum()) < MANUAL_MAJORITY):
+            yield w, idx
 
 
 def _cut_clip(clip: ClipRecord, frames: np.ndarray, labelling: str,
               modalities: tuple[Modality, ...]) -> list[Window]:
-    """make_windows of one clip's frames over modalities, the modalities of frames'
-    first axis.  The callers check the labelling, and a generated clip always has
-    frames."""
-    t, d = len(clip.frame_labels), frames.shape[-1]
+    """The windows _kept_segments keeps of one clip's frames, a (modality, frame,
+    frame_dim) array over modalities, each with its clip's label."""
+    d = frames.shape[-1]
     kept: list[Window] = []
-    for w, start in enumerate(range(0, t, WINDOW_RAW_LEN)):
-        idx = np.minimum(np.arange(start, start + WINDOW_RAW_LEN, 2), t - 1)
-        if (labelling == "manual" and clip.clip_label == ANOMALOUS
-                and int(clip.frame_labels[idx].sum()) < MANUAL_MAJORITY):
-            continue
+    for w, idx in _kept_segments(clip, labelling):
         # the kept frames' features, row-major, as indexes into one modality's flat frames
         flat = (idx[:, None] * d + np.arange(d)).ravel()
         kept.extend(Window(
@@ -294,6 +290,12 @@ def _cut_clip(clip: ClipRecord, frames: np.ndarray, labelling: str,
     return kept
 
 
+def keys_of_test_windows(ds: Dataset) -> list[WindowKey]:
+    """The WindowKey of each test window, in dataset_windows' order, drawing no frame."""
+    return [WindowKey(c.clip_id, w, c.clip_label, c.archetype_id) for c in ds.clips
+            if c.split == "test" for w, _ in _kept_segments(c, "manual")]
+
+
 def dataset_windows(ds: Dataset, labelling: str, split: str | None = None,
                     modalities: tuple[Modality, ...] = MODALITIES) -> list[Window]:
     """Windows of modalities for the whole dataset, or for one split.
@@ -305,7 +307,8 @@ def dataset_windows(ds: Dataset, labelling: str, split: str | None = None,
     its windows are cut, before the next block is drawn.  A window is the
     same whichever modalities are cut with it.
     """
-    _check_labelling(labelling)
+    if labelling not in LABELLING_MODES:
+        raise ValueError(f"unknown labelling mode {labelling!r}")
     out: list[Window] = []
     clips = [c for c in ds.clips if split is None or c.split == split]
     for lo in range(0, len(clips), _BLOCK_CLIPS):
@@ -315,11 +318,6 @@ def dataset_windows(ds: Dataset, labelling: str, split: str | None = None,
                 for w in _cut_clip(clip, frames, labelling if clip.split == "train" else "manual",
                                    modalities)]
     return out
-
-
-def _check_labelling(labelling: str) -> None:
-    if labelling not in LABELLING_MODES:
-        raise ValueError(f"unknown labelling mode {labelling!r}")
 
 
 def by_modality(windows: list[Window]) -> dict[Modality, list[Window]]:
@@ -372,10 +370,11 @@ def save_windows(path: str, cfg: GenConfig, labelling: str, windows: list[Window
 
 
 def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
-    """Read a version-1 window file, its header checked before any row; a malformed
-    line, or a header value GenConfig rejects, raises ValueError("path:line: ...")."""
+    """Read a version-1 window file, its header checked before any row; a malformed or
+    repeated row, or a header value GenConfig rejects, raises ValueError("path:line: ...")."""
     cfg_kwargs: dict = {}
     key_lines: dict[str, int] = {}
+    row_lines: dict[tuple, int] = {}    # a row's key -> its line
     labelling = cfg = None
     windows = []
     field_types = {f.name: f.type for f in fields(GenConfig)}
@@ -431,6 +430,10 @@ def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
                     split=split,
                     archetype_id=None if arch == "" else int(arch),
                 ))
+                key = (split, mod_key, windows[-1].clip_id, windows[-1].window_index)
+                if row_lines.setdefault(key, ln_no) != ln_no:
+                    raise ValueError("repeats the (split, modality, clip_id, window_index) "
+                                     f"of line {row_lines[key]}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln_no}: {exc}") from None
     return cfg or header_config(), labelling, windows

@@ -18,7 +18,7 @@ from supconad.metrics import LabeledScores, roc_auc
 from supconad.numerics import DegenerateVectorError
 from supconad.stats import analyze, load_matrix_csv
 from supconad.synthgen import (MODALITIES, GenConfig, Modality, by_modality,
-                               dataset_windows, generate_dataset)
+                               dataset_windows, generate_dataset, keys_of_test_windows)
 from supconad.trainer import TrainConfig
 
 import bit_identity
@@ -125,7 +125,11 @@ def test_benchmark_seed_without_an_unseen_test_window_fails_before_training(monk
     def train_and_score(*args):
         raise AssertionError("training started")
 
+    def draw_frames(*args):
+        raise AssertionError("a frame was drawn")
+
     monkeypatch.setattr(experiment, "_train_and_score", train_and_score)
+    monkeypatch.setattr(synthgen, "_draw_frames", draw_frames)
     # both test anomalous clips take one of the two seen archetypes
     cfg = replace(TINY, gen=replace(TINY.gen, test_anomalous_clips=2))
     with pytest.raises(ValueError, match=r"^the test split holds no unseen-archetype window at "
@@ -137,25 +141,25 @@ def test_benchmark_seed_without_an_unseen_test_window_fails_before_training(monk
 
 def _watch_release(monkeypatch):
     """Train in-process, and patch synthgen._draw_frames, trainer.train_group and
-    experiment._train_and_score to record: at each draw, its split and whether an
-    earlier draw's frames are alive; as each training group starts, whether any
-    frames are alive and which training windows and scored cells of each earlier
-    group are alive.  A drawing block is four clips, so each cut of TINY's data
-    draws several blocks."""
-    seen = {"frames": [], "splits": [], "held_at_draw": [], "groups": []}
+    experiment._train_and_score to record: at each draw, its clip ids and whether an
+    earlier draw's frames are alive; as each training group starts, how many blocks
+    were drawn before it, whether any frames are alive and which training windows
+    and scored cells of each earlier group are alive.  A drawing block is four
+    clips, so each cut of TINY's data draws several blocks."""
+    seen = {"frames": [], "clip_ids": [], "held_at_draw": [], "groups": []}
     draw, train_group, train = (synthgen._draw_frames, trainer.train_group,
                                 experiment._train_and_score)
 
     def draw_frames(ds, clips, modalities):
         seen["held_at_draw"].append(sum(r() is not None for r in seen["frames"]))
-        (split,) = {c.split for c in clips}
-        seen["splits"].append(split)
+        seen["clip_ids"].append([c.clip_id for c in clips])
         frames = draw(ds, clips, modalities)
         seen["frames"].append(weakref.ref(frames))
         return frames
 
     def watched_train_group(tasks):
         seen["groups"].append({
+            "draws_before": len(seen["frames"]),
             "frames_alive": sum(r() is not None for r in seen["frames"]),
             "earlier_alive": [{k: [r() for r in g[k]] for k in ("window_refs", "outcome_refs")}
                               for g in seen["groups"]],
@@ -178,10 +182,14 @@ def _watch_release(monkeypatch):
 
 
 def assert_one_block_at_a_time(seen, labellings):
-    """TINY's 7 test clips drawn once, then its 26 training clips once per
-    labelling, each in blocks of four; no draw starts while an earlier block's
-    frames are alive."""
-    assert seen["splits"] == ["test"] * 2 + ["train"] * 7 * labellings
+    """Per labelling, one cut before its training starts: TINY's 33 clips, the 26
+    training clips then the 7 test clips, in blocks of four (the seventh block
+    holds clips of both splits); no draw starts while an earlier block's frames
+    are alive."""
+    blocks = [list(range(lo, min(lo + 4, 33))) for lo in range(0, 33, 4)]
+    assert seen["clip_ids"] == blocks * labellings
+    assert [g["draws_before"] for g in seen["groups"]] == \
+        [len(blocks) * (i + 1) for i in range(labellings)]
     assert seen["held_at_draw"] == [0] * len(seen["frames"])
 
 
@@ -206,35 +214,34 @@ def test_benchmark_seed_frees_the_dataset_before_training(monkeypatch):
 
 
 @pytest.mark.parametrize("run", ["grid", "benchmark_seed"])
-def test_the_pooled_parent_draws_and_holds_only_the_test_split(monkeypatch, tmp_path, run):
-    """With two workers, each cuts the training windows it trains on: the parent
-    draws only the 7 test clips, and holds no training window while the pool runs."""
+def test_the_pooled_parent_draws_no_frame_and_holds_no_window(monkeypatch, tmp_path, run):
+    """With two workers, each cuts both splits of the modalities it trains: the parent
+    draws no clip, and holds no window of either split while the pool runs."""
     drawn, held = [], []
     draw, pool = synthgen._draw_frames, experiment.ProcessPoolExecutor
 
     def draw_frames(ds, clips, *args):
-        drawn.extend(c.split for c in clips)
+        drawn.extend(c.clip_id for c in clips)
         return draw(ds, clips, *args)
 
-    def training_windows():
+    def windows():
         gc.collect()
-        return sum(isinstance(o, synthgen.Window) and o.split == "train"
-                   for o in gc.get_objects())
+        return sum(isinstance(o, synthgen.Window) for o in gc.get_objects())
 
     class WatchedPool(pool):
         def map(self, *args, **kwargs):
-            held.append(training_windows())
+            held.append(windows())
             return super().map(*args, **kwargs)
 
     _use_workers(monkeypatch, 2)
     monkeypatch.setattr(synthgen, "_draw_frames", draw_frames)
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", WatchedPool)
-    before = training_windows()
+    before = windows()
     if run == "grid":
         assert run_grid(replace(TINY, outdir=str(tmp_path))).ok
     else:
         run_benchmark_seed(TINY, 5)
-    assert drawn == ["test"] * 7
+    assert drawn == []
     assert held == [before] * (2 if run == "grid" else 1)
 
 
@@ -272,8 +279,7 @@ def test_grid_over_a_subset_of_the_axes_gives_the_same_cells(tiny_grid_seeds_5_6
 
 def _default_cell_fused_roc(cfg, seed, labelling, loss_mode, head):
     ds = generate_dataset(replace(cfg.gen, seed=seed))
-    test_by_mod = by_modality(dataset_windows(ds, "manual", split="test"))
-    cell = _train_and_score(ds, test_by_mod, cfg, seed, labelling, (loss_mode,),
+    cell = _train_and_score(ds, keys_of_test_windows(ds), cfg, seed, labelling, (loss_mode,),
                             (head,))[loss_mode][head]
     return roc_auc(LabeledScores(cell.fused(tuple(MODALITIES)), cell.labels))
 
@@ -306,8 +312,8 @@ def _tiny_by_mod(split):
 
 def _tiny_train_and_score(loss_modes, heads):
     """_train_and_score on TINY's manual labelling of seed 5."""
-    return _train_and_score(_tiny_dataset(), _tiny_by_mod("test"), TINY, 5,
-                            "manual", loss_modes, heads)
+    ds = _tiny_dataset()
+    return _train_and_score(ds, keys_of_test_windows(ds), TINY, 5, "manual", loss_modes, heads)
 
 
 def _assert_same_params(a, b):

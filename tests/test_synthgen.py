@@ -13,7 +13,8 @@ from supconad.numerics import Rng
 from supconad.synthgen import (ANOMALOUS, LABELLING_MODES, MANUAL_MAJORITY, MODALITIES,
                                NORMAL, WINDOW_LEN, WINDOW_RAW_LEN, ClipRecord, GenConfig,
                                Window, by_modality, dataset_windows, generate_dataset,
-                               load_windows, make_windows, save_windows, split_train_val)
+                               keys_of_test_windows, load_windows, save_windows,
+                               split_train_val)
 from test_experiment import TINY
 
 # small but feasible: 22/4 = 5.5, within 10% of 5.45
@@ -35,10 +36,15 @@ def clip_frames(ds, clip):
     return synthgen._draw_frames(ds, [clip], MODALITIES)[0]
 
 
+def cut_clip(clip, frames, labelling):
+    """One clip's windows, frames over all MODALITIES, cut under labelling."""
+    return synthgen._cut_clip(clip, frames, labelling, MODALITIES)
+
+
 def original_windows(ds, split):
     """Windows of one split under original labelling, the test split included."""
     return [w for c in split_clips(ds, split)
-            for w in make_windows(c, clip_frames(ds, c), "original")]
+            for w in cut_clip(c, clip_frames(ds, c), "original")]
 
 
 def manual_clip(frame_labels, n_dims=3, clip_label=ANOMALOUS, split="test",
@@ -282,7 +288,7 @@ def test_window_features_own_their_data(tmp_path):
     cfg = small_cfg(test_anomalous_clips=9)
     ds = generate_dataset(cfg)
     cut = [w for labelling in LABELLING_MODES for w in dataset_windows(ds, labelling)]
-    cut += make_windows(ds.clips[0], clip_frames(ds, ds.clips[0]), "original")
+    cut += cut_clip(ds.clips[0], clip_frames(ds, ds.clips[0]), "original")
     path = str(tmp_path / "windows.txt")
     save_windows(path, cfg, "original", cut[:50])
     _, _, read = load_windows(path)
@@ -294,7 +300,7 @@ def test_window_features_own_their_data(tmp_path):
 
 def test_64_frame_clip_gives_two_windows():
     clip, frames = manual_clip([False] * 64, clip_label=NORMAL, archetype_id=None)
-    windows = make_windows(clip, frames, "original")
+    windows = cut_clip(clip, frames, "original")
     assert len(windows) == 2 * len(MODALITIES)
     per_mod = [w for w in windows if w.modality == MODALITIES[0]]
     assert [w.window_index for w in per_mod] == [0, 1]
@@ -308,7 +314,7 @@ def test_64_frame_clip_gives_two_windows():
 
 def test_short_final_window_pads_with_last_frame():
     clip, frames = manual_clip([False] * 40, clip_label=NORMAL, archetype_id=None)
-    per_mod = [w for w in make_windows(clip, frames, "original") if w.modality == MODALITIES[0]]
+    per_mod = [w for w in cut_clip(clip, frames, "original") if w.modality == MODALITIES[0]]
     assert len(per_mod) == 2
     # second raw segment is frames 32..39 plus 24 copies of frame 39,
     # downsampled to positions 32,34,36,38 then eight copies of 39
@@ -320,7 +326,7 @@ def test_short_final_window_pads_with_last_frame():
 def test_original_labelling_marks_every_window_of_anomalous_clip():
     labels = [False] * 48 + [True] * 16
     clip, frames = manual_clip(labels)
-    windows = [w for w in make_windows(clip, frames, "original") if w.modality == MODALITIES[0]]
+    windows = [w for w in cut_clip(clip, frames, "original") if w.modality == MODALITIES[0]]
     assert [w.label for w in windows] == [ANOMALOUS, ANOMALOUS]
 
 
@@ -328,13 +334,15 @@ def test_manual_labelling_majority_rule_and_discard():
     # contamination concentrated in the first half of a 64-frame clip
     labels = [False] * 32 + [True] * 32
     clip, frames = manual_clip(labels)
-    windows = [w for w in make_windows(clip, frames, "manual") if w.modality == MODALITIES[0]]
+    windows = [w for w in cut_clip(clip, frames, "manual") if w.modality == MODALITIES[0]]
     # oracle: count anomalous frames at the retained (even) positions
     retained0 = clip.frame_labels[np.arange(0, 32, 2)].sum()
     retained1 = clip.frame_labels[np.arange(32, 64, 2)].sum()
     assert retained0 == 0 and retained1 == 16
     assert [w.window_index for w in windows] == [1]
     assert windows[0].label == ANOMALOUS
+    # the keep rule the test split's keys read, with no frames
+    assert [w for w, _ in synthgen._kept_segments(clip, "manual")] == [1]
 
 
 def test_manual_labelling_boundary_window_counts_retained_frames():
@@ -343,28 +351,22 @@ def test_manual_labelling_boundary_window_counts_retained_frames():
     clip, frames = manual_clip(labels)
     retained = clip.frame_labels[np.arange(32, 64, 2)].sum()
     assert retained == 10  # majority (>= 9) -> kept
-    windows = [w for w in make_windows(clip, frames, "manual") if w.modality == MODALITIES[0]]
+    windows = [w for w in cut_clip(clip, frames, "manual") if w.modality == MODALITIES[0]]
     assert [w.window_index for w in windows] == [1]
+    assert [w for w, _ in synthgen._kept_segments(clip, "manual")] == [1]
 
 
 def test_manual_labelling_never_touches_normal_clips():
     clip, frames = manual_clip([False] * 64, clip_label=NORMAL, archetype_id=None)
     for mode in ("original", "manual"):
-        windows = [w for w in make_windows(clip, frames, mode) if w.modality == MODALITIES[0]]
+        windows = [w for w in cut_clip(clip, frames, mode) if w.modality == MODALITIES[0]]
         assert len(windows) == 2
         assert all(w.label == NORMAL for w in windows)
 
 
-def test_empty_clip_rejected():
-    clip, frames = manual_clip([], clip_label=NORMAL, archetype_id=None)
-    with pytest.raises(ValueError, match="no frames"):
-        make_windows(clip, frames, "original")
-
-
 def test_unknown_labelling_mode_rejected():
-    clip, frames = manual_clip([True] * 32)
     ds = generate_dataset(small_cfg())
-    for cut in (lambda: make_windows(clip, frames, "fancy"),
+    for cut in (lambda: dataset_windows(ds, "fancy"),
                 # the test split is cut under manual whatever the labelling asked for
                 lambda: dataset_windows(ds, "fancy", split="test"),
                 lambda: dataset_windows(ds, "fancy", split="train", modalities=MODALITIES[:1])):
@@ -372,11 +374,11 @@ def test_unknown_labelling_mode_rejected():
             cut()
 
 
-def test_make_windows_is_deterministic():
+def test_cut_clip_is_deterministic():
     clip, frames = manual_clip([False] * 20 + [True] * 44)
     for mode in ("original", "manual"):
-        a = make_windows(clip, frames, mode)
-        b = make_windows(clip, frames, mode)
+        a = cut_clip(clip, frames, mode)
+        b = cut_clip(clip, frames, mode)
         assert len(a) == len(b)
         for wa, wb in zip(a, b):
             assert np.array_equal(wa.features, wb.features)
@@ -456,6 +458,21 @@ def test_test_windows_record_archetypes():
     for w in dataset_windows(ds, "manual", split="test"):
         if w.label == ANOMALOUS:
             assert w.archetype_id is not None
+
+
+@pytest.mark.parametrize("gen", [TINY.gen, GenConfig()], ids=["tiny", "default"])
+def test_test_window_keys_are_those_of_the_test_cut(monkeypatch, gen):
+    """keys_of_test_windows gives, frame-free, each modality's (clip_id, window_index,
+    label, archetype_id) of the test cut, in its order."""
+    monkeypatch.setattr(synthgen, "_BLOCK_CLIPS", 5)
+    for seed in range(1, 17):
+        ds = generate_dataset(GenConfig(**{**vars(gen), "seed": seed}))
+        keys = keys_of_test_windows(ds)
+        cut = dataset_windows(ds, "manual", "test")
+        assert keys and len(cut) == len(keys) * len(MODALITIES)
+        for mod in MODALITIES:
+            assert [(w.clip_id, w.window_index, w.label, w.archetype_id)
+                    for w in cut if w.modality == mod] == keys
 
 
 def test_by_modality_alignment():
@@ -545,7 +562,8 @@ def window_files(draw):
         window_index=st.integers(0, 99), modality=st.sampled_from(MODALITIES),
         split=st.sampled_from(("train", "test")), archetype_id=st.none() | st.integers(0, 99))
     return cfg, draw(st.sampled_from(synthgen.LABELLING_MODES)), \
-        draw(st.lists(window, min_size=1, max_size=4))
+        draw(st.lists(window, min_size=1, max_size=4,
+                      unique_by=lambda w: (w.split, w.modality, w.clip_id, w.window_index)))
 
 
 @settings(deadline=None, max_examples=60,
@@ -639,6 +657,36 @@ def test_window_file_non_finite_feature_names_path_and_line(tmp_path, column, va
     (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{i + 1}: non-finite value$"):
         load_windows(path)
+
+
+@pytest.mark.parametrize("changed", [None, "label", "feature"])
+def test_window_file_repeated_row_names_path_and_both_lines(tmp_path, changed):
+    """A row whose (split, modality, clip_id, window_index) an earlier row holds is
+    rejected, whatever else it changes."""
+    path, lines = _saved_window_lines(tmp_path)
+    i = _first_data_line(lines) + 5
+    parts = lines[i].split(",")
+    if changed == "label":
+        parts[4] = ANOMALOUS if parts[4] == NORMAL else NORMAL
+    elif changed == "feature":
+        parts[-1] = "0.5"
+    lines.append(",".join(parts))
+    (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{len(lines)}: repeats the "
+                                         rf"\(split, modality, clip_id, window_index\) of "
+                                         rf"line {i + 1}$"):
+        load_windows(path)
+
+
+def test_window_file_row_differing_only_in_split_loads(tmp_path):
+    path, lines = _saved_window_lines(tmp_path)
+    row = lines[_first_data_line(lines)]
+    assert row.startswith("train,")
+    lines.append("test," + row.split(",", 1)[1])
+    (tmp_path / "windows.txt").write_text("\n".join(lines) + "\n")
+    *_, windows = load_windows(path)
+    assert len(windows) == len(lines) - _first_data_line(lines)
+    assert windows[-1].split == "test"
 
 
 def test_window_file_unknown_labelling_names_path_and_line(tmp_path):
