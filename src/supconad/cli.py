@@ -6,14 +6,13 @@ values.  ``generate``, ``train`` and ``grid`` also read settings from a plain
 underscores; input and output paths of generate and train are flags only).
 A file value goes through its flag's type and choices and becomes the flag's
 default, so a flag wins over the file, the file over the default.  A file
-key with no flag, or a file value that fails that check, is an error that
-names its path and line; a bad flag value is an argparse usage error.  A
-range error names the flag or file line that set the value.  ``train``
-checks its layer widths before it reads --data, and that --data holds the
-windows it needs (train windows of both labels, test windows when it writes
-scores or curves, and test windows of both labels when it has any) before it
-trains; a data error that training raises, such as a split too small for a
-minibatch, names the file and modality too.
+key with no flag or set twice, or a file value that fails that check, is an
+error that names its path and line, as bad input in any file does
+(numerics.TextLines); a bad flag value is an argparse usage error.  A range
+error names the flag or file line that set the value.  ``train`` checks its
+layer widths before it reads --data, reads each split in (clip_id,
+window_index) order, whatever the row order, and checks the test split before
+it trains; a data error that training raises names the file and modality.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from . import experiment, fixtures, scoring, stats, trainer
 from .loss import NEGATIVE_MODES
 from .metrics import LabeledScores, dump_curves, pr_auc, roc_auc
 from .model import check_dims, save_params
-from .numerics import open_text
+from .numerics import TextLines
 from .synthgen import (ANOMALOUS, LABELLING_MODES, NORMAL, WINDOW_LEN, GenConfig, Modality,
-                       dataset_windows, generate_dataset, load_windows, save_windows)
+                       by_modality, dataset_windows, generate_dataset, load_windows, save_windows)
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -73,38 +72,38 @@ def _add_config(parser: argparse.ArgumentParser):
     parser.add_argument("--config", default=None, help="key=value config file")
 
 
-def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> dict[str, int]:
+def _config_as_defaults(parser: argparse.ArgumentParser, path: str) -> TextLines:
     """Make each key=value line of the --config file the default of its flag in parser,
-    and return the line of each key.  A value goes through the flag's own type, then
-    its choices.  The keys are the flags that have a default (path flags have none);
-    any other key, or a value that fails, raises ValueError("path:line: ...")."""
+    through the flag's own type, then its choices, and return the file's lines, which
+    know each key's line.  The keys are the flags that have a default (path flags have
+    none); any other key, a repeated key or a value that fails raises ValueError."""
     settable = {a.dest: a for a in parser._actions if a.default not in (None, argparse.SUPPRESS)}
-    lines = {}
-    with open_text(path) as f:
-        for ln_no, raw in enumerate(f, start=1):
+    with TextLines(path) as lines:
+        for ln_no, raw in lines:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, text = (t.strip() for t in line.partition("="))
-            where = f"{path}:{ln_no}"
             if not sep:
-                raise ValueError(f"{where}: expected key=value, got {line!r}")
+                raise ValueError(f"expected key=value, got {line!r}")
             if key not in settable:
-                raise ValueError(f"{where}: unknown key {key!r} "
+                raise ValueError(f"unknown key {key!r} "
                                  f"(known keys: {', '.join(sorted(settable))})")
+            if key in lines.fields:
+                raise ValueError(f"repeats key {key!r} of line {lines.fields[key]}")
             action = settable[key]
             try:
                 value = action.type(text) if action.type else text
                 if action.choices is not None and value not in action.choices:
                     raise ValueError(f"unknown {value!r} (known: {', '.join(action.choices)})")
             except (argparse.ArgumentTypeError, ValueError) as exc:
-                raise ValueError(f"{where}: {key}: {exc}") from None
+                raise ValueError(f"{key}: {exc}") from None
             action.default = value
-            lines[key] = ln_no
+            lines.fields[key] = ln_no
     return lines
 
 
-def _locate(message: str, parser: argparse.ArgumentParser, argv, args, lines) -> str:
+def _locate(message: str, parser: argparse.ArgumentParser, argv, args, config) -> str:
     """message with its leading "<field>: " traced to the flag or --config line that set it."""
     field, _, rest = message.partition(": ")
     action = {a.dest: a for a in args.subparser._actions}.get(field)
@@ -113,7 +112,7 @@ def _locate(message: str, parser: argparse.ArgumentParser, argv, args, lines) ->
     action.default = unset = object()   # parsed again, a field no flag sets keeps this
     if getattr(parser.parse_args(argv), field) is not unset:
         return f"{action.option_strings[0]}: {rest}"
-    return f"{args.config}:{lines[field]}: {message}" if field in lines else message
+    return config.place(message) if config is not None and field in config.fields else message
 
 
 def _cmd_generate(args) -> int:
@@ -136,18 +135,12 @@ def _cmd_train(args) -> int:
     if enc_dims[0] != n_in:
         raise ValueError(f"encoder_dims: must start with {n_in}, the features of a window "
                          f"in {args.data} (frame_dim {gen.frame_dim}), got {enc_dims}")
-    train_windows = [w for w in windows if w.split == "train" and w.modality == modality]
-    if not train_windows:
-        raise ValueError(f"{args.data}: no train windows of modality {modality.key}")
-    for label in (NORMAL, ANOMALOUS):
-        if not any(w.label == label for w in train_windows):
-            raise ValueError(f"{args.data}: no {label} train windows of modality {modality.key}")
-    test_windows = [w for w in windows if w.split == "test" and w.modality == modality]
-    if not test_windows and (args.scores_out or args.curves_out):
-        raise ValueError(f"{args.data}: no test windows of modality {modality.key}")
-    for label in (NORMAL, ANOMALOUS):
-        if test_windows and not any(w.label == label for w in test_windows):
-            raise ValueError(f"{args.data}: no {label} test windows of modality {modality.key}")
+    # each split in (clip_id, window_index) order, whatever the file's row order
+    train_windows, test_windows = (by_modality([w for w in windows if w.split == s])[modality]
+                                   for s in ("train", "test"))
+    missing = [lb for lb in (NORMAL, ANOMALOUS) if all(w.label != lb for w in test_windows)]
+    if missing and (test_windows or args.scores_out or args.curves_out):
+        raise ValueError(f"{args.data}: no {missing[0]} test windows of modality {modality.key}")
     try:
         result = trainer.train(train_windows, list(enc_dims), list(proj_dims), tcfg)
     except ValueError as exc:
@@ -283,14 +276,14 @@ def main(argv=None) -> int:
     """
     parser = build_parser()   # per call: --config values become its flags' defaults
     args = parser.parse_args(argv)
-    lines: dict[str, int] = {}
+    config = None
     try:
         if getattr(args, "config", None) is not None:
-            lines = _config_as_defaults(args.subparser, args.config)
+            config = _config_as_defaults(args.subparser, args.config)
             args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, trainer.TrainingDivergedError) as exc:
-        print("supconad: error:", _locate(str(exc), parser, argv, args, lines), file=sys.stderr)
+        print("supconad: error:", _locate(str(exc), parser, argv, args, config), file=sys.stderr)
         return 2
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, finite_floats, open_text, unit_rows
+from .numerics import Rng, TextLines, finite_floats, unit_rows
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -218,54 +218,48 @@ def save_params(params: ModelParams, path: str) -> None:
 
 
 def load_params(path: str) -> ModelParams:
-    """Read a version-1 checkpoint; a malformed line raises ValueError("path:line: ..."),
-    and layers that do not make a model (a section empty, a layer's input width
-    not its predecessor's output width, a projection output narrower than 2)
-    raise ValueError("path: ...")."""
-    with open_text(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != "supconad-params v1":
-        raise ValueError(f"{path}:1: unrecognized checkpoint header")
-    pos, parts, spec = 1, [], []
-    try:
+    """Read a version-1 checkpoint; a malformed line, or one after the last layer, raises
+    ValueError("path:line: ..."), and layers that make no model (an empty section, widths
+    that do not chain, a projection output below 2) raise ValueError("path: ...")."""
+    parts, spec = [], []
+    with TextLines(path) as lines:
+        if next(lines, (0, ""))[1] != "supconad-params v1":
+            raise ValueError("unrecognized checkpoint header")
         for name in ("encoder", "projection"):
             n_encoder = len(spec)   # the layers before the projection section's are the encoder
-            tag, got, n = _fields(lines, pos, 3)
+            tag, got, n = _fields(lines, 3)
             if (tag, got) != ("section", name):
                 raise ValueError(f"expected 'section {name} <n_layers>'")
-            n = int(n)
-            pos += 1
-            for _ in range(n):
-                tag, out_d, in_d, act = _fields(lines, pos, 4)
+            for _ in range(int(n)):
+                tag, out_d, in_d, act = _fields(lines, 4)
                 if tag != "layer" or act not in ACTIVATIONS:
                     raise ValueError(f"expected 'layer <out> <in> <{'|'.join(ACTIVATIONS)}>'")
                 out_d, in_d = int(out_d), int(in_d)
-                pos += 1
-                bias = finite_floats(_fields(lines, pos, out_d))
+                bias = finite_floats(_fields(lines, out_d))
                 w = np.empty((out_d, in_d))
                 for r in range(out_d):
-                    pos += 1
-                    w[r] = finite_floats(_fields(lines, pos, in_d))
-                pos += 1
+                    w[r] = finite_floats(_fields(lines, in_d))
                 parts += [w.ravel(), bias]
                 spec.append(((out_d, in_d), act))
-    except ValueError as exc:
-        raise ValueError(f"{path}:{pos + 1}: {exc}") from None
-    shapes = [shape for shape, _ in spec]
-    if not 0 < n_encoder < len(spec):
-        raise ValueError(f"{path}: encoder and projection must each have >= 1 layer")
-    if any(nxt[1] != prev[0] for prev, nxt in zip(shapes, shapes[1:])):
-        raise ValueError(f"{path}: consecutive layer dimensions are incompatible")
-    if shapes[-1][0] < 2:
-        raise ValueError(f"{path}: projection output dimension must be >= 2")
+        if next(lines, None):
+            raise ValueError("line after the last layer")
+        shapes = [shape for shape, _ in spec]
+        with lines.whole_file():
+            if not 0 < n_encoder < len(spec):
+                raise ValueError("encoder and projection must each have >= 1 layer")
+            if any(nxt[1] != prev[0] for prev, nxt in zip(shapes, shapes[1:])):
+                raise ValueError("consecutive layer dimensions are incompatible")
+            if shapes[-1][0] < 2:
+                raise ValueError("projection output dimension must be >= 2")
     return ModelParams(np.concatenate(parts), spec, n_encoder)
 
 
-def _fields(lines: list[str], pos: int, n: int) -> list[str]:
-    """The n whitespace-separated fields of lines[pos]."""
-    if pos >= len(lines):
+def _fields(lines: TextLines, n: int) -> list[str]:
+    """The n whitespace-separated fields of the next line."""
+    _, line = next(lines, (0, None))
+    if line is None:
         raise ValueError("checkpoint ends early")
-    parts = lines[pos].split()
+    parts = line.split()
     if len(parts) != n:
         raise ValueError(f"expected {n} fields, got {len(parts)}")
     return parts

@@ -1,8 +1,8 @@
 """The unit-norm rule, the deterministic random generator and its seed range,
-the lower-bound check of the config fields, the text-file opener that every
-reader of a package file goes through, the float parse of the window file and
-checkpoint readers, and the row writer that every CSV and the window file go
-through.
+the lower-bound check of the config fields, the line reader that every reader
+of a package file goes through and that places its bad input, the float parse
+of the window file and checkpoint readers, and the row writer that every CSV
+and the window file go through.
 
 All randomness in the package flows through :class:`Rng`, a counter-based
 splitmix64 generator that is fully specified below so that runs are
@@ -205,21 +205,47 @@ class Rng:
         return Rng(child_seed)
 
 
-@contextmanager
-def open_text(path: str):
-    """open(path) to read text; a byte that its encoding cannot decode raises
-    ValueError("path:line: ..."), at the first line that does not decode."""
-    try:
-        with open(path) as f:
-            yield f
-    except UnicodeDecodeError as exc:
-        with open(path, "rb") as f:
-            for ln_no, raw in enumerate(f, start=1):
-                try:
-                    raw.decode(exc.encoding)
-                except UnicodeDecodeError as line_exc:
-                    raise ValueError(f"{path}:{ln_no}: {line_exc}") from None
-        raise ValueError(f"{path}: {exc}") from None
+class TextLines:
+    """``with TextLines(path) as lines``: (number, text) per line of a text file, newline
+    stripped, each line decoded on its own.  The one rule for placing bad input: a
+    ValueError raised in the block becomes ValueError("<path>:<n>: <reason>"), n the line
+    that set <field> when the reason reads "<field>: ..." (see fields), else the line
+    being handled (the one after the last once a read has found the end); in a
+    whole_file() block, for a check that no single line holds, ValueError("<path>: ...")."""
+
+    def __init__(self, path: str):
+        self.path, self.no, self.fields = path, 0, {}   # fields: name -> the line that set it
+
+    def __enter__(self) -> "TextLines":
+        self._file = open(self.path, errors="surrogateescape")   # a bad byte fails in __next__
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        self._file.close()
+        if isinstance(exc, ValueError):
+            raise ValueError(self.place(str(exc))) from None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> tuple[int, str]:
+        line = self._file.readline()
+        self.no += 1
+        if not line:
+            raise StopIteration
+        if not line.isascii():   # an escaped byte raises the strict UnicodeDecodeError
+            line.encode(self._file.encoding, "surrogateescape").decode(self._file.encoding)
+        return self.no, line.rstrip("\n")
+
+    @contextmanager
+    def whole_file(self):
+        no, self.no = self.no, None
+        yield
+        self.no = no
+
+    def place(self, message: str) -> str:
+        no = self.fields.get(message.partition(": ")[0], self.no)
+        return f"{self.path}: {message}" if no is None else f"{self.path}:{no}: {message}"
 
 
 def write_rows(path: str, head, body) -> None:

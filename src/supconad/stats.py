@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special
 
 from .metrics import average_ranks
-from .numerics import open_text, write_rows
+from .numerics import TextLines, write_rows
 
 BERGMANN_HOMMEL_MAX_K = 9
 
@@ -223,38 +223,33 @@ def analyze(m: ResultsMatrix, alpha: float = 0.05) -> AnalysisReport:
 # -- CSV interfaces -----------------------------------------------------------
 
 def load_matrix_csv(path: str) -> ResultsMatrix:
-    """Matrix CSV: header row of dataset labels, one row per method."""
-    with open_text(path) as f:
-        lines = [(ln_no, ln.rstrip("\n")) for ln_no, ln in enumerate(f, start=1) if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}:1: empty matrix file")
-    header_no, header = lines[0]
-    datasets = header.split(",")[1:]
-    if not datasets:
-        raise ValueError(f"{path}:{header_no}: header row has no dataset columns")
-    repeated = [d for i, d in enumerate(datasets) if d in datasets[:i]]
-    if repeated:
-        raise ValueError(f"{path}:{header_no}: duplicate dataset label {repeated[0]!r}")
+    """Matrix CSV: header row of dataset labels, one row per method; blank lines are skipped."""
     methods, rows = [], []
-    for ln_no, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(datasets) + 1:
-            raise ValueError(
-                f"{path}:{ln_no}: expected {len(datasets) + 1} fields, got {len(parts)}"
-            )
-        if parts[0] in methods:
-            raise ValueError(f"{path}:{ln_no}: duplicate method label {parts[0]!r}")
-        methods.append(parts[0])
-        try:
-            rows.append([float(x) for x in parts[1:]])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{ln_no}: non-numeric value ({exc})") from None
-        if not np.all(np.isfinite(rows[-1])):
-            raise ValueError(f"{path}:{ln_no}: non-finite value")
-    try:   # too few methods or datasets
-        return ResultsMatrix(tuple(methods), tuple(datasets), np.array(rows))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with TextLines(path) as lines:
+        filled = (line for _, line in lines if line.strip())
+        if (header := next(filled, None)) is None:
+            raise ValueError("empty matrix file")
+        datasets = header.split(",")[1:]
+        if not datasets:
+            raise ValueError("header row has no dataset columns")
+        repeated = [d for i, d in enumerate(datasets) if d in datasets[:i]]
+        if repeated:
+            raise ValueError(f"duplicate dataset label {repeated[0]!r}")
+        for line in filled:
+            parts = line.split(",")
+            if len(parts) != len(datasets) + 1:
+                raise ValueError(f"expected {len(datasets) + 1} fields, got {len(parts)}")
+            if parts[0] in methods:
+                raise ValueError(f"duplicate method label {parts[0]!r}")
+            methods.append(parts[0])
+            try:
+                rows.append([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise ValueError(f"non-numeric value ({exc})") from None
+            if not np.all(np.isfinite(rows[-1])):
+                raise ValueError("non-finite value")
+        with lines.whole_file():   # too few methods or datasets
+            return ResultsMatrix(tuple(methods), tuple(datasets), np.array(rows))
 
 
 def save_matrix_csv(path: str, m: ResultsMatrix) -> None:

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import Rng, check_lower_bound, check_seed, finite_floats, open_text, write_rows
+from .numerics import Rng, TextLines, check_lower_bound, check_seed, finite_floats, write_rows
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -373,67 +373,56 @@ def load_windows(path: str) -> tuple[GenConfig, str, list[Window]]:
     """Read a version-1 window file, its header checked before any row; a malformed or
     repeated row, or a header value GenConfig rejects, raises ValueError("path:line: ...")."""
     cfg_kwargs: dict = {}
-    key_lines: dict[str, int] = {}
     row_lines: dict[tuple, int] = {}    # a row's key -> its line
     labelling = cfg = None
     windows = []
     field_types = {f.name: f.type for f in fields(GenConfig)}
-
-    def header_config() -> GenConfig:
-        if labelling is None:
-            raise ValueError(f"{path}: window file is missing the labelling header")
-        try:
-            return GenConfig(**cfg_kwargs)
-        except ValueError as exc:   # a single-field range error reads "<field>: ..."
-            where = key_lines.get(str(exc).split(":", 1)[0])
-            raise ValueError(f"{path}:{where}: {exc}" if where else f"{path}: {exc}") from None
-    with open_text(path) as f:
-        first = f.readline().rstrip("\n")
-        if first != "# supconad-windows v1":
-            raise ValueError(f"{path}:1: unrecognized window file header")
-        for ln_no, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
+    with TextLines(path) as lines:
+        def header_config() -> GenConfig:
+            with lines.whole_file():   # a range error is placed at its field's line
+                if labelling is None:
+                    raise ValueError("window file is missing the labelling header")
+                return GenConfig(**cfg_kwargs)
+        if next(lines, (0, ""))[1] != "# supconad-windows v1":
+            raise ValueError("unrecognized window file header")
+        for ln_no, line in lines:
             if cfg is None and not line.startswith("# "):   # the header ends at the first row
                 cfg = header_config()
                 n_fields = 6 + WINDOW_LEN * cfg.frame_dim   # 6 leading fields + the features
-            try:
-                if line.startswith("# "):
-                    if cfg is not None:
-                        raise ValueError("header line after the first window row")
-                    key, _, value = line[2:].partition("=")
-                    if key == "labelling":
-                        if value not in LABELLING_MODES:
-                            raise ValueError(f"unknown labelling {value!r} "
-                                             f"(known: {', '.join(LABELLING_MODES)})")
-                        labelling = value
-                    elif key in field_types:
-                        caster = {"int": int, "float": float}[field_types[key]]
-                        cfg_kwargs[key] = caster(value)
-                        key_lines[key] = ln_no
-                    else:
-                        raise ValueError(f"unknown header key {key!r}")
-                    continue
-                parts = line.split(",")
-                if len(parts) != n_fields:
-                    raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
-                split, mod_key, clip_id, w_idx, label, arch = parts[:6]
-                if split not in ("train", "test"):
-                    raise ValueError(f"unknown split {split!r}")
-                if label not in (NORMAL, ANOMALOUS):
-                    raise ValueError(f"unknown label {label!r}")
-                windows.append(Window(
-                    features=finite_floats(parts[6:]),
-                    label=label,
-                    clip_id=int(clip_id),
-                    window_index=int(w_idx),
-                    modality=Modality.from_key(mod_key),
-                    split=split,
-                    archetype_id=None if arch == "" else int(arch),
-                ))
-                key = (split, mod_key, windows[-1].clip_id, windows[-1].window_index)
-                if row_lines.setdefault(key, ln_no) != ln_no:
-                    raise ValueError("repeats the (split, modality, clip_id, window_index) "
-                                     f"of line {row_lines[key]}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln_no}: {exc}") from None
-    return cfg or header_config(), labelling, windows
+            if line.startswith("# "):
+                if cfg is not None:
+                    raise ValueError("header line after the first window row")
+                key, _, value = line[2:].partition("=")
+                if key == "labelling":
+                    if value not in LABELLING_MODES:
+                        raise ValueError(f"unknown labelling {value!r} "
+                                         f"(known: {', '.join(LABELLING_MODES)})")
+                    labelling = value
+                elif key in field_types:
+                    cfg_kwargs[key] = {"int": int, "float": float}[field_types[key]](value)
+                    lines.fields[key] = ln_no
+                else:
+                    raise ValueError(f"unknown header key {key!r}")
+                continue
+            parts = line.split(",")
+            if len(parts) != n_fields:
+                raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
+            split, mod_key, clip_id, w_idx, label, arch = parts[:6]
+            if split not in ("train", "test"):
+                raise ValueError(f"unknown split {split!r}")
+            if label not in (NORMAL, ANOMALOUS):
+                raise ValueError(f"unknown label {label!r}")
+            windows.append(Window(
+                features=finite_floats(parts[6:]),
+                label=label,
+                clip_id=int(clip_id),
+                window_index=int(w_idx),
+                modality=Modality.from_key(mod_key),
+                split=split,
+                archetype_id=None if arch == "" else int(arch),
+            ))
+            key = (split, mod_key, windows[-1].clip_id, windows[-1].window_index)
+            if row_lines.setdefault(key, ln_no) != ln_no:
+                raise ValueError("repeats the (split, modality, clip_id, window_index) "
+                                 f"of line {row_lines[key]}")
+        return cfg or header_config(), labelling, windows

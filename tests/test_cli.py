@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -121,6 +122,26 @@ def test_train_outputs_match_the_recorded_digests(tmp_path):
     digests = train_digests(tmp_path)
     assert len(digests) == 2 * 5     # checkpoint, log, scores and two curve files per head
     bit_identity.check("cli_train", digests)
+
+
+def test_train_gives_the_same_model_and_scores_whatever_the_row_order(tmp_path):
+    data = tmp_path / "data.txt"
+    run(["generate", *GEN_FLAGS, "--seed", "7", "--labelling", "manual", "--out", str(data)])
+    lines = data.read_text().splitlines(keepends=True)
+    rows = [ln for ln in lines if not ln.startswith("#")]
+    random.Random(0).shuffle(rows)
+    shuffled = tmp_path / "shuffled.txt"
+    shuffled.write_text("".join(lines[:len(lines) - len(rows)] + rows))
+    outputs = []
+    for path in (data, shuffled):
+        out = tmp_path / path.stem
+        out.mkdir()
+        assert run(["train", "--data", str(path), *TRAIN_FLAGS, "--seed", "1",
+                    "--checkpoint-out", str(out / "checkpoint.txt"),
+                    "--scores-out", str(out / "scores.csv")]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in ("checkpoint.txt",
+                                                                     "scores.csv")})
+    assert outputs[0] == outputs[1]
 
 
 def stats_digests(tmp_path: Path) -> dict[str, str]:
@@ -300,8 +321,9 @@ def test_unknown_config_key_is_a_one_line_error(tmp_path, capsys, command, known
      "head_modes: unknown 'encoderr' (known: encoder, projection)"),
     ("train", "epochs=4", "negative_mode=avg",
      "negative_mode: unknown 'avg' (known: sum, average)"),
+    ("train", "epochs=0", "epochs=4", "repeats key 'epochs' of line 2"),   # no later value wins
 ], ids=["train-head", "train-epochs", "generate-labelling", "grid-seeds", "grid-head-modes",
-        "train-negative-mode"])
+        "train-negative-mode", "train-repeated-key"])
 def test_bad_config_value_is_a_one_line_error(tmp_path, capsys, command, known, bad, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# a comment\n{known}\n{bad}\n")
@@ -376,7 +398,7 @@ def test_train_on_a_file_without_train_windows_names_the_file_and_modality(tmp_p
     out = tmp_path / "model.txt"
     assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS,
                                    "--modality", "top_ir", "--checkpoint-out", str(out)],
-                          f"supconad: error: {data}: no train windows of modality top_ir\n")
+                          f"supconad: error: {data}: modality top_ir: no normal windows to split\n")
     assert not out.exists()
 
 
@@ -398,8 +420,8 @@ def test_train_on_a_file_without_train_windows_of_a_label_names_it(tmp_path, cap
     out = tmp_path / "model.txt"
     assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS,
                                    "--checkpoint-out", str(out)],
-                          f"supconad: error: {data}: no {label} train windows of modality "
-                          "top_depth\n")
+                          f"supconad: error: {data}: modality top_depth: no {label} windows to "
+                          "split\n")
     assert not out.exists()
 
 
@@ -471,7 +493,8 @@ def test_train_writing_test_results_without_test_windows_names_the_file(tmp_path
     out = tmp_path / "model.txt"
     assert_one_line_error(capsys, ["train", "--data", str(data), *TRAIN_FLAGS,
                                    "--checkpoint-out", str(out), flag, str(tmp_path / "s")],
-                          f"supconad: error: {data}: no test windows of modality top_depth\n")
+                          f"supconad: error: {data}: no normal test windows of modality "
+                          "top_depth\n")
     assert not out.exists()
     # without a test result to write, the test windows are not needed
     assert run(["train", "--data", str(data), *TRAIN_FLAGS, "--checkpoint-out", str(out)]) == 0
@@ -642,6 +665,92 @@ def test_a_bad_byte_in_a_checkpoint_names_its_line(tmp_path):
     with pytest.raises(ValueError, match=rf"^{re.escape(str(ckpt))}:4: 'utf-8' codec "
                                          r"can't decode byte 0xff"):
         load_params(str(ckpt))
+
+
+# -- every input file: bad input is one line that names its place ---------------------
+
+# the line each file's mutations change, and the separator of its fields
+_FILE_LINES = {"window": (17, ","), "matrix": (2, ","), "config": (2, "="),
+               "checkpoint": (5, " ")}
+
+
+def _mutate(text: bytes, line: int, sep: str, mutation: str) -> bytes:
+    """text with one line changed (1-based), or its first line repeated at the end,
+    or emptied."""
+    lines = text.splitlines(keepends=True)
+    fields = lines[line - 1].decode().rstrip("\n").split(sep)
+    changed = {"nan": fields[:-1] + ["nan"], "inf": fields[:-1] + ["inf"],
+               "truncated": fields[:-1], "extra-field": fields + ["0.5"]}.get(mutation)
+    if changed is not None:
+        lines[line - 1] = (sep.join(changed) + "\n").encode()
+    elif mutation == "repeated":
+        lines.append(lines[line - 1])
+    elif mutation == "bad-byte":
+        lines[line - 1] = b"\xff" + lines[line - 1]
+    else:
+        assert mutation == "empty"
+        lines = []
+    return b"".join(lines)
+
+
+@pytest.fixture(scope="module")
+def valid_input_files(tmp_path_factory) -> dict[str, Path]:
+    """One valid file each of the four kinds the package reads."""
+    base = tmp_path_factory.mktemp("valid")
+    files = {kind: base / name for kind, name in (("window", "data.txt"), ("matrix", "m.csv"),
+                                                   ("config", "run.cfg"),
+                                                   ("checkpoint", "model.txt"))}
+    assert main(["generate", *GEN_FLAGS, "--seed", "7", "--labelling", "manual",
+                 "--out", str(files["window"])]) == 0
+    files["matrix"].write_text("method,d0,d1,d2\nm0,0.5,0.6,0.7\nm1,0.4,0.5,0.6\n"
+                               "m2,0.3,0.4,0.5\n")
+    files["config"].write_text("# sets what TRAIN_FLAGS does not\nlr0=0.01\ntau=0.1\n")
+    save_params(init_params([6, 4], [4, 2], Rng(1)), str(files["checkpoint"]))
+    return files
+
+
+def _error_of(capsys, kind: str, path: Path, data: Path) -> str | None:
+    """The one-line error the reader of kind gives for the file at path, or None when
+    it accepts it: the checkpoint through load_params, since no subcommand reads one,
+    and every other file through cli.main."""
+    if kind == "checkpoint":
+        try:
+            load_params(str(path))
+        except ValueError as exc:
+            return str(exc)
+        return None
+    argv = {"window": ["train", "--data", str(path), *TRAIN_FLAGS],
+            "matrix": ["stats", "--matrix", str(path), "--out-prefix", str(path) + ".out"],
+            "config": ["train", "--data", str(data), *TRAIN_FLAGS, "--config", str(path),
+                       "--checkpoint-out", str(path) + ".model"]}[kind]
+    capsys.readouterr()
+    status = run(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if status == 0:
+        assert err == ""
+        return None
+    assert status == 2 and err.startswith("supconad: error: ") and err.count("\n") == 1, err
+    return err[len("supconad: error: "):-1]
+
+
+@pytest.mark.parametrize("mutation", ["nan", "inf", "truncated", "extra-field", "repeated",
+                                      "bad-byte", "empty"])
+@pytest.mark.parametrize("kind", list(_FILE_LINES))
+def test_bad_input_in_any_file_is_one_line_naming_its_place(tmp_path, capsys,
+                                                           valid_input_files, kind, mutation):
+    line, sep = _FILE_LINES[kind]
+    text = valid_input_files[kind].read_bytes()
+    path = tmp_path / valid_input_files[kind].name
+    path.write_bytes(_mutate(text, line, sep, mutation))
+    error = _error_of(capsys, kind, path, valid_input_files["window"])
+    if (kind, mutation) == ("config", "empty"):   # every setting keeps its default
+        assert error is None
+        return
+    # the changed line; a repeated line's copy, after the last; an empty file's line 1
+    where = {"repeated": len(text.splitlines()) + 1, "empty": 1}.get(mutation, line)
+    assert error is not None and error.startswith(f"{path}:{where}: "), error
+    assert "\n" not in error
 
 
 def test_stats_alpha_range_error_names_the_flag(tmp_path, capsys):

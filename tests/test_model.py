@@ -494,6 +494,16 @@ def test_checkpoint_cut_mid_line_names_path_and_line(tmp_path):
         M.load_params(path)
 
 
+@pytest.mark.parametrize("extra", ["last", "blank", "section"])
+def test_checkpoint_line_after_the_last_layer_names_path_and_line(tmp_path, extra):
+    path, lines = _saved_checkpoint_lines(tmp_path)
+    lines.append({"last": lines[-1], "blank": "", "section": "section encoder 1"}[extra])
+    (tmp_path / "params.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{len(lines)}: line after the "
+                                         r"last layer$"):
+        M.load_params(path)
+
+
 @pytest.mark.parametrize("encoder, projection, message", [
     ([(3, 2)], [(2, 4)], "consecutive layer dimensions are incompatible"),
     ([], [(2, 2)], "encoder and projection must each have >= 1 layer"),

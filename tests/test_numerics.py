@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supconad.numerics import (_BLOCK, _BLOCK_MAX_REQUEST, DegenerateVectorError, Rng,
-                               unit_rows, write_rows)
+                               TextLines, unit_rows, write_rows)
 from supconad.scoring import embed
 from test_model import identity_net
 
@@ -325,6 +325,62 @@ def test_seed_range_validation():
         with pytest.raises(ValueError, match=rf"^seed: must fit in an unsigned 64-bit integer, "
                                              rf"got {seed}$"):
             Rng(seed)
+
+
+# -- TextLines: the one line reader, and its rule for placing bad input ----------------
+
+def test_text_lines_split_like_text_mode(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes("a\r\nb\rc\n\nd\u00e9".encode())
+    with TextLines(str(path)) as lines:
+        assert list(lines) == [(1, "a"), (2, "b"), (3, "c"), (4, ""), (5, "d\u00e9")]
+        assert lines.no == 6
+
+
+def _raised_in(path, body) -> str:
+    with pytest.raises(ValueError) as exc:
+        with TextLines(str(path)) as lines:
+            body(lines)
+    assert type(exc.value) is ValueError and exc.value.__cause__ is None
+    return str(exc.value)
+
+
+def test_text_lines_place_an_error_at_its_line_field_or_file(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("a=1\nb=2\nc=3\n")
+
+    def at_line_2(lines):
+        next(lines)
+        next(lines)
+        raise ValueError("bad b")
+    assert _raised_in(path, at_line_2) == f"{path}:2: bad b"
+
+    def traced_to_a(lines):
+        for no, line in lines:
+            lines.fields[line[0]] = no
+        raise ValueError("a: must be >= 2, got 1")
+    assert _raised_in(path, traced_to_a) == f"{path}:1: a: must be >= 2, got 1"
+
+    def past_the_end(lines):
+        for _ in lines:
+            pass
+        raise ValueError("ends early")
+    assert _raised_in(path, past_the_end) == f"{path}:4: ends early"
+
+    def whole_file(lines):
+        next(lines)
+        with lines.whole_file():
+            raise ValueError("no single line")
+    assert _raised_in(path, whole_file) == f"{path}: no single line"
+
+
+def test_text_lines_leave_other_errors_as_raised(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("a\n")
+    with pytest.raises(KeyError, match="^'a'$"):
+        with TextLines(str(path)) as lines:
+            next(lines)
+            raise KeyError("a")
 
 
 # -- write_rows: the cell rule of every CSV --------------------------------------
